@@ -25,13 +25,14 @@ t_i = 1 in the uniform case with generator count r).  On top of it sit:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial
 from typing import Optional, Sequence
 
 from .rationals import Rational, format_rational
-from .slab import vol_slab
+from .slab import _slab_numerator, vol_slab
 
 __all__ = [
     "BoundQuery",
@@ -81,10 +82,11 @@ class BoundQuery:
         if self.valuations is not None and any(t <= 0 for t in self.valuations):
             raise ValueError("valuations must be positive")
 
-    def effective_valuations(self) -> tuple[Fraction, ...]:
+    def valuation_counts(self) -> dict[Fraction, int]:
+        """The valuations as a multiset ``{t: count}``; uniform r is ``{1: r}``."""
         if self.valuations is not None:
-            return self.valuations
-        return (Fraction(1),) * int(self.generator_count or 0)
+            return Counter(self.valuations)
+        return {Fraction(1): int(self.generator_count)} if self.generator_count else {}
 
 
 def volume_lower_bound(
@@ -97,14 +99,16 @@ def volume_lower_bound(
     """Exact value of ``e * (v_s - sum_i v_{s - t_i})``.
 
     May be <= 0 (a vacuous bound); the caller decides usefulness.
-    Volumes at negative index are 0 by definition.
+    Volumes at negative index are 0 by definition.  Equal valuations are
+    grouped, so the sum is taken as ``sum_t count(t) * v_{s-t}`` with one
+    volume per distinct t: the uniform form costs two volumes for any r.
     """
     vals = None if valuations is None else tuple(Fraction(t) for t in valuations)
     query = BoundQuery(d, Fraction(e), Fraction(s), generator_count=r, valuations=vals)
     s = query.slice_point
     total = vol_slab(d, s)
-    for t in query.effective_valuations():
-        total -= vol_slab(d, s - t)
+    for t, count in query.valuation_counts().items():
+        total -= count * vol_slab(d, s - t)
     return query.multiplicity * total
 
 
@@ -115,16 +119,29 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     then refines around the best point by 8 rounds of step halving.
     Every evaluation is exact, so the returned bound is always valid;
     only the optimality of s is best-effort.
+
+    Each grid volume is evaluated once: v_{s-1} at k/grid_resolution is
+    the grid volume at k - grid_resolution (0 when k < grid_resolution).
+    The grid volumes share one positive denominator and e >= 1, so the
+    scan compares the integer numerators N_k - r * N_{k-grid_resolution}
+    in place of the bounds, and only the best grid point is evaluated as
+    a ``Fraction``.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     best_s = Fraction(0)
     best_bound = volume_lower_bound(d, e, best_s, r=r)
-    for k in range(1, d * grid_resolution + 1):
-        s = Fraction(k, grid_resolution)
-        bound = volume_lower_bound(d, e, s, r=r)
-        if bound > best_bound:
-            best_s, best_bound = s, bound
+    numerators = [_slab_numerator(d, k, grid_resolution) for k in range(d * grid_resolution + 1)]
+    count = int(r)
+    best_k, best_score = 0, 0
+    for k in range(1, len(numerators)):
+        previous = numerators[k - grid_resolution] if k >= grid_resolution else 0
+        score = numerators[k] - count * previous
+        if score > best_score:
+            best_k, best_score = k, score
+    if best_k:
+        best_s = Fraction(best_k, grid_resolution)
+        best_bound = volume_lower_bound(d, e, best_s, r=r)
     step = Fraction(1, grid_resolution)
     for _ in range(8):
         step /= 2
@@ -192,12 +209,31 @@ def quadric_ehk(p: int, d: int) -> Fraction:
     raise ValueError(f"unsupported dimension {d} (closed forms exist for d in {{5, 6}})")
 
 
+@dataclass(frozen=True)
+class _Parabola:
+    """The parabola e -> G(e) for one slice s, from v_s and v_{s-1} evaluated once."""
+
+    v_s: Fraction
+    v_prev: Fraction
+
+    @classmethod
+    def at(cls, d: int, s: Rational) -> _Parabola:
+        s = Fraction(s)
+        return cls(vol_slab(d, s), vol_slab(d, s - 1))
+
+    def value(self, e: Rational) -> Fraction:
+        e = Fraction(e)
+        return e * (self.v_s - (e - 2) * self.v_prev)
+
+    def apex(self) -> Optional[Fraction]:
+        if self.v_prev == 0:
+            return None
+        return (self.v_s + 2 * self.v_prev) / (2 * self.v_prev)
+
+
 def quadratic_bound(d: int, e: Rational, s: Rational) -> Fraction:
     """G(e) = e * (v_s - (e - 2) v_{s-1}), the volume bound at r = e - 2."""
-    e, s = Fraction(e), Fraction(s)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return e * (vol_slab(d, s) - (e - 2) * vol_slab(d, s - 1))
+    return _Parabola.at(d, s).value(e)
 
 
 def quadratic_apex(d: int, s: Rational) -> Optional[Fraction]:
@@ -206,13 +242,7 @@ def quadratic_apex(d: int, s: Rational) -> Optional[Fraction]:
     Returns None when v_{s-1} = 0: G is then linear and increasing in e,
     so there is no interior maximum.
     """
-    s = Fraction(s)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    v_prev = vol_slab(d, s - 1)
-    if v_prev == 0:
-        return None
-    return (vol_slab(d, s) + 2 * v_prev) / (2 * v_prev)
+    return _Parabola.at(d, s).apex()
 
 
 @dataclass(frozen=True)
@@ -240,13 +270,17 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Ratio
     the left (right) endpoint certifies.  If v_{s-1} = 0 the parabola
     degenerates to a line with slope v_s >= 0 and the left endpoint
     certifies; the branch field reports the monotonicity direction.
+    v_s and v_{s-1} are evaluated once for both endpoints and the apex.
     """
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
+    if e_low < 1:
+        raise ValueError("e_low must be >= 1 (multiplicities are positive)")
     s, target = Fraction(s), Fraction(target)
-    g_low = quadratic_bound(d, e_low, s)
-    g_high = quadratic_bound(d, e_high, s)
-    apex = quadratic_apex(d, s)
+    parabola = _Parabola.at(d, s)
+    g_low = parabola.value(e_low)
+    g_high = parabola.value(e_high)
+    apex = parabola.apex()
     if apex is None:
         branch = "degenerate-linear-increasing"
         certified = g_low

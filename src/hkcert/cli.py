@@ -147,7 +147,7 @@ def _cmd_md(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.optimize:
         if args.t is not None:
-            raise SystemExit("--optimize supports only the uniform --r form")
+            raise ValueError("--optimize supports only the uniform --r form")
         s, bound = optimize_slice(args.dim, args.e, args.r, args.resolution)
         print(f"s: {format_rational(s)}")
     else:
@@ -183,7 +183,7 @@ def _cmd_radical(args: argparse.Namespace) -> int:
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
         if any(flag is not None for flag in recursion_flags) or args.b is not None:
-            raise SystemExit("--case and recursion flags (--k/--n/--b/--iterations) are mutually exclusive")
+            raise ValueError("--case and recursion flags (--k/--n/--b/--iterations) are mutually exclusive")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
         params = RadicalParams(
@@ -196,7 +196,7 @@ def _cmd_radical(args: argparse.Namespace) -> int:
         )
         bound = radical_recursion_bound(params)
     else:
-        raise SystemExit("give either --case, or all of --k --n --iterations")
+        raise ValueError("give either --case, or all of --k --n --iterations")
     print(f"bound: {_fmt(bound)}")
     return 0
 

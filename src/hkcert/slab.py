@@ -6,9 +6,16 @@ the classical inclusion-exclusion finite sum
 
     v_s = sum_{n=0}^{floor(s)} (-1)^n (s-n)^d / (n! (d-n)!)
 
-clamped to 0 for s <= 0 and to 1 for s >= d.  As a function of s the
-volume is a continuous piecewise polynomial of degree d with integer
-breakpoints; ``slab_polynomial`` builds that representation explicitly.
+clamped to 0 for s <= 0 and to 1 for s >= d.  For s = a/b the sum is
+evaluated as one integer numerator over the common denominator d! b^d,
+
+    v_{a/b} = N / (d! b^d),   N = sum_{n=0}^{floor(a/b)} (-1)^n C(d,n) (a-nb)^d,
+
+so a single ``Fraction`` is built per volume.  On a grid {k/b} all
+numerators share that denominator, so volumes on one grid compare as
+integers.  As a function of s the volume is a continuous piecewise
+polynomial of degree d with integer breakpoints; ``slab_polynomial``
+builds that representation explicitly.
 
 Pointwise evaluation always uses the finite sum directly rather than the
 piecewise object, so there is a single source of truth; the piecewise
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor
+from math import comb, factorial, floor
 
 from .rationals import Rational, RationalPolynomial
 
@@ -39,9 +46,19 @@ def vol_slab(d: int, s: Rational) -> Fraction:
         return Fraction(0)
     if s >= d:
         return Fraction(1)
-    total = Fraction(0)
-    for n in range(floor(s) + 1):
-        term = (s - n) ** d / (factorial(n) * factorial(d - n))
+    b = s.denominator
+    return Fraction(_slab_numerator(d, s.numerator, b), factorial(d) * b**d)
+
+
+def _slab_numerator(d: int, a: int, b: int) -> int:
+    """Integer N with v_{a/b} = N / (d! b^d), for b >= 1 and 0 <= a <= d*b.
+
+    a/b need not be in lowest terms, so the volumes on a grid {k/b} all
+    come over the one denominator d! b^d.
+    """
+    total = 0
+    for n in range(a // b + 1):
+        term = comb(d, n) * (a - n * b) ** d
         total += -term if n % 2 else term
     return total
 

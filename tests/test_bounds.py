@@ -22,9 +22,43 @@ from hkcert.bounds import (
 from hkcert.rationals import RationalPolynomial
 from hkcert.series import conjecture_threshold
 from hkcert.slab import slab_polynomial, vol_slab
+from test_slab import termwise_vol_slab
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+def ungrouped_bound(d, e, s, valuations):
+    """Oracle: ``e * (v_s - sum_i v_{s-t_i})`` with one volume per valuation, repeats included."""
+    s = Fraction(s)
+    total = termwise_vol_slab(d, s)
+    for t in valuations:
+        total -= termwise_vol_slab(d, s - t)
+    return Fraction(e) * total
+
+
+def grid_then_halving(d, e, r, grid_resolution):
+    """Oracle: ``optimize_slice`` as first written, one full bound per point.
+
+    Every grid point and refinement candidate gets its own ungrouped
+    evaluation; the strict ``>`` keeps the first maximum found.
+    """
+    best_s = Fraction(0)
+    best_bound = ungrouped_bound(d, e, best_s, [1] * r)
+    for k in range(1, d * grid_resolution + 1):
+        s = Fraction(k, grid_resolution)
+        bound = ungrouped_bound(d, e, s, [1] * r)
+        if bound > best_bound:
+            best_s, best_bound = s, bound
+    step = Fraction(1, grid_resolution)
+    for _ in range(8):
+        step /= 2
+        for candidate in (best_s - step, best_s + step):
+            if 0 <= candidate <= d:
+                bound = ungrouped_bound(d, e, candidate, [1] * r)
+                if bound > best_bound:
+                    best_s, best_bound = candidate, bound
+    return best_s, best_bound
 
 
 class TestVolumeLowerBound:
@@ -53,6 +87,23 @@ class TestVolumeLowerBound:
             uniform = volume_lower_bound(d, e, s, r=3)
             explicit = volume_lower_bound(d, e, s, valuations=[1, 1, 1])
             assert uniform == explicit
+
+    def test_grouped_valuations_equal_ungrouped_sum(self):
+        rng = random.Random(3301)
+        pool = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5), Fraction(5, 2), Fraction(3)]
+        for _ in range(60):
+            d = rng.randint(1, 8)
+            e = Fraction(rng.randint(3, 90), rng.randint(1, 3))
+            s = Fraction(rng.randint(0, 20 * d), 20)
+            valuations = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            expected = ungrouped_bound(d, e, s, valuations)
+            assert volume_lower_bound(d, e, s, valuations=valuations) == expected
+            if all(t == 1 for t in valuations):
+                assert volume_lower_bound(d, e, s, r=len(valuations)) == expected
+
+    def test_uniform_equals_repeated_unit_valuations(self):
+        for d, e, s, r in [(5, 35, Fraction(7, 5), 134), (6, 12, Fraction(23, 10), 10), (3, Fraction(7, 2), 2, 1)]:
+            assert volume_lower_bound(d, e, s, r=r) == ungrouped_bound(d, e, s, [1] * r)
 
     def test_weakly_decreasing_in_generator_count(self):
         for d, e, s in [(5, 7, Fraction(21, 10)), (6, 10, Fraction(23, 10)), (3, 4, Fraction(3, 2))]:
@@ -92,6 +143,25 @@ class TestOptimizeSlice:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             optimize_slice(2, 1, 0, 1)
+
+    def test_rejects_invalid_query(self):
+        with pytest.raises(ValueError):
+            optimize_slice(5, Fraction(1, 2), 3, 10)
+        with pytest.raises(ValueError):
+            optimize_slice(5, 5, -1, 10)
+        with pytest.raises(ValueError):
+            optimize_slice(0, 5, 3, 10)
+
+    def test_matches_grid_then_halving_oracle(self):
+        rng = random.Random(8128)
+        cases = [(2, 1, 0, 2), (2, Fraction(7, 3), 16, 2), (8, Fraction(37, 2), 16, 60), (8, 5, 0, 60),
+                 (4, 6, 4, 41), (5, Fraction(35, 3), 7, 2)]
+        for _ in range(16):
+            d, r, res = rng.randint(2, 8), rng.randint(0, 16), rng.randint(2, 60)
+            e = Fraction(rng.randint(max(3, 2 * r), 90), rng.choice([1, 2, 3, 7]))
+            cases.append((d, max(e, 1), r, res))
+        for d, e, r, res in cases:
+            assert optimize_slice(d, e, r, res) == grid_then_halving(d, e, r, res), (d, e, r, res)
 
 
 class TestDualityBounds:
@@ -233,6 +303,20 @@ class TestCertifyInterval:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             certify_interval(6, 9, 5, Fraction(13, 5), Fraction(1))
+
+    def test_rejects_non_positive_multiplicity(self):
+        for e_low in (-5, 0):
+            with pytest.raises(ValueError):
+                certify_interval(6, e_low, 9, Fraction(13, 5), Fraction(1107, 1000))
+        assert certify_interval(6, 1, 9, Fraction(13, 5), Fraction(0)).passed
+
+    def test_endpoints_and_apex_match_quadratic_helpers(self):
+        for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
+            row = certify_interval(6, e_low, e_high, s, Fraction(1))
+            assert row.apex == quadratic_apex(6, s)
+            g_low, g_high = quadratic_bound(6, e_low, s), quadratic_bound(6, e_high, s)
+            assert row.certified_bound in (g_low, g_high)
+            assert g_low == ungrouped_bound(6, e_low, s, [1] * (e_low - 2))
 
 
 class TestRadicalStep:

@@ -148,6 +148,29 @@ def test_certify_interval(capsys):
     assert "target: 1107/1000 -> PASS" in out
 
 
+def test_certify_interval_rejects_non_positive_multiplicity():
+    result = run_cli("certify-interval", "--dim", "6", "--e-low", "-5", "--e-high", "9",
+                     "--s", "2.6", "--target", "1.107")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--dim", "5", "--e", "5", "--t", "1,1", "--optimize"],
+        ["radical", "--dim", "4", "--case", "general", "--k", "3"],
+        ["radical", "--dim", "4", "--k", "3", "--n", "2"],
+    ],
+)
+def test_flag_combination_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_certify_interval_failing(capsys):
     assert main(["certify-interval", "--dim", "6", "--e-low", "10", "--e-high", "25",
                  "--s", "2.2", "--target", "1.118"]) == 1

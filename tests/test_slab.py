@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial, floor
 
@@ -5,7 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hkcert.rationals import RationalPolynomial
-from hkcert.slab import slab_polynomial, vol_slab
+from hkcert.slab import _slab_numerator, slab_polynomial, vol_slab
+
+
+def termwise_vol_slab(d: int, s: Fraction) -> Fraction:
+    """Brute-force oracle: the inclusion-exclusion sum with one Fraction per term.
+
+    This is the evaluation ``vol_slab`` used before it summed one integer
+    numerator over d! b^d; both must give the same Fraction.
+    """
+    s = Fraction(s)
+    if s <= 0:
+        return Fraction(0)
+    if s >= d:
+        return Fraction(1)
+    total = Fraction(0)
+    for n in range(floor(s) + 1):
+        term = (s - n) ** d / (factorial(n) * factorial(d - n))
+        total += -term if n % 2 else term
+    return total
 
 
 def lattice_fraction(d: int, s: Fraction, n: int) -> Fraction:
@@ -48,6 +67,30 @@ def test_vol_slab_values(d, s, expected):
 def test_vol_slab_rejects_bad_dimension():
     with pytest.raises(ValueError):
         vol_slab(0, Fraction(1, 2))
+
+
+def test_integer_kernel_matches_termwise_oracle():
+    rng = random.Random(20110)
+    cases = []
+    for _ in range(1500):
+        d = rng.randint(1, 12)
+        b = rng.choice([rng.randint(1, 40), rng.randint(1, 25600)])
+        cases.append((d, Fraction(rng.randint(0, d * b), b)))
+    for d in range(1, 13):
+        cases += [(d, Fraction(0)), (d, Fraction(-1)), (d, Fraction(-7, 3)), (d, Fraction(d)),
+                  (d, Fraction(d + 1)), (d, Fraction(4 * d + 1, 3)), (d, Fraction(1, 25600)),
+                  (d, d - Fraction(1, 25600))]
+        cases += [(d, Fraction(k)) for k in range(d + 1)]
+    for d, s in cases:
+        assert vol_slab(d, s) == termwise_vol_slab(d, s), (d, s)
+
+
+def test_grid_numerators_share_one_denominator():
+    for d in (1, 2, 5, 8):
+        for b in (1, 2, 7, 40):
+            for k in range(d * b + 1):
+                expected = termwise_vol_slab(d, Fraction(k, b))
+                assert Fraction(_slab_numerator(d, k, b), factorial(d) * b**d) == expected
 
 
 def test_lattice_oracle_agrees():
