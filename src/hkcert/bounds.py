@@ -181,14 +181,33 @@ def minimal_multiplicity_bound(e: Rational) -> Fraction:
     return e / 2
 
 
+# Miller-Rabin with the first 12 prime bases is deterministic below
+# psi_12 = 318665857834031151167461 (Sorenson and Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError for odd p >= psi_12."""
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p in _MILLER_RABIN_BASES:
+        return True
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"p must be below {_MILLER_RABIN_LIMIT} for a deterministic primality test, got {p}")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

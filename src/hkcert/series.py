@@ -117,7 +117,11 @@ def zigzag_coeffs(order: int) -> SeriesCoefficients:
 
 
 def conjecture_threshold(d: int) -> Fraction:
-    """The conjectured Hilbert-Kunz lower bound 1 + m_d for dimension d."""
+    """The conjectured Hilbert-Kunz lower bound 1 + m_d for dimension d.
+
+    Computed on the integer boustrophedon path (``zigzag_coeffs``); the
+    test suite checks it against ``secant_tangent_coeffs``.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return secant_tangent_coeffs(d).threshold(d)
+    return zigzag_coeffs(d).threshold(d)

@@ -13,23 +13,18 @@ Every row records a quoted display target alongside the effective exact
 target.  Displayed bounds in this package are truncations, never
 roundings, so a quoted value that would overstate the recomputed exact
 bound is replaced by its truncated rendering and the substitution is
-recorded in the row notes.  Row verification may fan out across threads
-(capped by the HK_CERTIFY_THREADS environment variable); rows are
-assembled in table order, so reports are byte-stable regardless of
-scheduling.
+recorded in the row notes.  Rows are computed serially in table order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
-from .bounds import certify_interval, quadratic_apex, volume_lower_bound
+from .bounds import certify_interval, volume_lower_bound
 from .rationals import decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
@@ -120,24 +115,6 @@ DIM6_ROWS: tuple[ApexIntervalRow, ...] = (
 )
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HK_CERTIFY_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HK_CERTIFY_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"HK_CERTIFY_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _run_rows(jobs: list[Callable[[], ReportRow]]) -> tuple[ReportRow, ...]:
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(jobs))) as pool:
-        return tuple(pool.map(lambda job: job(), jobs))
-
-
 def _threshold_note(bound: Fraction, threshold: Fraction, extra: str = "") -> str:
     verdict = "yes" if bound > threshold else "no"
     note = f"exceeds conjectured threshold {format_rational(threshold)}: {verdict}"
@@ -182,61 +159,49 @@ def _large_e_row(d: int, e_min: int, threshold: Fraction, extra: str = "") -> Re
     )
 
 
-def _dim5_rows() -> list[Callable[[], ReportRow]]:
-    threshold = conjecture_threshold(5)
-    jobs: list[Callable[[], ReportRow]] = [lambda: _large_e_row(5, 137, threshold)]
-    for row in DIM5_ROWS:
-        jobs.append(lambda row=row: _volume_row(5, row, threshold))
-    return jobs
-
-
-def _dim6_rows() -> list[Callable[[], ReportRow]]:
-    threshold = conjecture_threshold(6)
-
-    def increasing_row() -> ReportRow:
-        target = Fraction(189, 100)
-        cert = certify_interval(6, 296, 786, Fraction(13, 10), target)
-        apex = quadratic_apex(6, Fraction(13, 10))
-        assert apex is not None
-        return ReportRow(
-            name="296<=e<=786",
-            inputs="d=6 a=296 b=786 s=13/10",
-            exact_bound=cert.certified_bound,
-            target=target,
-            passed=cert.passed,
-            notes=_threshold_note(
-                cert.certified_bound,
-                threshold,
-                f"{cert.branch}: apex {format_rational(apex)} = {decimal_render(apex, 4)} > 786, "
-                f"so G increases on the interval and G(296) certifies; the quoted apex display "
-                f"3308.57 rounds up from the exact value (truncation: 3308.56); the increasing "
-                f"interval is sometimes quoted as [286, 786], endpoints [296, 786] used",
-            ),
-        )
-
-    jobs: list[Callable[[], ReportRow]] = [
-        lambda: _large_e_row(
-            6, 786, threshold,
-            extra="large-e threshold quoted as 786/720 while the conjectured constant is 781/720; "
-                  "786/720 exceeds both",
+def _increasing_row(threshold: Fraction) -> ReportRow:
+    target = Fraction(189, 100)
+    cert = certify_interval(6, 296, 786, Fraction(13, 10), target)
+    apex = cert.apex
+    assert apex is not None
+    return ReportRow(
+        name="296<=e<=786",
+        inputs="d=6 a=296 b=786 s=13/10",
+        exact_bound=cert.certified_bound,
+        target=target,
+        passed=cert.passed,
+        notes=_threshold_note(
+            cert.certified_bound,
+            threshold,
+            f"{cert.branch}: apex {format_rational(apex)} = {decimal_render(apex, 4)} > 786, "
+            f"so G increases on the interval and G(296) certifies; the quoted apex display "
+            f"3308.57 rounds up from the exact value (truncation: 3308.56); the increasing "
+            f"interval is sometimes quoted as [286, 786], endpoints [296, 786] used",
         ),
-        increasing_row,
-    ]
-    for row in DIM6_ROWS:
-        jobs.append(lambda row=row: _apex_row(6, row, threshold))
-    return jobs
+    )
 
 
 def verify_tables(dim: int, command: Optional[str] = None) -> CertificationReport:
     """Recompute and certify every row of the bundled table for ``dim``."""
     if dim == 5:
-        jobs = _dim5_rows()
+        threshold = conjecture_threshold(5)
+        rows = [_large_e_row(5, 137, threshold)]
+        rows += [_volume_row(5, row, threshold) for row in DIM5_ROWS]
     elif dim == 6:
-        jobs = _dim6_rows()
+        threshold = conjecture_threshold(6)
+        rows = [
+            _large_e_row(
+                6, 786, threshold,
+                extra="large-e threshold quoted as 786/720 while the conjectured constant is 781/720; "
+                      "786/720 exceeds both",
+            ),
+            _increasing_row(threshold),
+        ]
+        rows += [_apex_row(6, row, threshold) for row in DIM6_ROWS]
     else:
         raise ValueError(f"tables exist for dimensions 5 and 6, got {dim}")
     return CertificationReport(
         tool_version=__version__,
         command=command or f"verify-tables --dim {dim}",
-        rows=_run_rows(jobs),
+        rows=tuple(rows),
     )

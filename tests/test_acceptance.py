@@ -31,6 +31,7 @@ from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import secant_tangent_coeffs
 from hkcert.slab import slab_polynomial, vol_slab
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS
+from test_cli import child_env
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -232,6 +233,7 @@ def test_cli_end_to_end():
                 [sys.executable, "-m", "hkcert", "verify-tables", "--dim", dim],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             for _ in range(2)
         ]

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from hkcert.bounds import (
     BoundQuery,
+    _is_odd_prime,
     RadicalParams,
     certify_interval,
     duality_bound_cm,
@@ -216,6 +218,21 @@ class TestQuadric:
                 quadric_ehk(bad_p, 5)
         with pytest.raises(ValueError):
             quadric_ehk(3, 4)
+
+    def test_primality_matches_trial_division(self):
+        def trial_division(p):
+            return p >= 3 and p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2))
+
+        for p in range(-3, 20000):
+            assert _is_odd_prime(p) == trial_division(p), p
+
+    def test_rejects_strong_pseudoprimes(self):
+        # 3215031751 = 151*751*28351 fools bases 2..7; 3825123056546413051
+        # = 149491*747451*34233211 fools bases 2..23.
+        for composite in (3215031751, 3825123056546413051):
+            assert not _is_odd_prime(composite)
+            with pytest.raises(ValueError, match="odd prime"):
+                quadric_ehk(composite, 5)
 
 
 class TestQuadratic:

@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,23 @@ from hkcert.cli import main
 from hkcert.tables import verify_tables
 
 
-def run_cli(*args):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env():
+    """The current environment with the repo's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "hkcert", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
+        timeout=timeout,
     )
 
 
@@ -99,6 +113,19 @@ def test_quadric_rejects_composite():
     result = run_cli("quadric", "--p", "9", "--d", "5")
     assert result.returncode == 2
     assert "odd prime" in result.stderr
+
+
+def test_quadric_large_prime_is_fast():
+    result = run_cli("quadric", "--p", str(2**61 - 1), "--d", "5", timeout=10)
+    assert result.returncode == 0
+    assert result.stdout.endswith("exceeds 17/15: yes\n")
+
+
+def test_quadric_rejects_p_beyond_primality_limit():
+    result = run_cli("quadric", "--p", "318665857834031151167461", "--d", "5", timeout=10)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
 
 
 def test_radical_closed_form(capsys):

@@ -52,6 +52,11 @@ def test_conjecture_threshold(d, expected):
     assert conjecture_threshold(d) == expected
 
 
+def test_conjecture_threshold_matches_series_division():
+    for d in range(1, 31):
+        assert conjecture_threshold(d) == secant_tangent_coeffs(d).threshold(d)
+
+
 def test_coefficients_positive_and_decreasing():
     coeffs = secant_tangent_coeffs(20).coefficients
     assert all(m > 0 for m in coeffs)

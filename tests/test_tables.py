@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import io
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hkcert.bounds import volume_lower_bound
 from hkcert.rationals import format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
+from hkcert.series import conjecture_threshold
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS, verify_tables
+from test_slab import termwise_vol_slab
 
 
 def test_dim5_report_passes():
@@ -54,18 +58,74 @@ def test_report_is_deterministic():
     assert first == second
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("HK_CERTIFY_THREADS", "1")
-    single = verify_tables(5).to_text()
-    monkeypatch.setenv("HK_CERTIFY_THREADS", "8")
-    many = verify_tables(5).to_text()
-    assert single == many
-    monkeypatch.setenv("HK_CERTIFY_THREADS", "zero")
-    with pytest.raises(ValueError):
-        verify_tables(5)
-    monkeypatch.setenv("HK_CERTIFY_THREADS", "0")
-    with pytest.raises(ValueError):
-        verify_tables(5)
+# sha256 of the verify-tables reports, as recorded in bench/data/table_digests.json.
+REPORT_SHA256 = {
+    5: (
+        "215420e55622ff13fdb74a947a25b1597d748e6032056cf5e5864f15dae7bc81",
+        "2ad03f9d8ae55965e8919ca9c07ed56b504a28ec2427fa20f5fef86b66f34adb",
+    ),
+    6: (
+        "12632e6f9e8c45ed4f83a0fdd90e97fe1bca21503203f58c3070bec6ac7bacc6",
+        "1f919a666f2a6f42dc8787b5ec845705dc32f8e5823234090e385f6bb273211c",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_report_bytes_are_pinned(dim):
+    report = verify_tables(dim)
+    text_sha, csv_sha = REPORT_SHA256[dim]
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_sha
+
+
+# The rows verify_tables adds to the bundled tuples: the large-e branch
+# e >= LARGE_E[d] (e_HK >= e/d!) and, for d = 6, the increasing interval.
+LARGE_E = {5: 137, 6: 786}
+INCREASING_ROW = (296, 786, Fraction(13, 10), Fraction(189, 100))
+
+
+def _name_range(name):
+    low, _, high = name.partition("<=e<=")
+    return int(low), int(high)
+
+
+def _finite_rows(dim):
+    """(e_low, e_high, s, target) of every finite-range row, read from the row fields."""
+    if dim == 5:
+        rows = [(*_name_range(row.name), row.s, row.target) for row in DIM5_ROWS]
+        for (low, high, _, _), row in zip(rows, DIM5_ROWS):
+            assert row.e0 == low
+            assert row.r0 == high - 2
+        return rows
+    for row in DIM6_ROWS:
+        assert _name_range(row.name) == (row.e_low, row.e_high)
+    return [INCREASING_ROW] + [(row.e_low, row.e_high, row.s, row.target) for row in DIM6_ROWS]
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_row_ranges_cover_every_multiplicity(dim):
+    assert Fraction(LARGE_E[dim], factorial(dim)) >= conjecture_threshold(dim)
+    covered_to = 4
+    for low, high, _, _ in sorted(_finite_rows(dim)):
+        assert low <= covered_to + 1, f"gap before e = {low}"
+        covered_to = max(covered_to, high)
+    assert covered_to + 1 >= LARGE_E[dim]
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_every_multiplicity_in_a_row_meets_its_target(dim):
+    # Second path: the termwise Irwin-Hall sum, G(e) evaluated at every
+    # integer e of every finite row rather than through the apex analysis.
+    for low, high, s, target in _finite_rows(dim):
+        v_s, v_prev = termwise_vol_slab(dim, s), termwise_vol_slab(dim, s - 1)
+        for e in range(low, high + 1):
+            assert e * (v_s - (e - 2) * v_prev) >= target, (dim, low, high, e)
+
+
+def test_dim5_volume_rows_are_positive():
+    for row in DIM5_ROWS:
+        assert termwise_vol_slab(5, row.s) - row.r0 * termwise_vol_slab(5, row.s - 1) > 0
 
 
 def test_inconsistent_row_is_documented():
