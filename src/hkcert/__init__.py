@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundQuery,
     IntervalCertRow,
     RadicalParams,
     certify_interval,
@@ -31,9 +30,7 @@ from .monomial import (
 )
 from .rationals import (
     Fraction,
-    RationalPolynomial,
     decimal_render,
-    factorial,
     format_rational,
     parse_rational,
 )
@@ -45,11 +42,10 @@ from .series import (
     zigzag_coeffs,
     zigzag_numbers,
 )
-from .slab import SlabVolumePolynomial, slab_polynomial, vol_slab
+from .slab import vol_slab
 from .tables import verify_tables
 
 __all__ = [
-    "BoundQuery",
     "CertificationReport",
     "ColengthEntry",
     "ColengthSequence",
@@ -57,10 +53,8 @@ __all__ = [
     "IntervalCertRow",
     "MonomialIdeal",
     "RadicalParams",
-    "RationalPolynomial",
     "ReportRow",
     "SeriesCoefficients",
-    "SlabVolumePolynomial",
     "__version__",
     "certify_interval",
     "conjecture_threshold",
@@ -68,7 +62,6 @@ __all__ = [
     "duality_bound_cm",
     "duality_bound_gorenstein",
     "ehk_estimate",
-    "factorial",
     "fixed_dimension_bound",
     "format_rational",
     "frobenius_colength",
@@ -84,7 +77,6 @@ __all__ = [
     "radical_recursion_bound",
     "radical_step_bound",
     "secant_tangent_coeffs",
-    "slab_polynomial",
     "verify_tables",
     "vol_slab",
     "volume_lower_bound",

@@ -35,7 +35,6 @@ from .rationals import Rational, format_rational
 from .slab import _slab_numerator, vol_slab
 
 __all__ = [
-    "BoundQuery",
     "IntervalCertRow",
     "RadicalParams",
     "certify_interval",
@@ -53,42 +52,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Input to the volume bound.
-
-    Generators are given either uniformly (``generator_count`` = r, each
-    with valuation 1) or explicitly (``valuations`` = t_1..t_r); the
-    uniform form is equivalent to valuations (1, ..., 1).
-    """
-
-    dimension: int
-    multiplicity: Fraction
-    slice_point: Fraction
-    generator_count: Optional[int] = None
-    valuations: Optional[tuple[Fraction, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-        if self.slice_point < 0:
-            raise ValueError("slice parameter must be >= 0")
-        if (self.generator_count is None) == (self.valuations is None):
-            raise ValueError("exactly one of generator_count / valuations is required")
-        if self.generator_count is not None and self.generator_count < 0:
-            raise ValueError("generator count must be >= 0")
-        if self.valuations is not None and any(t <= 0 for t in self.valuations):
-            raise ValueError("valuations must be positive")
-
-    def valuation_counts(self) -> dict[Fraction, int]:
-        """The valuations as a multiset ``{t: count}``; uniform r is ``{1: r}``."""
-        if self.valuations is not None:
-            return Counter(self.valuations)
-        return {Fraction(1): int(self.generator_count)} if self.generator_count else {}
-
-
 def volume_lower_bound(
     d: int,
     e: Rational,
@@ -103,13 +66,27 @@ def volume_lower_bound(
     grouped, so the sum is taken as ``sum_t count(t) * v_{s-t}`` with one
     volume per distinct t: the uniform form costs two volumes for any r.
     """
-    vals = None if valuations is None else tuple(Fraction(t) for t in valuations)
-    query = BoundQuery(d, Fraction(e), Fraction(s), generator_count=r, valuations=vals)
-    s = query.slice_point
+    e, s = Fraction(e), Fraction(s)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if e < 1:
+        raise ValueError("multiplicity must be >= 1")
+    if s < 0:
+        raise ValueError("slice parameter must be >= 0")
+    if (r is None) == (valuations is None):
+        raise ValueError("exactly one of r / valuations is required")
+    if valuations is None:
+        if r < 0:
+            raise ValueError("generator count must be >= 0")
+        counts = {Fraction(1): int(r)} if r else {}
+    else:
+        counts = Counter(Fraction(t) for t in valuations)
+        if any(t <= 0 for t in counts):
+            raise ValueError("valuations must be positive")
     total = vol_slab(d, s)
-    for t, count in query.valuation_counts().items():
+    for t, count in counts.items():
         total -= count * vol_slab(d, s - t)
-    return query.multiplicity * total
+    return e * total
 
 
 def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
@@ -238,6 +215,8 @@ class _Parabola:
     @classmethod
     def at(cls, d: int, s: Rational) -> _Parabola:
         s = Fraction(s)
+        if s < 0:
+            raise ValueError("slice parameter must be >= 0")
         return cls(vol_slab(d, s), vol_slab(d, s - 1))
 
     def value(self, e: Rational) -> Fraction:

@@ -1,4 +1,4 @@
-"""Exact rational scalars, univariate polynomials, and decimal rendering.
+"""Exact rational scalars and decimal rendering.
 
 Every quantity in this package is a :class:`fractions.Fraction`; no
 floating point is used on any computational path.  Decimal output is
@@ -9,15 +9,14 @@ bound is still a valid lower bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Union
+from math import factorial
+from typing import Union
 
 Rational = Union[Fraction, int]
 
 __all__ = [
     "Fraction",
     "Rational",
-    "RationalPolynomial",
     "decimal_render",
     "factorial",
     "format_rational",
@@ -54,77 +53,3 @@ def decimal_render(x: Rational, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-class RationalPolynomial:
-    """Univariate polynomial with Fraction coefficients (index = degree).
-
-    Stored normalized: trailing zero coefficients are stripped, so the
-    leading coefficient is nonzero unless the polynomial is zero.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable[Rational] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
-
-    @classmethod
-    def shifted_power(cls, shift: Rational, exponent: int, scale: Rational = 1) -> "RationalPolynomial":
-        """The expansion of ``scale * (x - shift)**exponent``."""
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        shift = Fraction(shift)
-        scale = Fraction(scale)
-        return cls(scale * comb(exponent, j) * (-shift) ** (exponent - j) for j in range(exponent + 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __call__(self, x: Rational) -> Fraction:
-        # Horner evaluation; exact.
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPolynomial(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other: "RationalPolynomial | Rational") -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            if not self or not other:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
-        return RationalPolynomial(Fraction(other) * c for c in self.coefficients)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __repr__(self) -> str:
-        if not self.coefficients:
-            return "RationalPolynomial(0)"
-        terms = " + ".join(f"({format_rational(c)})x^{i}" for i, c in enumerate(self.coefficients) if c)
-        return f"RationalPolynomial({terms})"

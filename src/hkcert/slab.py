@@ -13,24 +13,17 @@ evaluated as one integer numerator over the common denominator d! b^d,
 
 so a single ``Fraction`` is built per volume.  On a grid {k/b} all
 numerators share that denominator, so volumes on one grid compare as
-integers.  As a function of s the volume is a continuous piecewise
-polynomial of degree d with integer breakpoints; ``slab_polynomial``
-builds that representation explicitly.
-
-Pointwise evaluation always uses the finite sum directly rather than the
-piecewise object, so there is a single source of truth; the piecewise
-form exists for apex analysis and documentation.
+integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, floor
+from math import comb, factorial
 
-from .rationals import Rational, RationalPolynomial
+from .rationals import Rational
 
-__all__ = ["SlabVolumePolynomial", "slab_polynomial", "vol_slab"]
+__all__ = ["vol_slab"]
 
 
 def vol_slab(d: int, s: Rational) -> Fraction:
@@ -61,44 +54,3 @@ def _slab_numerator(d: int, a: int, b: int) -> int:
         term = comb(d, n) * (a - n * b) ** d
         total += -term if n % 2 else term
     return total
-
-
-@dataclass(frozen=True)
-class SlabVolumePolynomial:
-    """Piecewise-polynomial form of ``s -> vol_slab(dimension, s)``.
-
-    ``pieces[k]`` is the pair ``(k, p_k)`` where p_k gives the volume on
-    the half-open interval [k, k+1).  The piece for [d, d+1) collapses to
-    the constant 1 after cancellation.
-    """
-
-    dimension: int
-    pieces: tuple[tuple[int, RationalPolynomial], ...]
-
-    def piece(self, k: int) -> RationalPolynomial:
-        """Polynomial valid on [k, k+1)."""
-        if not 0 <= k <= self.dimension:
-            raise ValueError(f"no piece for interval [{k}, {k + 1})")
-        return self.pieces[k][1]
-
-    def evaluate(self, s: Rational) -> Fraction:
-        """Evaluate the piecewise form; agrees with ``vol_slab`` everywhere."""
-        s = Fraction(s)
-        if s <= 0:
-            return Fraction(0)
-        if s >= self.dimension:
-            return Fraction(1)
-        return self.piece(floor(s))(s)
-
-
-def slab_polynomial(d: int) -> SlabVolumePolynomial:
-    """Build the full piecewise representation of v_s for dimension ``d``."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    pieces = []
-    acc = RationalPolynomial()
-    for k in range(d + 1):
-        sign = -1 if k % 2 else 1
-        acc = acc + RationalPolynomial.shifted_power(k, d, Fraction(sign, factorial(k) * factorial(d - k)))
-        pieces.append((k, acc))
-    return SlabVolumePolynomial(dimension=d, pieces=tuple(pieces))

@@ -29,9 +29,10 @@ from hkcert.bounds import (
 from hkcert.monomial import MonomialIdeal, frobenius_colength, mixed_colength
 from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import secant_tangent_coeffs
-from hkcert.slab import slab_polynomial, vol_slab
+from hkcert.slab import vol_slab
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS
 from test_cli import child_env
+from test_slab import recurrence_vol_slab
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -195,7 +196,6 @@ def test_slab_properties():
     started = time.perf_counter()
     failures = []
     for d in range(1, 9):
-        poly = slab_polynomial(d)
         previous = Fraction(0)
         for k in range(8 * d + 1):
             s = Fraction(k, 8)
@@ -204,10 +204,9 @@ def test_slab_properties():
                 failures.append(f"symmetry broken at d={d} s={s}")
             if value < previous:
                 failures.append(f"monotonicity broken at d={d} s={s}")
+            if value != recurrence_vol_slab(d, s):
+                failures.append(f"Irwin-Hall recurrence disagrees at d={d} s={s}")
             previous = value
-        for k in range(1, d + 1):
-            if poly.piece(k - 1)(k) != poly.piece(k)(k):
-                failures.append(f"discontinuity at d={d} breakpoint {k}")
     _finish("slab-properties", started, failures)
 
 

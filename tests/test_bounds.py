@@ -5,7 +5,6 @@ from math import isqrt
 import pytest
 
 from hkcert.bounds import (
-    BoundQuery,
     _is_odd_prime,
     RadicalParams,
     certify_interval,
@@ -21,9 +20,8 @@ from hkcert.bounds import (
     radical_step_bound,
     volume_lower_bound,
 )
-from hkcert.rationals import RationalPolynomial
 from hkcert.series import conjecture_threshold
-from hkcert.slab import slab_polynomial, vol_slab
+from hkcert.slab import vol_slab
 from test_slab import termwise_vol_slab
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -114,19 +112,19 @@ class TestVolumeLowerBound:
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            BoundQuery(0, Fraction(2), Fraction(1), generator_count=1)
+            volume_lower_bound(0, Fraction(2), Fraction(1), r=1)
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(1, 2), Fraction(1), generator_count=1)
+            volume_lower_bound(2, Fraction(1, 2), Fraction(1), r=1)
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(2), Fraction(-1), generator_count=1)
+            volume_lower_bound(2, Fraction(2), Fraction(-1), r=1)
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(2), Fraction(1), generator_count=1, valuations=(Fraction(1),))
+            volume_lower_bound(2, Fraction(2), Fraction(1), r=1, valuations=(Fraction(1),))
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(2), Fraction(1))
+            volume_lower_bound(2, Fraction(2), Fraction(1))
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(2), Fraction(1), generator_count=-1)
+            volume_lower_bound(2, Fraction(2), Fraction(1), r=-1)
         with pytest.raises(ValueError):
-            BoundQuery(2, Fraction(2), Fraction(1), valuations=(Fraction(0),))
+            volume_lower_bound(2, Fraction(2), Fraction(1), valuations=(Fraction(0),))
 
 
 class TestOptimizeSlice:
@@ -265,13 +263,10 @@ class TestQuadratic:
 
     def test_apex_closed_form_on_1_2(self):
         # On [1, 2): apex = (s^6 - 4(s-1)^6) / (2 (s-1)^6).  Equivalent to
-        # the polynomial identity v_s + 2 v_{s-1} = (s^6 - 4(s-1)^6)/720.
-        piece = slab_polynomial(6).piece(1)
-        prev = RationalPolynomial.shifted_power(1, 6, Fraction(1, 720))
-        s6 = RationalPolynomial([0] * 6 + [Fraction(1, 720)])
-        assert piece + 2 * prev == s6 - 4 * RationalPolynomial.shifted_power(1, 6, Fraction(1, 720))
+        # the identity v_s + 2 v_{s-1} = (s^6 - 4(s-1)^6)/720.
         for k in range(1, 8):
             s = 1 + Fraction(k, 8)
+            assert vol_slab(6, s) + 2 * vol_slab(6, s - 1) == (s**6 - 4 * (s - 1) ** 6) / 720
             expected = (s**6 - 4 * (s - 1) ** 6) / (2 * (s - 1) ** 6)
             assert quadratic_apex(6, s) == expected
 
@@ -326,6 +321,17 @@ class TestCertifyInterval:
             with pytest.raises(ValueError):
                 certify_interval(6, e_low, 9, Fraction(13, 5), Fraction(1107, 1000))
         assert certify_interval(6, 1, 9, Fraction(13, 5), Fraction(0)).passed
+
+    def test_rejects_negative_slice(self):
+        # The same check as volume_lower_bound, on every path through the parabola.
+        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
+            certify_interval(6, 5, 9, -1, Fraction(1107, 1000))
+        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
+            quadratic_bound(6, 7, Fraction(-1, 10))
+        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
+            quadratic_apex(6, -1)
+        assert quadratic_bound(6, 7, 0) == 0
+        assert quadratic_apex(6, 0) is None
 
     def test_endpoints_and_apex_match_quadratic_helpers(self):
         for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:

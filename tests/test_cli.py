@@ -91,6 +91,29 @@ def test_bound_valuations(capsys):
     assert "bound: 1/4 ≈ 0.2500" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dim", "0", "--e", "2", "--r", "1", "--s", "1"],
+        ["--dim", "2", "--e", "1/2", "--r", "1", "--s", "1"],
+        ["--dim", "2", "--e", "2", "--r", "1", "--s", "-1"],
+        ["--dim", "2", "--e", "2", "--r", "1", "--t", "1", "--s", "1"],
+        ["--dim", "2", "--e", "2", "--s", "1"],
+        ["--dim", "2", "--e", "2", "--r", "-1", "--s", "1"],
+        ["--dim", "2", "--e", "2", "--t", "0", "--s", "1"],
+    ],
+)
+def test_bound_rejects_bad_input_exit_2(flags, capsys):
+    try:
+        code = main(["bound", *flags])
+    except SystemExit as exc:  # argparse rejects flag combinations itself
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
 def test_bound_optimize(capsys):
     assert main(["bound", "--dim", "5", "--e", "5", "--r", "4", "--optimize", "--resolution", "20",
                  "--target", "1.313"]) == 0
@@ -180,6 +203,15 @@ def test_certify_interval_rejects_non_positive_multiplicity():
                      "--s", "2.6", "--target", "1.107")
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
+    assert result.stdout == ""
+
+
+def test_certify_interval_rejects_negative_slice():
+    result = run_cli("certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9",
+                     "--s", "-1", "--target", "1.107")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "slice parameter must be >= 0" in result.stderr
     assert result.stdout == ""
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hkcert.rationals import (
-    RationalPolynomial,
     decimal_render,
     factorial,
     format_rational,
@@ -80,44 +79,3 @@ def test_parse_rational_rejects_junk():
     with pytest.raises(ValueError):
         parse_rational("three halves")
 
-
-class TestRationalPolynomial:
-    def test_zero_polynomial(self):
-        zero = RationalPolynomial()
-        assert not zero
-        assert zero.degree == -1
-        assert zero(Fraction(12, 7)) == 0
-
-    def test_trailing_zeros_stripped(self):
-        p = RationalPolynomial([1, 2, 0, 0])
-        assert p.degree == 1
-        assert p.coefficients == (Fraction(1), Fraction(2))
-
-    def test_evaluation_examples(self):
-        sixth = RationalPolynomial([0, 0, 0, 0, 0, 0, Fraction(1, 720)])
-        assert sixth(Fraction(3, 2)) == Fraction(729, 46080)
-        fifth = RationalPolynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
-        assert fifth(Fraction(7, 5)) == Fraction(16807, 375000)
-
-    def test_shifted_power(self):
-        p = RationalPolynomial.shifted_power(1, 2, Fraction(1, 2))  # (x-1)^2 / 2
-        assert p.coefficients == (Fraction(1, 2), Fraction(-1), Fraction(1, 2))
-        assert p(3) == 2
-
-    def test_arithmetic(self):
-        p = RationalPolynomial([1, 1])
-        q = RationalPolynomial([0, 0, 1])
-        assert (p + q).coefficients == (Fraction(1), Fraction(1), Fraction(1))
-        assert (p * q).coefficients == (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        assert (p - p).degree == -1
-        assert (3 * p).coefficients == (Fraction(3), Fraction(3))
-
-    def test_equality_is_structural(self):
-        assert RationalPolynomial([Fraction(1, 2)]) == RationalPolynomial([Fraction(2, 4)])
-        assert RationalPolynomial([1]) != RationalPolynomial([1, 1])
-
-    @given(x=rationals)
-    def test_horner_matches_power_sum(self, x):
-        coeffs = [Fraction(3, 7), Fraction(-2), Fraction(5, 3), Fraction(1, 2)]
-        p = RationalPolynomial(coeffs)
-        assert p(x) == sum(c * x**i for i, c in enumerate(coeffs))

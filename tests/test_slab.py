@@ -5,8 +5,7 @@ from math import comb, factorial, floor
 import pytest
 from hypothesis import given, strategies as st
 
-from hkcert.rationals import RationalPolynomial
-from hkcert.slab import _slab_numerator, slab_polynomial, vol_slab
+from hkcert.slab import _slab_numerator, vol_slab
 
 
 def termwise_vol_slab(d: int, s: Fraction) -> Fraction:
@@ -25,6 +24,20 @@ def termwise_vol_slab(d: int, s: Fraction) -> Fraction:
         term = (s - n) ** d / (factorial(n) * factorial(d - n))
         total += -term if n % 2 else term
     return total
+
+
+def recurrence_vol_slab(d: int, s: Fraction) -> Fraction:
+    """Independent oracle: the Irwin-Hall CDF recurrence, no binomials or inclusion-exclusion.
+
+    v_1(s) = s clamped to [0, 1], and
+    v_d(s) = (s v_{d-1}(s) + (d - s) v_{d-1}(s - 1)) / d.
+    """
+    s = Fraction(s)
+    # values[j] = v_m(s - j), from m = 1 up to m = d.
+    values = [min(max(s - j, Fraction(0)), Fraction(1)) for j in range(d)]
+    for m in range(2, d + 1):
+        values = [((s - j) * values[j] + (m - s + j) * values[j + 1]) / m for j in range(d - m + 1)]
+    return values[0]
 
 
 def lattice_fraction(d: int, s: Fraction, n: int) -> Fraction:
@@ -114,55 +127,63 @@ def test_symmetry_monotonicity_continuity():
             previous = value
 
 
-def test_piecewise_matches_pointwise():
-    for d in (1, 2, 3, 6):
-        poly = slab_polynomial(d)
-        for k in range(16 * d + 1):
-            s = Fraction(k, 16)
-            assert poly.evaluate(s) == vol_slab(d, s)
+def test_recurrence_oracle_agrees():
+    for d in range(1, 10):
+        for b in (1, 2, 3, 7, 10, 16):
+            for k in range(-b, (d + 2) * b + 1):
+                s = Fraction(k, b)
+                assert vol_slab(d, s) == recurrence_vol_slab(d, s), (d, s)
 
 
 def test_pieces_agree_at_breakpoints():
+    # Continuity at an integer k: the polynomial of the piece [k-1, k),
+    # the inclusion-exclusion sum up to n = k - 1, reaches v_k at s = k.
     for d in (2, 3, 5, 6, 8):
-        poly = slab_polynomial(d)
         for k in range(1, d + 1):
-            assert poly.piece(k - 1)(k) == poly.piece(k)(k)
+            left = sum(Fraction((-1) ** n * (k - n) ** d, factorial(n) * factorial(d - n)) for n in range(k))
+            assert left == vol_slab(d, k)
 
 
 def test_first_piece_is_power_over_factorial():
     for d in (1, 2, 6):
-        first = slab_polynomial(d).piece(0)
-        assert first == RationalPolynomial([0] * d + [Fraction(1, factorial(d))])
+        for k in range(17):
+            s = Fraction(k, 16)
+            assert vol_slab(d, s) == s**d / factorial(d)
 
 
 def test_last_piece_collapses_to_one():
     for d in (1, 2, 3, 7):
-        assert slab_polynomial(d).piece(d) == RationalPolynomial([1])
+        for k in range(16):
+            assert vol_slab(d, d + Fraction(k, 16)) == 1
 
 
 def test_dim6_pieces():
-    poly = slab_polynomial(6)
-    s6 = RationalPolynomial([0] * 6 + [Fraction(1, 720)])
-    shift1 = RationalPolynomial.shifted_power(1, 6, Fraction(1, 120))
-    shift2 = RationalPolynomial.shifted_power(2, 6, Fraction(1, 48))
-    assert poly.piece(0) == s6
-    assert poly.piece(1) == s6 - shift1
-    assert poly.piece(2) == s6 - shift1 + shift2
+    for k in range(48):
+        s = Fraction(k, 16)
+        expected = s**6 / 720
+        if s >= 1:
+            expected -= (s - 1) ** 6 / 120
+        if s >= 2:
+            expected += (s - 2) ** 6 / 48
+        assert vol_slab(6, s) == expected, s
 
 
 def test_dim1_piece_is_identity():
-    assert slab_polynomial(1).piece(0) == RationalPolynomial([0, 1])
+    for k in range(16):
+        s = Fraction(k, 16)
+        assert vol_slab(1, s) == s
 
 
 def test_piece_degrees_and_leading_coefficients():
-    # Partial alternating binomial sums never cancel: the k-th piece has
-    # exact degree d with leading coefficient (-1)^k C(d-1, k) / d!.
+    # Partial alternating binomial sums never cancel: on [k, k+1] the volume
+    # is a polynomial of exact degree d with leading coefficient
+    # (-1)^k C(d-1, k) / d!, so its d-th difference with step h is
+    # d! h^d times that coefficient, i.e. h^d (-1)^k C(d-1, k).
     for d in (2, 3, 6, 8):
-        poly = slab_polynomial(d)
+        h = Fraction(1, d)
         for k in range(d):
-            piece = poly.piece(k)
-            assert piece.degree == d
-            assert piece.coefficients[-1] == Fraction((-1) ** k * comb(d - 1, k), factorial(d))
+            difference = sum((-1) ** (d - j) * comb(d, j) * vol_slab(d, k + j * h) for j in range(d + 1))
+            assert difference == h**d * (-1) ** k * comb(d - 1, k)
 
 
 @given(
@@ -174,11 +195,7 @@ def test_random_rational_properties(d, numerator, denominator):
     s = Fraction(numerator, denominator)
     value = vol_slab(d, s)
     assert 0 <= value <= 1
-    assert slab_polynomial(d).evaluate(s) == value
+    assert recurrence_vol_slab(d, s) == value
     if 0 <= s <= d:
         assert value + vol_slab(d, d - s) == 1
 
-
-def test_piece_out_of_range():
-    with pytest.raises(ValueError):
-        slab_polynomial(3).piece(4)
