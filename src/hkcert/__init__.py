@@ -38,7 +38,6 @@ from .report import CertificationReport, ReportRow
 from .series import (
     SeriesCoefficients,
     conjecture_threshold,
-    secant_tangent_coeffs,
     zigzag_coeffs,
     zigzag_numbers,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "quadric_ehk",
     "radical_recursion_bound",
     "radical_step_bound",
-    "secant_tangent_coeffs",
     "verify_tables",
     "vol_slab",
     "volume_lower_bound",

@@ -343,8 +343,9 @@ class RadicalParams:
     """Parameters of the iterated radical-extension recursion.
 
     ``iterations`` is the number of contraction steps applied to the base
-    bound (the recursion depth); ``b`` defaults to ``n``, the case in
-    which the per-step closed form below is derived.
+    bound (the recursion depth).  The extension's field degree b is
+    taken equal to ``n``, the case in which the closed form of
+    ``radical_recursion_bound`` is derived.
     """
 
     dimension: int
@@ -352,7 +353,6 @@ class RadicalParams:
     codimension: int
     root_degree: int
     iterations: int
-    field_degree: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.dimension < 2:
@@ -365,9 +365,6 @@ class RadicalParams:
             raise ValueError("root degree must be >= 2")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        b = self.root_degree if self.field_degree is None else self.field_degree
-        if not 1 <= b <= self.root_degree:
-            raise ValueError("field degree must satisfy 1 <= b <= n")
 
 
 def radical_recursion_bound(params: RadicalParams) -> Fraction:

@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .monomial import ehk_estimate, load_ideal
 from .rationals import decimal_render, format_rational, parse_rational
-from .series import conjecture_threshold, secant_tangent_coeffs
+from .series import conjecture_threshold, zigzag_coeffs
 from .slab import vol_slab
 from .tables import verify_tables
 
@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
     p.add_argument("--k", type=int, help="embedding codimension (recursion mode)")
     p.add_argument("--n", type=int, help="root degree (recursion mode)")
-    p.add_argument("--b", type=int, help="field-extension degree, defaults to n")
     p.add_argument("--iterations", type=int, help="recursion depth (recursion mode)")
 
     p = sub.add_parser("monomial", help="Frobenius colengths of a monomial ideal")
@@ -136,11 +135,13 @@ def _cmd_vol(args: argparse.Namespace) -> int:
 
 
 def _cmd_md(args: argparse.Namespace) -> int:
-    coeffs = secant_tangent_coeffs(args.max_order)
+    coeffs = zigzag_coeffs(args.max_order)
+    lines = []
     for d in range(1, args.max_order + 1):
         m = coeffs.coefficient(d)
         threshold = coeffs.threshold(d)
-        print(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DIGITS)}")
+        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DIGITS)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -165,9 +166,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
     report = verify_tables(args.dim)
-    sys.stdout.write(report.to_text())
     if args.csv is not None:
         args.csv.write_text(report.to_csv())
+    sys.stdout.write(report.to_text())
     return 0 if report.overall_pass else 1
 
 
@@ -182,8 +183,8 @@ def _cmd_quadric(args: argparse.Namespace) -> int:
 def _cmd_radical(args: argparse.Namespace) -> int:
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
-        if any(flag is not None for flag in recursion_flags) or args.b is not None:
-            raise ValueError("--case and recursion flags (--k/--n/--b/--iterations) are mutually exclusive")
+        if any(flag is not None for flag in recursion_flags):
+            raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
         params = RadicalParams(
@@ -192,7 +193,6 @@ def _cmd_radical(args: argparse.Namespace) -> int:
             codimension=args.k,
             root_degree=args.n,
             iterations=args.iterations,
-            field_degree=args.b,
         )
         bound = radical_recursion_bound(params)
     else:
@@ -204,10 +204,13 @@ def _cmd_radical(args: argparse.Namespace) -> int:
 def _cmd_monomial(args: argparse.Namespace) -> int:
     ideal = load_ideal(args.file)
     sequence = ehk_estimate(ideal, args.q)
-    print(f"variables: {ideal.num_vars}")
-    print("generators: " + " / ".join(" ".join(str(c) for c in g) for g in ideal.generators))
+    lines = [
+        f"variables: {ideal.num_vars}",
+        "generators: " + " / ".join(" ".join(str(c) for c in g) for g in ideal.generators),
+    ]
     for entry in sequence.entries:
-        print(f"q={entry.q}\tcolength={entry.colength}\tnormalized={_fmt(entry.normalized)}")
+        lines.append(f"q={entry.q}\tcolength={entry.colength}\tnormalized={_fmt(entry.normalized)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -12,6 +12,10 @@ This realizes the Hilbert-Kunz numerator exactly at finite q and serves
 as the desk-scale oracle for the slab-volume machinery via
 ``mixed_colength`` (colength of J^{floor(sq)} + J^[q] for a pure-power
 parameter ideal J, whose normalization converges to e(J) * v_s).
+
+Both counts also have closed forms whose cost does not grow with q; the
+test suite keeps them as the second path and checks the scans against
+them (see the two docstrings below).
 """
 
 from __future__ import annotations
@@ -97,6 +101,12 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     first n-1 coordinates the points outside the ideal along the last
     axis form an initial segment, whose length is the smallest last
     exponent among generators already dominated in the prefix.
+
+    The count equals q^n * lambda(R/I), because Frobenius is flat on a
+    regular ring (Kunz 1969).  For monomials: write a = q*b + r with
+    0 <= r_i < q; then a dominates q*g exactly when b dominates g, so
+    x^a lies outside I^[q] exactly when x^b lies outside I, and each such
+    b has q^n residues r.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -120,6 +130,14 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
     Membership of a point a in J^k is decided by sum_i floor(a_i / c_i)
     >= k, so the complement of the union consists of the points of the
     bracket-power box whose floor-sum stays below floor(s*q).
+
+    In closed form: write a_i = c_i*b_i + r_i with 0 <= r_i < c_i and
+    0 <= b_i < q.  The point stays outside exactly when sum b_i <= m =
+    floor(s*q) - 1, whatever its residues r, so the colength is prod c_i
+    times the number of such b, which inclusion-exclusion over the
+    coordinates with b_i >= q gives as
+
+        sum_j (-1)^j C(n, j) C(m - j*q + n, n)   over j with m - j*q >= 0.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

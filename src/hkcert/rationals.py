@@ -9,7 +9,6 @@ bound is still a valid lower bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Union
 
 Rational = Union[Fraction, int]
@@ -18,7 +17,6 @@ __all__ = [
     "Fraction",
     "Rational",
     "decimal_render",
-    "factorial",
     "format_rational",
     "parse_rational",
 ]

@@ -5,13 +5,11 @@ alternating permutations of d letters (the Euler zigzag numbers), and
 1 + m_d is the conjectured universal lower bound for the Hilbert-Kunz
 multiplicity of a non-regular ring of dimension d.
 
-Two independent computation paths are provided and cross-checked in the
-test suite:
-
-* ``secant_tangent_coeffs`` -- truncated exact power-series division:
-  tan = sin/cos and sec = 1/cos, with sin and cos built from factorials;
-* ``zigzag_coeffs`` -- the boustrophedon (Seidel triangle) recurrence
-  for E_d, followed by division by d!.
+The coefficients come from one integer path, ``zigzag_coeffs``: the
+boustrophedon (Seidel triangle) recurrence for E_d, followed by a
+division by d!.  The test suite keeps an independent second path, the
+truncated exact power-series division tan = sin/cos and sec = 1/cos,
+and checks the two against each other.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from math import factorial
 __all__ = [
     "SeriesCoefficients",
     "conjecture_threshold",
-    "secant_tangent_coeffs",
     "zigzag_coeffs",
     "zigzag_numbers",
 ]
@@ -57,38 +54,6 @@ class SeriesCoefficients:
         return 1 + self.coefficient(d)
 
 
-def _series_quotient(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of num/den as a power series through x**order (den[0] != 0)."""
-    out: list[Fraction] = []
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(den):
-                acc -= den[j] * out[k - j]
-        out.append(acc / den[0])
-    return out
-
-
-def secant_tangent_coeffs(order: int) -> SeriesCoefficients:
-    """Compute m_1..m_order by exact power-series division.
-
-    Internally works through x**(order + 2) to guard the division loop
-    against degree loss at the truncation boundary.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    working = order + 2
-    cos = [Fraction(0)] * (working + 1)
-    sin = [Fraction(0)] * (working + 1)
-    for j in range(0, working + 1, 2):
-        cos[j] = Fraction((-1) ** (j // 2), factorial(j))
-    for j in range(1, working + 1, 2):
-        sin[j] = Fraction((-1) ** (j // 2), factorial(j))
-    sec = _series_quotient([Fraction(1)], cos, working)
-    tan = _series_quotient(sin, cos, working)
-    return SeriesCoefficients(order, tuple(sec[d] + tan[d] for d in range(1, order + 1)))
-
-
 def zigzag_numbers(count: int) -> list[int]:
     """Euler zigzag numbers E_0..E_count via the boustrophedon recurrence.
 
@@ -109,7 +74,7 @@ def zigzag_numbers(count: int) -> list[int]:
 
 
 def zigzag_coeffs(order: int) -> SeriesCoefficients:
-    """Independent computation of m_1..m_order as E_d / d!."""
+    """m_1..m_order as E_d / d!."""
     if order < 1:
         raise ValueError("order must be >= 1")
     zig = zigzag_numbers(order)
@@ -120,7 +85,7 @@ def conjecture_threshold(d: int) -> Fraction:
     """The conjectured Hilbert-Kunz lower bound 1 + m_d for dimension d.
 
     Computed on the integer boustrophedon path (``zigzag_coeffs``); the
-    test suite checks it against ``secant_tangent_coeffs``.
+    test suite checks it against exact power-series division.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")

@@ -28,7 +28,7 @@ from hkcert.bounds import (
 )
 from hkcert.monomial import MonomialIdeal, frobenius_colength, mixed_colength
 from hkcert.rationals import decimal_render, format_rational
-from hkcert.series import secant_tangent_coeffs
+from hkcert.series import zigzag_coeffs
 from hkcert.slab import vol_slab
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS
 from test_cli import child_env
@@ -63,7 +63,7 @@ def _finish(name: str, started: float, failures: list[str]) -> None:
 def test_series_thresholds():
     started = time.perf_counter()
     failures = []
-    coeffs = secant_tangent_coeffs(6)
+    coeffs = zigzag_coeffs(6)
     expected = {3: Fraction(1, 3), 4: Fraction(5, 24), 5: Fraction(2, 15), 6: Fraction(61, 720)}
     thresholds = {3: Fraction(4, 3), 4: Fraction(29, 24), 5: Fraction(17, 15), 6: Fraction(781, 720)}
     for d, m in expected.items():

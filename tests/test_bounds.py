@@ -407,9 +407,6 @@ class TestRadicalRecursion:
             RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3, root_degree=1, iterations=1)
         with pytest.raises(ValueError):
             RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3, root_degree=2, iterations=-1)
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3, root_degree=2,
-                          iterations=1, field_degree=3)
 
 
 class TestFixedDimensionBound:

@@ -57,6 +57,34 @@ def test_md(capsys):
     assert capsys.readouterr().out.splitlines() == ["1\t1\t2\t2.0000"]
 
 
+def test_md_large_order_is_fast():
+    result = run_cli("md", "--max", "1000", timeout=10)
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1000
+    assert lines[-1].startswith("1000\t")
+
+
+def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
+    # Under a 640-digit int-to-str limit, 1 + m_d first passes it at d = 314,
+    # and the colength of (x^(10^400)) at q = 10^300 has 701 digits, while the
+    # rows before it print: both commands must fail before writing anything.
+    path = tmp_path / "power.ideal"
+    path.write_text(f"{10**400}\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["md", "--max", "313"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 313
+        for argv in (["md", "--max", "320"], ["monomial", "--file", str(path), "--q", f"1,{10**300}"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_bound_with_target(capsys):
     assert main(["bound", "--dim", "7", "--e", "5", "--r", "3", "--s", "83/25", "--target", "1.112"]) == 0
     out = capsys.readouterr().out
@@ -171,6 +199,15 @@ def test_radical_rejects_mixed_modes():
     assert result.returncode != 0
 
 
+def test_radical_has_no_field_degree_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["radical", "--dim", "6", "--e", "8", "--k", "4", "--n", "3", "--iterations", "2", "--b", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --b 2" in captured.err
+
+
 def test_monomial(capsys, tmp_path):
     path = tmp_path / "sq.ideal"
     path.write_text("2 0\n1 1\n0 2\n")
@@ -257,6 +294,13 @@ def test_verify_tables_byte_stable():
 def test_verify_tables_matches_api(capsys):
     assert main(["verify-tables", "--dim", "5"]) == 0
     assert capsys.readouterr().out == verify_tables(5).to_text()
+
+
+def test_verify_tables_unwritable_csv_leaves_stdout_empty(tmp_path, capsys):
+    assert main(["verify-tables", "--dim", "5", "--csv", str(tmp_path / "missing" / "rows.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_verify_tables_csv(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
-from math import floor
+from math import comb, floor, prod
 
 import pytest
 
@@ -52,6 +53,50 @@ def brute_mixed_colength(ideal: MonomialIdeal, s: Fraction, q: int) -> int:
         if not in_power:
             outside += 1
     return outside
+
+
+def closed_form_frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
+    """Reference count q^n * lambda(R/I): Frobenius is flat on a regular ring
+    (Kunz 1969), and lambda(R/I) comes from the brute-force count at q = 1."""
+    return q**ideal.num_vars * brute_colength(ideal, 1)
+
+
+def closed_form_mixed_colength(ideal: MonomialIdeal, s: Fraction, q: int) -> int:
+    """Reference count prod c_i * #{b in [0, q)^n : sum b <= m}, m = floor(sq) - 1,
+    the lattice count by inclusion-exclusion over the coordinates with b_i >= q."""
+    n = ideal.num_vars
+    m = floor(s * q) - 1
+    count = sum((-1) ** j * comb(n, j) * comb(m - j * q + n, n) for j in range(n + 1) if m - j * q >= 0)
+    return prod(ideal.pure_power_exponents()) * count
+
+
+ORACLE_QS = (1, 2, 3, 4, 5, 7, 8)
+
+
+def pure_power_ideal(cs) -> MonomialIdeal:
+    n = len(cs)
+    return MonomialIdeal(n, tuple(tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(cs)))
+
+
+def seeded_exponents(count_per_n: dict[int, int], seed: int = 20111):
+    """Seeded pure-power exponent vectors c with 1 <= c_i <= 4, count_per_n[n] of each length n."""
+    rng = random.Random(seed)
+    for n, count in count_per_n.items():
+        for _ in range(count):
+            yield tuple(rng.randint(1, 4) for _ in range(n))
+
+
+def seeded_ideals(count_per_n: dict[int, int], seed: int = 20111):
+    """Seeded m-primary ideals: the pure powers of ``seeded_exponents`` plus, in
+    two or more variables, up to three mixed generators below them."""
+    rng = random.Random(seed + 1)
+    for cs in seeded_exponents(count_per_n, seed):
+        gens = list(pure_power_ideal(cs).generators)
+        for _ in range(rng.randint(0, 3) if len(cs) > 1 else 0):
+            g = tuple(rng.randint(0, c - 1) for c in cs)
+            if any(g):
+                gens.append(g)
+        yield MonomialIdeal(len(cs), tuple(gens))
 
 
 SQUARE = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
@@ -122,6 +167,12 @@ class TestFrobeniusColength:
         with pytest.raises(ValueError):
             frobenius_colength(SQUARE, 0)
 
+    def test_matches_closed_form(self):
+        corner = pure_power_ideal((4, 4, 4, 4))
+        for ideal in (corner, *seeded_ideals({1: 4, 2: 6, 3: 5, 4: 3})):
+            for q in ORACLE_QS:
+                assert frobenius_colength(ideal, q) == closed_form_frobenius_colength(ideal, q), (ideal, q)
+
 
 class TestMixedColength:
     def test_triangle(self):
@@ -153,10 +204,7 @@ class TestMixedColength:
     def test_matches_ordinary_power_enumeration(self):
         shapes = [(2, 3), (1, 2), (3,), (2, 1, 2)]
         for cs in shapes:
-            gens = tuple(
-                tuple(c if i == j else 0 for j in range(len(cs))) for i, c in enumerate(cs)
-            )
-            ideal = MonomialIdeal(len(cs), gens)
+            ideal = pure_power_ideal(cs)
             for q in (1, 2, 3):
                 for s in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)):
                     assert mixed_colength(ideal, s, q) == brute_mixed_colength(ideal, s, q)
@@ -168,6 +216,14 @@ class TestMixedColength:
         for s in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
             estimate = Fraction(mixed_colength(ideal, s, q), q**2)
             assert abs(estimate - 6 * vol_slab(2, s)) <= Fraction(6 * 3 * 2, q)
+
+    def test_matches_closed_form(self):
+        for cs in seeded_exponents({1: 4, 2: 5, 3: 4, 4: 2}):
+            ideal = pure_power_ideal(cs)
+            for q in ORACLE_QS:
+                for k in range(4 * (len(cs) + 1) + 1):
+                    s = Fraction(k, 4)
+                    assert mixed_colength(ideal, s, q) == closed_form_mixed_colength(ideal, s, q), (ideal, s, q)
 
     def test_requires_parameter_ideal(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "quadric_ehk",
     "radical_recursion_bound",
     "radical_step_bound",
-    "secant_tangent_coeffs",
     "verify_tables",
     "vol_slab",
     "volume_lower_bound",
@@ -40,8 +39,8 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    # 35 public names plus __version__; adding or dropping an export must edit this list.
-    assert len(PUBLIC_NAMES) == 35
+    # 34 public names plus __version__; adding or dropping an export must edit this list.
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(hkcert.__all__) == sorted(PUBLIC_NAMES + ["__version__"])
     namespace = {}
     exec("from hkcert import *", namespace)

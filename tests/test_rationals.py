@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from hkcert.rationals import (
     decimal_render,
-    factorial,
     format_rational,
     parse_rational,
 )
@@ -13,19 +12,6 @@ from hkcert.rationals import (
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
 )
-
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [(0, 1), (6, 720), (7, 5040)],
-)
-def test_factorial_values(n, expected):
-    assert factorial(n) == expected
-
-
-def test_factorial_recurrence():
-    for n in range(1, 31):
-        assert factorial(n) == n * factorial(n - 1)
 
 
 @pytest.mark.parametrize(

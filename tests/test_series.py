@@ -3,13 +3,51 @@ from math import factorial
 
 import pytest
 
+from hkcert.cli import DIGITS, main
+from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import (
     SeriesCoefficients,
     conjecture_threshold,
-    secant_tangent_coeffs,
     zigzag_coeffs,
     zigzag_numbers,
 )
+
+
+# -- oracle: the series by exact power-series division ----------------------
+
+
+def _series_quotient(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:
+    """Coefficients of num/den as a power series through x**order (den[0] != 0)."""
+    out: list[Fraction] = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, k + 1):
+            if j < len(den):
+                acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+def secant_tangent_coeffs(order: int) -> SeriesCoefficients:
+    """Compute m_1..m_order by exact power-series division, independently of the
+    boustrophedon recurrence: tan = sin/cos and sec = 1/cos, with sin and cos
+    built from factorials.
+
+    Internally works through x**(order + 2) to guard the division loop
+    against degree loss at the truncation boundary.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    working = order + 2
+    cos = [Fraction(0)] * (working + 1)
+    sin = [Fraction(0)] * (working + 1)
+    for j in range(0, working + 1, 2):
+        cos[j] = Fraction((-1) ** (j // 2), factorial(j))
+    for j in range(1, working + 1, 2):
+        sin[j] = Fraction((-1) ** (j // 2), factorial(j))
+    sec = _series_quotient([Fraction(1)], cos, working)
+    tan = _series_quotient(sin, cos, working)
+    return SeriesCoefficients(order, tuple(sec[d] + tan[d] for d in range(1, order + 1)))
 
 
 def test_zigzag_numbers():
@@ -29,6 +67,7 @@ def test_zigzag_numbers():
 )
 def test_series_division_values(d, expected):
     assert secant_tangent_coeffs(6).coefficient(d) == expected
+    assert zigzag_coeffs(6).coefficient(d) == expected
 
 
 def test_dual_paths_agree_through_order_20():
@@ -58,7 +97,7 @@ def test_conjecture_threshold_matches_series_division():
 
 
 def test_coefficients_positive_and_decreasing():
-    coeffs = secant_tangent_coeffs(20).coefficients
+    coeffs = zigzag_coeffs(20).coefficients
     assert all(m > 0 for m in coeffs)
     assert all(a > b for a, b in zip(coeffs, coeffs[1:]))
 
@@ -66,8 +105,6 @@ def test_coefficients_positive_and_decreasing():
 def test_even_part_is_secant_and_odd_part_is_tangent():
     # sec contributes exactly the even coefficients, tan exactly the odd
     # ones; rebuild both quotient series and check the split.
-    from hkcert.series import _series_quotient
-
     order = 12
     cos = [Fraction(0)] * (order + 1)
     sin = [Fraction(0)] * (order + 1)
@@ -77,7 +114,7 @@ def test_even_part_is_secant_and_odd_part_is_tangent():
         sin[j] = Fraction((-1) ** (j // 2), factorial(j))
     sec = _series_quotient([Fraction(1)], cos, order)
     tan = _series_quotient(sin, cos, order)
-    coeffs = secant_tangent_coeffs(order)
+    coeffs = zigzag_coeffs(order)
     for d in range(1, order + 1):
         if d % 2:
             assert sec[d] == 0
@@ -97,8 +134,20 @@ def test_series_coefficients_validation():
     with pytest.raises(ValueError):
         SeriesCoefficients(1, (Fraction(-1),))
     with pytest.raises(ValueError):
-        secant_tangent_coeffs(0)
+        zigzag_coeffs(0)
     with pytest.raises(ValueError):
         zigzag_numbers(-1)
     with pytest.raises(ValueError):
-        secant_tangent_coeffs(3).coefficient(4)
+        zigzag_coeffs(3).coefficient(4)
+
+
+def test_md_prints_the_series_division_values(capsys):
+    order = 200
+    coeffs = secant_tangent_coeffs(order)
+    expected = "".join(
+        f"{d}\t{format_rational(coeffs.coefficient(d))}\t{format_rational(coeffs.threshold(d))}"
+        f"\t{decimal_render(coeffs.threshold(d), DIGITS)}\n"
+        for d in range(1, order + 1)
+    )
+    assert main(["md", "--max", str(order)]) == 0
+    assert capsys.readouterr().out == expected
