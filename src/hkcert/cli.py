@@ -121,66 +121,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_target(bound: Fraction, target: Optional[Fraction]) -> bool:
+def _text(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _target_lines(bound: Fraction, target: Optional[Fraction]) -> tuple[list[str], int]:
     if target is None:
-        return True
+        return [], 0
     passed = bound >= target
-    print(f"target: {format_rational(target)} -> {'PASS' if passed else 'FAIL'}")
-    return passed
+    return [f"target: {format_rational(target)} -> {'PASS' if passed else 'FAIL'}"], 0 if passed else 1
 
 
-def _cmd_vol(args: argparse.Namespace) -> int:
-    print(_fmt(vol_slab(args.dim, args.s)))
-    return 0
+def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
+    return _text(_fmt(vol_slab(args.dim, args.s))), 0
 
 
-def _cmd_md(args: argparse.Namespace) -> int:
+def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
     coeffs = zigzag_coeffs(args.max_order)
     lines = []
     for d in range(1, args.max_order + 1):
         m = coeffs.coefficient(d)
         threshold = coeffs.threshold(d)
         lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DIGITS)}")
-    print("\n".join(lines))
-    return 0
+    return _text(*lines), 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
+    lines = []
     if args.optimize:
         if args.t is not None:
             raise ValueError("--optimize supports only the uniform --r form")
         s, bound = optimize_slice(args.dim, args.e, args.r, args.resolution)
-        print(f"s: {format_rational(s)}")
+        lines.append(f"s: {format_rational(s)}")
     else:
         bound = volume_lower_bound(args.dim, args.e, args.s, r=args.r, valuations=args.t)
-    print(f"bound: {_fmt(bound)}")
-    return 0 if _print_target(bound, args.target) else 1
+    lines.append(f"bound: {_fmt(bound)}")
+    target_lines, code = _target_lines(bound, args.target)
+    return _text(*lines, *target_lines), code
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
     s, bound = optimize_slice(args.dim, args.e, args.r, args.resolution)
-    print(f"s: {format_rational(s)}")
-    print(f"bound: {_fmt(bound)}")
-    return 0
+    return _text(f"s: {format_rational(s)}", f"bound: {_fmt(bound)}"), 0
 
 
-def _cmd_verify_tables(args: argparse.Namespace) -> int:
+def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
     report = verify_tables(args.dim)
     if args.csv is not None:
         args.csv.write_text(report.to_csv())
-    sys.stdout.write(report.to_text())
-    return 0 if report.overall_pass else 1
+    return report.to_text(), 0 if report.overall_pass else 1
 
 
-def _cmd_quadric(args: argparse.Namespace) -> int:
+def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
     value = quadric_ehk(args.p, args.d)
     threshold = conjecture_threshold(args.d)
     exceeds = value > threshold
-    print(f"{_fmt(value)}; exceeds {format_rational(threshold)}: {'yes' if exceeds else 'no'}")
-    return 0 if exceeds else 1
+    line = f"{_fmt(value)}; exceeds {format_rational(threshold)}: {'yes' if exceeds else 'no'}"
+    return _text(line), 0 if exceeds else 1
 
 
-def _cmd_radical(args: argparse.Namespace) -> int:
+def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
         if any(flag is not None for flag in recursion_flags):
@@ -197,11 +197,10 @@ def _cmd_radical(args: argparse.Namespace) -> int:
         bound = radical_recursion_bound(params)
     else:
         raise ValueError("give either --case, or all of --k --n --iterations")
-    print(f"bound: {_fmt(bound)}")
-    return 0
+    return _text(f"bound: {_fmt(bound)}"), 0
 
 
-def _cmd_monomial(args: argparse.Namespace) -> int:
+def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
     ideal = load_ideal(args.file)
     sequence = ehk_estimate(ideal, args.q)
     lines = [
@@ -210,19 +209,21 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
     ]
     for entry in sequence.entries:
         lines.append(f"q={entry.q}\tcolength={entry.colength}\tnormalized={_fmt(entry.normalized)}")
-    print("\n".join(lines))
-    return 0
+    return _text(*lines), 0
 
 
-def _cmd_certify_interval(args: argparse.Namespace) -> int:
+def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     row = certify_interval(args.dim, args.e_low, args.e_high, args.s, args.target)
-    print(f"interval: [{row.e_low}, {row.e_high}]")
-    print(f"s: {format_rational(row.s)}")
-    print(f"apex: {'-' if row.apex is None else _fmt(row.apex)}")
-    print(f"branch: {row.branch}")
-    print(f"certified-bound: {_fmt(row.certified_bound)}")
-    print(f"notes: {row.notes}")
-    return 0 if _print_target(row.certified_bound, row.target) else 1
+    target_lines, code = _target_lines(row.certified_bound, row.target)
+    return _text(
+        f"interval: [{row.e_low}, {row.e_high}]",
+        f"s: {format_rational(row.s)}",
+        f"apex: {'-' if row.apex is None else _fmt(row.apex)}",
+        f"branch: {row.branch}",
+        f"certified-bound: {_fmt(row.certified_bound)}",
+        f"notes: {row.notes}",
+        *target_lines,
+    ), code
 
 
 _HANDLERS = {
@@ -241,10 +242,12 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        out, code = _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out)
+    return code
 
 
 def entrypoint() -> None:

@@ -1,19 +1,22 @@
 """Bundled certification tables for dimensions 5 and 6.
 
 Each table proves the conjectured threshold 1 + m_d for every
-multiplicity e >= 5 by splitting the multiplicity axis into ranges:
+multiplicity e >= 5 by splitting the multiplicity axis into ranges.  A
+table is a tuple of ``TableRow`` entries, evaluated in table order by one
+evaluator; a row's ``kind`` names its certificate:
 
-* a large-e branch, where e_HK >= e/d! already beats the threshold;
-* volume-bound rows e_0 * (v_s - r_0 * v_{s-1}) valid for e_0 <= e and
-  r <= r_0 (dimension 5);
-* quadratic rows certified over integer intervals by the apex analysis
-  of G(e) = e (v_s - (e-2) v_{s-1}) (dimension 6).
+* ``large-e``: e >= e_low, where e_HK >= e/d! >= e_low/d! already beats
+  the threshold;
+* ``volume``: the bound e_0 (v_s - r_0 v_{s-1}) with e_0 = e_low and
+  r_0 = e_high - 2, valid for every e in the range because r <= e - 2;
+* ``interval``: G(e) = e (v_s - (e-2) v_{s-1}) certified over the
+  integer interval [e_low, e_high] by the apex analysis.
 
-Every row records a quoted display target alongside the effective exact
-target.  Displayed bounds in this package are truncations, never
-roundings, so a quoted value that would overstate the recomputed exact
-bound is replaced by its truncated rendering and the substitution is
-recorded in the row notes.  Rows are computed serially in table order.
+A row's name is derived from its range.  The paper's quoted values
+(target, interval, slice) are stored only on rows where they differ from
+the effective ones, and the row note says why: displayed bounds here are
+truncations, so a quoted value that overstates the exact bound is
+replaced by its truncation.
 """
 
 from __future__ import annotations
@@ -29,81 +32,64 @@ from .rationals import decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
 
-__all__ = [
-    "ApexIntervalRow",
-    "DIM5_ROWS",
-    "DIM6_ROWS",
-    "VolumeBoundRow",
-    "verify_tables",
-]
+__all__ = ["DIM5_ROWS", "DIM6_ROWS", "TableRow", "verify_tables"]
 
 
 @dataclass(frozen=True)
-class VolumeBoundRow:
-    """Dimension-5 style row: bound e_0 (v_s - r_0 v_{s-1}) over a range of e."""
+class TableRow:
+    """One range of multiplicities and the certificate that covers it."""
 
-    name: str
-    e0: int
-    r0: int
-    s: Fraction
-    target: Fraction
-    quoted_target: Fraction
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ApexIntervalRow:
-    """Dimension-6 style row: interval certification of G(e) on [e_low, e_high]."""
-
-    name: str
+    kind: str  # "large-e", "volume" or "interval"
     e_low: int
-    e_high: int
-    s: Fraction
-    target: Fraction
-    quoted_interval: tuple[int, int]
-    quoted_s: Fraction
+    e_high: Optional[int] = None  # None: every e >= e_low
+    s: Optional[Fraction] = None
+    target: Optional[Fraction] = None  # None: the conjectured threshold
+    quoted_target: Optional[Fraction] = None
+    quoted_interval: Optional[tuple[int, int]] = None
+    quoted_s: Optional[Fraction] = None
     note: str = ""
 
+    @property
+    def name(self) -> str:
+        return f"e>={self.e_low}" if self.e_high is None else f"{self.e_low}<=e<={self.e_high}"
 
-# The quoted target 1.197 of the second row rounds up from the exact
-# bound 1196997/1000000; the effective target is its truncation, which
-# keeps every displayed target a valid lower bound.
-DIM5_ROWS: tuple[VolumeBoundRow, ...] = (
-    VolumeBoundRow("35<=e<=136", 35, 134, Fraction(7, 5), Fraction(1153, 1000), Fraction(1153, 1000)),
-    VolumeBoundRow(
-        "18<=e<=34",
-        18,
-        32,
-        Fraction(17, 10),
-        Fraction(1196, 1000),
-        Fraction(1197, 1000),
+
+DIM5_ROWS: tuple[TableRow, ...] = (
+    TableRow("large-e", 137),
+    TableRow("volume", 35, 136, Fraction(7, 5), Fraction(1153, 1000)),
+    TableRow(
+        "volume", 18, 34, Fraction(17, 10), Fraction(1196, 1000),
+        quoted_target=Fraction(1197, 1000),
         note=(
             "quoted target 1.197 rounds up from the exact bound 1196997/1000000; "
             "effective target 1.196 is its truncated display"
         ),
     ),
-    VolumeBoundRow("11<=e<=17", 11, 15, Fraction(19, 10), Fraction(1187, 1000), Fraction(1187, 1000)),
-    VolumeBoundRow("7<=e<=10", 7, 8, Fraction(21, 10), Fraction(1161, 1000), Fraction(1161, 1000)),
-    VolumeBoundRow("5<=e<=6", 5, 4, Fraction(12, 5), Fraction(1313, 1000), Fraction(1313, 1000)),
+    TableRow("volume", 11, 17, Fraction(19, 10), Fraction(1187, 1000)),
+    TableRow("volume", 7, 10, Fraction(21, 10), Fraction(1161, 1000)),
+    TableRow("volume", 5, 6, Fraction(12, 5), Fraction(1313, 1000)),
 )
 
-# The fourth quoted row ([10, 25] at s = 2.2) is inconsistent: its apex
-# 16.98... is interior but min(G(10), G(25)) = 0.9304... misses the
-# 1.118 target, and s = 2.2 contradicts the quoted apex 13.3.  Endpoints
-# [10, 15] with s = 2.3 reproduce that apex and certify via G(10); the
-# quoted upper endpoint also overlaps the [16, 25] row.
-DIM6_ROWS: tuple[ApexIntervalRow, ...] = (
-    ApexIntervalRow("59<=e<=296", 59, 296, Fraction(8, 5), Fraction(1133, 1000), (59, 296), Fraction(8, 5)),
-    ApexIntervalRow("26<=e<=58", 26, 58, Fraction(19, 10), Fraction(1123, 1000), (26, 58), Fraction(19, 10)),
-    ApexIntervalRow("16<=e<=25", 16, 25, Fraction(21, 10), Fraction(1118, 1000), (16, 25), Fraction(21, 10)),
-    ApexIntervalRow(
-        "10<=e<=15",
-        10,
-        15,
-        Fraction(23, 10),
-        Fraction(1118, 1000),
-        (10, 25),
-        Fraction(11, 5),
+DIM6_ROWS: tuple[TableRow, ...] = (
+    TableRow(
+        "large-e", 786,
+        note="large-e threshold quoted as 786/720 while the conjectured constant is 781/720; 786/720 exceeds both",
+    ),
+    TableRow(
+        "interval", 296, 786, Fraction(13, 10), Fraction(189, 100),
+        quoted_interval=(286, 786),
+        note=(
+            "the quoted apex display 3308.57 rounds up from the exact value (truncation: 3308.56); "
+            "the increasing interval is sometimes quoted as [286, 786], endpoints [296, 786] used"
+        ),
+    ),
+    TableRow("interval", 59, 296, Fraction(8, 5), Fraction(1133, 1000)),
+    TableRow("interval", 26, 58, Fraction(19, 10), Fraction(1123, 1000)),
+    TableRow("interval", 16, 25, Fraction(21, 10), Fraction(1118, 1000)),
+    TableRow(
+        "interval", 10, 15, Fraction(23, 10), Fraction(1118, 1000),
+        quoted_interval=(10, 25),
+        quoted_s=Fraction(11, 5),
         note=(
             "quoted row ([10, 25], s = 11/5) is inconsistent: apex 16.98 is interior but "
             "min(G(10), G(25)) = 0.9304 misses 1.118, s = 11/5 contradicts the quoted apex 13.3, "
@@ -111,97 +97,54 @@ DIM6_ROWS: tuple[ApexIntervalRow, ...] = (
             "reproduce apex 13.34 and certify via G(10)"
         ),
     ),
-    ApexIntervalRow("5<=e<=9", 5, 9, Fraction(13, 5), Fraction(1107, 1000), (5, 9), Fraction(13, 5)),
+    TableRow("interval", 5, 9, Fraction(13, 5), Fraction(1107, 1000)),
 )
 
 
-def _threshold_note(bound: Fraction, threshold: Fraction, extra: str = "") -> str:
-    verdict = "yes" if bound > threshold else "no"
-    note = f"exceeds conjectured threshold {format_rational(threshold)}: {verdict}"
-    return f"{note}; {extra}" if extra else note
-
-
-def _volume_row(d: int, row: VolumeBoundRow, threshold: Fraction) -> ReportRow:
-    bound = volume_lower_bound(d, row.e0, row.s, r=row.r0)
-    return ReportRow(
-        name=row.name,
-        inputs=f"d={d} e0={row.e0} r0={row.r0} s={format_rational(row.s)}",
-        exact_bound=bound,
-        target=row.target,
-        passed=bound >= row.target,
-        notes=_threshold_note(bound, threshold, row.note),
-    )
-
-
-def _apex_row(d: int, row: ApexIntervalRow, threshold: Fraction) -> ReportRow:
-    cert = certify_interval(d, row.e_low, row.e_high, row.s, row.target)
-    return ReportRow(
-        name=row.name,
-        inputs=f"d={d} a={row.e_low} b={row.e_high} s={format_rational(row.s)}",
-        exact_bound=cert.certified_bound,
-        target=row.target,
-        passed=cert.passed,
-        notes=_threshold_note(cert.certified_bound, threshold, f"{cert.branch}: {cert.notes}"
-                              + (f"; {row.note}" if row.note else "")),
-    )
-
-
-def _large_e_row(d: int, e_min: int, threshold: Fraction, extra: str = "") -> ReportRow:
-    bound = Fraction(e_min, factorial(d))
-    return ReportRow(
-        name=f"e>={e_min}",
-        inputs=f"d={d} e>={e_min}",
-        exact_bound=bound,
-        target=threshold,
-        passed=bound >= threshold,
-        notes=_threshold_note(bound, threshold, f"e_HK >= e/d! >= {e_min}/{factorial(d)}"
-                              + (f"; {extra}" if extra else "")),
-    )
-
-
-def _increasing_row(threshold: Fraction) -> ReportRow:
-    target = Fraction(189, 100)
-    cert = certify_interval(6, 296, 786, Fraction(13, 10), target)
-    apex = cert.apex
-    assert apex is not None
-    return ReportRow(
-        name="296<=e<=786",
-        inputs="d=6 a=296 b=786 s=13/10",
-        exact_bound=cert.certified_bound,
-        target=target,
-        passed=cert.passed,
-        notes=_threshold_note(
-            cert.certified_bound,
-            threshold,
-            f"{cert.branch}: apex {format_rational(apex)} = {decimal_render(apex, 4)} > 786, "
-            f"so G increases on the interval and G(296) certifies; the quoted apex display "
-            f"3308.57 rounds up from the exact value (truncation: 3308.56); the increasing "
-            f"interval is sometimes quoted as [286, 786], endpoints [296, 786] used",
-        ),
-    )
-
-
-def verify_tables(dim: int, command: Optional[str] = None) -> CertificationReport:
-    """Recompute and certify every row of the bundled table for ``dim``."""
-    if dim == 5:
-        threshold = conjecture_threshold(5)
-        rows = [_large_e_row(5, 137, threshold)]
-        rows += [_volume_row(5, row, threshold) for row in DIM5_ROWS]
-    elif dim == 6:
-        threshold = conjecture_threshold(6)
-        rows = [
-            _large_e_row(
-                6, 786, threshold,
-                extra="large-e threshold quoted as 786/720 while the conjectured constant is 781/720; "
-                      "786/720 exceeds both",
-            ),
-            _increasing_row(threshold),
-        ]
-        rows += [_apex_row(6, row, threshold) for row in DIM6_ROWS]
+def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -> ReportRow:
+    """Recompute one row's certificate and compare it with its target and the threshold."""
+    target = threshold if row.target is None else row.target
+    if row.kind == "large-e":
+        bound = Fraction(row.e_low, factorial(d))
+        passed = bound >= target
+        inputs = f"d={d} e>={row.e_low}"
+        why = f"e_HK >= e/d! >= {row.e_low}/{factorial(d)}"
+    elif row.kind == "volume":
+        r0 = row.e_high - 2
+        bound = volume_lower_bound(d, row.e_low, row.s, r=r0)
+        passed = bound >= target
+        inputs = f"d={d} e0={row.e_low} r0={r0} s={format_rational(row.s)}"
+        why = ""
     else:
+        cert = certify_interval(d, row.e_low, row.e_high, row.s, target)
+        bound, passed = cert.certified_bound, cert.passed
+        inputs = f"d={d} a={row.e_low} b={row.e_high} s={format_rational(row.s)}"
+        why = f"{cert.branch}: {cert.notes}"
+        if cert.branch == "increasing":  # spelled out with the apex's decimal value
+            why = (
+                f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex, 4)} "
+                f"> {row.e_high}, so G increases on the interval and G({row.e_low}) certifies"
+            )
+    verdict = f"exceeds conjectured threshold {threshold_text}: {'yes' if bound > threshold else 'no'}"
+    return ReportRow(
+        name=row.name,
+        inputs=inputs,
+        exact_bound=bound,
+        target=target,
+        passed=passed,
+        notes="; ".join(filter(None, (verdict, why, row.note))),
+    )
+
+
+def verify_tables(dim: int) -> CertificationReport:
+    """Recompute and certify every row of the bundled table for ``dim``."""
+    rows = {5: DIM5_ROWS, 6: DIM6_ROWS}.get(dim)
+    if rows is None:
         raise ValueError(f"tables exist for dimensions 5 and 6, got {dim}")
+    threshold = conjecture_threshold(dim)
+    threshold_text = format_rational(threshold)
     return CertificationReport(
         tool_version=__version__,
-        command=command or f"verify-tables --dim {dim}",
-        rows=tuple(rows),
+        command=f"verify-tables --dim {dim}",
+        rows=tuple(_evaluate(dim, row, threshold, threshold_text) for row in rows),
     )

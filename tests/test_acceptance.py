@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -87,7 +88,11 @@ def test_dim5_table():
     started = time.perf_counter()
     failures = []
     for row in DIM5_ROWS:
-        bound = volume_lower_bound(5, row.e0, row.s, r=row.r0)
+        if row.kind == "large-e":
+            if not Fraction(row.e_low, factorial(5)) > Fraction(17, 15):
+                failures.append(f"{row.e_low}/120 <= 17/15")
+            continue
+        bound = volume_lower_bound(5, row.e_low, row.s, r=row.e_high - 2)
         exact = f"exact bound {format_rational(bound)} = {decimal_render(bound, 6)}"
         # A 3-place display that does not exceed the bound is its truncation.
         if not bound >= row.target:
@@ -100,48 +105,52 @@ def test_dim5_table():
                 f"row {row.name}: target {format_rational(row.target)} is not the 3-place "
                 f"truncation of the {exact} (below it by {format_rational(bound - row.target)})"
             )
-        if not _is_display(row.quoted_target, bound, 3):
+        quoted = row.target if row.quoted_target is None else row.quoted_target
+        if not _is_display(quoted, bound, 3):
             failures.append(
-                f"row {row.name}: quoted target {format_rational(row.quoted_target)} is neither the "
+                f"row {row.name}: quoted target {format_rational(quoted)} is neither the "
                 f"3-place truncation nor the rounding of the {exact} "
-                f"(off by {format_rational(row.quoted_target - bound)})"
+                f"(off by {format_rational(quoted - bound)})"
             )
-    if not Fraction(137, 120) > Fraction(17, 15):
-        failures.append("137/120 <= 17/15")
     _finish("dim5-table", started, failures)
 
 
 def test_dim6_table():
     started = time.perf_counter()
     failures = []
-    apex = quadratic_apex(6, Fraction(13, 10))
-    assert apex is not None
-    quoted_apex = Fraction(330857, 100)
-    if not _is_display(quoted_apex, apex, 2):
-        failures.append(
-            f"apex at s=13/10 is exactly {format_rational(apex)} = {decimal_render(apex, 6)}; "
-            f"the quoted display {decimal_render(quoted_apex, 2)} is neither its 2-place truncation "
-            f"nor its rounding (off by {format_rational(quoted_apex - apex)})"
-        )
-    if not apex > 786:
-        failures.append(f"apex at s=13/10 is {format_rational(apex)}, not right of the increasing row's 786")
-    increasing = certify_interval(6, 296, 786, Fraction(13, 10), Fraction(189, 100))
-    if not increasing.passed or increasing.branch != "increasing":
-        failures.append(
-            f"row 296<=e<=786: branch {increasing.branch}, certified "
-            f"{format_rational(increasing.certified_bound)} against 189/100"
-        )
-    if not quadratic_bound(6, 296, Fraction(13, 10)) > Fraction(189, 100):
-        failures.append("G(296) at s=13/10 does not exceed 1.89")
+    increasing = []
     for row in DIM6_ROWS:
+        if row.kind == "large-e":
+            if not Fraction(row.e_low, factorial(6)) > Fraction(781, 720):
+                failures.append(f"{row.e_low}/720 <= 781/720")
+            continue
         cert = certify_interval(6, row.e_low, row.e_high, row.s, row.target)
         if not cert.passed:
             failures.append(f"row {row.name}: certified {format_rational(cert.certified_bound)} < target")
+        if cert.branch == "increasing":
+            increasing.append(row)
+            continue
         if cert.branch != "apex-interior":
             failures.append(f"row {row.name}: apex not interior ({cert.branch})")
-        low, high = row.quoted_interval
+        low, high = row.quoted_interval or (row.e_low, row.e_high)
         if cert.apex is None or not low <= cert.apex <= high:
             failures.append(f"row {row.name}: apex outside quoted interval [{low}, {high}]")
+    if len(increasing) != 1:
+        failures.append(f"expected one increasing row, got {[row.name for row in increasing]}")
+    for row in increasing:
+        apex = quadratic_apex(6, row.s)
+        assert apex is not None
+        quoted_apex = Fraction(330857, 100)
+        if not _is_display(quoted_apex, apex, 2):
+            failures.append(
+                f"apex at s={format_rational(row.s)} is exactly {format_rational(apex)} = "
+                f"{decimal_render(apex, 6)}; the quoted display {decimal_render(quoted_apex, 2)} is neither "
+                f"its 2-place truncation nor its rounding (off by {format_rational(quoted_apex - apex)})"
+            )
+        if not apex > row.e_high:
+            failures.append(f"row {row.name}: apex {format_rational(apex)} is not right of {row.e_high}")
+        if not quadratic_bound(6, row.e_low, row.s) > row.target:
+            failures.append(f"row {row.name}: G({row.e_low}) does not exceed {format_rational(row.target)}")
     _finish("dim6-table", started, failures)
 
 

@@ -67,8 +67,9 @@ def test_md_large_order_is_fast():
 
 def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
     # Under a 640-digit int-to-str limit, 1 + m_d first passes it at d = 314,
-    # and the colength of (x^(10^400)) at q = 10^300 has 701 digits, while the
-    # rows before it print: both commands must fail before writing anything.
+    # the colength of (x^(10^400)) at q = 10^300 has 701 digits, and so does
+    # a target of 10^700, while the lines before them render: every command
+    # must fail before writing anything.
     path = tmp_path / "power.ideal"
     path.write_text(f"{10**400}\n")
     limit = sys.get_int_max_str_digits()
@@ -76,7 +77,12 @@ def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
     try:
         assert main(["md", "--max", "313"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 313
-        for argv in (["md", "--max", "320"], ["monomial", "--file", str(path), "--q", f"1,{10**300}"]):
+        for argv in (
+            ["md", "--max", "320"],
+            ["monomial", "--file", str(path), "--q", f"1,{10**300}"],
+            ["bound", "--dim", "3", "--e", "2", "--r", "1", "--s", "1", "--target", "1e700"],
+            ["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9", "--s", "2.6", "--target", "1e700"],
+        ):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -39,17 +39,30 @@ def test_exact_bounds_reparse_to_recomputed_values():
     report = verify_tables(5)
     by_name = {row.name: row for row in report.rows}
     for row_def in DIM5_ROWS:
-        recomputed = volume_lower_bound(5, row_def.e0, row_def.s, r=row_def.r0)
-        rendered = format_rational(by_name[row_def.name].exact_bound)
-        assert parse_rational(rendered) == recomputed
+        if row_def.kind == "volume":
+            recomputed = volume_lower_bound(5, row_def.e_low, row_def.s, r=row_def.e_high - 2)
+            rendered = format_rational(by_name[row_def.name].exact_bound)
+            assert parse_rational(rendered) == recomputed
+
+
+def _quoted(row):
+    """The quoted values stored on a row, each with the effective value it replaces."""
+    pairs = [
+        (row.quoted_target, row.target),
+        (row.quoted_interval, (row.e_low, row.e_high)),
+        (row.quoted_s, row.s),
+    ]
+    return [(quoted, effective) for quoted, effective in pairs if quoted is not None]
 
 
 def test_quoted_targets_match_effective_except_flagged_rows():
-    assert [row.target == row.quoted_target for row in DIM5_ROWS] == [True, False, True, True, True]
-    assert DIM5_ROWS[1].quoted_target == Fraction(1197, 1000)
-    assert DIM5_ROWS[1].target == Fraction(1196, 1000)
-    flagged = [row for row in DIM6_ROWS if (row.e_low, row.e_high) != row.quoted_interval or row.s != row.quoted_s]
-    assert [row.name for row in flagged] == ["10<=e<=15"]
+    # A quoted value is stored only where it differs from the effective one.
+    for rows, flagged in ((DIM5_ROWS, ["18<=e<=34"]), (DIM6_ROWS, ["296<=e<=786", "10<=e<=15"])):
+        assert [row.name for row in rows if _quoted(row)] == flagged
+        for row in rows:
+            for quoted, effective in _quoted(row):
+                assert quoted != effective, row.name
+    assert _quoted(DIM5_ROWS[2]) == [(Fraction(1197, 1000), Fraction(1196, 1000))]
 
 
 def test_report_is_deterministic():
@@ -79,38 +92,23 @@ def test_report_bytes_are_pinned(dim):
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_sha
 
 
-# The rows verify_tables adds to the bundled tuples: the large-e branch
-# e >= LARGE_E[d] (e_HK >= e/d!) and, for d = 6, the increasing interval.
-LARGE_E = {5: 137, 6: 786}
-INCREASING_ROW = (296, 786, Fraction(13, 10), Fraction(189, 100))
-
-
-def _name_range(name):
-    low, _, high = name.partition("<=e<=")
-    return int(low), int(high)
+TABLES = {5: DIM5_ROWS, 6: DIM6_ROWS}
 
 
 def _finite_rows(dim):
-    """(e_low, e_high, s, target) of every finite-range row, read from the row fields."""
-    if dim == 5:
-        rows = [(*_name_range(row.name), row.s, row.target) for row in DIM5_ROWS]
-        for (low, high, _, _), row in zip(rows, DIM5_ROWS):
-            assert row.e0 == low
-            assert row.r0 == high - 2
-        return rows
-    for row in DIM6_ROWS:
-        assert _name_range(row.name) == (row.e_low, row.e_high)
-    return [INCREASING_ROW] + [(row.e_low, row.e_high, row.s, row.target) for row in DIM6_ROWS]
+    """(e_low, e_high, s, target) of every finite-range row of the bundled table."""
+    return [(row.e_low, row.e_high, row.s, row.target) for row in TABLES[dim] if row.e_high is not None]
 
 
 @pytest.mark.parametrize("dim", [5, 6])
 def test_row_ranges_cover_every_multiplicity(dim):
-    assert Fraction(LARGE_E[dim], factorial(dim)) >= conjecture_threshold(dim)
+    (large_e,) = [row.e_low for row in TABLES[dim] if row.kind == "large-e"]
+    assert Fraction(large_e, factorial(dim)) >= conjecture_threshold(dim)
     covered_to = 4
     for low, high, _, _ in sorted(_finite_rows(dim)):
         assert low <= covered_to + 1, f"gap before e = {low}"
         covered_to = max(covered_to, high)
-    assert covered_to + 1 >= LARGE_E[dim]
+    assert covered_to + 1 >= large_e
 
 
 @pytest.mark.parametrize("dim", [5, 6])
@@ -125,7 +123,8 @@ def test_every_multiplicity_in_a_row_meets_its_target(dim):
 
 def test_dim5_volume_rows_are_positive():
     for row in DIM5_ROWS:
-        assert termwise_vol_slab(5, row.s) - row.r0 * termwise_vol_slab(5, row.s - 1) > 0
+        if row.kind == "volume":
+            assert termwise_vol_slab(5, row.s) - (row.e_high - 2) * termwise_vol_slab(5, row.s - 1) > 0
 
 
 def test_inconsistent_row_is_documented():
@@ -135,8 +134,9 @@ def test_inconsistent_row_is_documented():
     assert "quoted row ([10, 25], s = 11/5)" in row.notes
     apex_row = next(row for row in report.rows if row.name == "296<=e<=786")
     assert "3308.57 rounds up" in apex_row.notes
+    assert "so G increases on the interval and G(" in apex_row.notes
     large_row = next(row for row in report.rows if row.name == "e>=786")
-    assert "781/720" in large_row.notes
+    assert "quoted as 786/720 while the conjectured constant is 781/720" in large_row.notes
 
 
 def test_text_format_fields_are_fixed_order():
