@@ -4,18 +4,11 @@ __version__ = "0.1.0"
 
 from .bounds import (
     IntervalCertRow,
-    RadicalParams,
     certify_interval,
-    duality_bound_cm,
-    duality_bound_gorenstein,
     fixed_dimension_bound,
-    minimal_multiplicity_bound,
     optimize_slice,
-    quadratic_apex,
-    quadratic_bound,
     quadric_ehk,
     radical_recursion_bound,
-    radical_step_bound,
     volume_lower_bound,
 )
 from .monomial import (
@@ -29,7 +22,6 @@ from .monomial import (
     parse_generators,
 )
 from .rationals import (
-    Fraction,
     decimal_render,
     format_rational,
     parse_rational,
@@ -48,33 +40,25 @@ __all__ = [
     "CertificationReport",
     "ColengthEntry",
     "ColengthSequence",
-    "Fraction",
     "IntervalCertRow",
     "MonomialIdeal",
-    "RadicalParams",
     "ReportRow",
     "SeriesCoefficients",
     "__version__",
     "certify_interval",
     "conjecture_threshold",
     "decimal_render",
-    "duality_bound_cm",
-    "duality_bound_gorenstein",
     "ehk_estimate",
     "fixed_dimension_bound",
     "format_rational",
     "frobenius_colength",
     "load_ideal",
-    "minimal_multiplicity_bound",
     "mixed_colength",
     "optimize_slice",
     "parse_generators",
     "parse_rational",
-    "quadratic_apex",
-    "quadratic_bound",
     "quadric_ehk",
     "radical_recursion_bound",
-    "radical_step_bound",
     "verify_tables",
     "vol_slab",
     "volume_lower_bound",

@@ -15,12 +15,10 @@ t_i = 1 in the uniform case with generator count r).  On top of it sit:
   (v_s + 2 v_{s-1}) / (2 v_{s-1}) locates the maximum, so an entire
   integer range [a, b] of multiplicities is certified by min(G(a), G(b))
   when the apex is interior, and by the appropriate endpoint otherwise;
-* duality bounds e/(e-t+1), e/(e-nu+d), e/2 for Cohen-Macaulay type t,
-  Gorenstein embedding dimension nu, and minimal multiplicity;
 * closed forms for the quadric hypersurface x_0^2 + ... + x_d^2 in
   characteristic p for d in {5, 6};
-* recursive bounds obtained from degree-n radical ring extensions, and
-  their closed forms depending only on the dimension.
+* the closed form of the recursion across degree-n radical ring
+  extensions, and the bounds it gives that depend only on the dimension.
 """
 
 from __future__ import annotations
@@ -36,18 +34,11 @@ from .slab import _slab_numerator, vol_slab
 
 __all__ = [
     "IntervalCertRow",
-    "RadicalParams",
     "certify_interval",
-    "duality_bound_cm",
-    "duality_bound_gorenstein",
     "fixed_dimension_bound",
-    "minimal_multiplicity_bound",
     "optimize_slice",
-    "quadratic_apex",
-    "quadratic_bound",
     "quadric_ehk",
     "radical_recursion_bound",
-    "radical_step_bound",
     "volume_lower_bound",
 ]
 
@@ -130,34 +121,6 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     return best_s, best_bound
 
 
-def duality_bound_cm(e: Rational, t: int) -> Fraction:
-    """Bound e/(e - t + 1) for a Cohen-Macaulay ring of type t."""
-    e = Fraction(e)
-    if t < 1:
-        raise ValueError("type must be >= 1")
-    if e - t + 1 <= 0:
-        raise ValueError("requires e - t + 1 > 0")
-    return e / (e - t + 1)
-
-
-def duality_bound_gorenstein(e: Rational, nu: int, d: int) -> Fraction:
-    """Bound e/(e - nu + d) for a non-F-regular Gorenstein ring of embedding dimension nu."""
-    e = Fraction(e)
-    if nu < 1 or d < 1:
-        raise ValueError("nu and d must be >= 1")
-    if e - nu + d <= 0:
-        raise ValueError("requires e - nu + d > 0")
-    return e / (e - nu + d)
-
-
-def minimal_multiplicity_bound(e: Rational) -> Fraction:
-    """Bound e/2 for a Cohen-Macaulay ring of minimal multiplicity."""
-    e = Fraction(e)
-    if e < 1:
-        raise ValueError("multiplicity must be >= 1")
-    return e / 2
-
-
 # Miller-Rabin with the first 12 prime bases is deterministic below
 # psi_12 = 318665857834031151167461 (Sorenson and Webster, Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -206,44 +169,6 @@ def quadric_ehk(p: int, d: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class _Parabola:
-    """The parabola e -> G(e) for one slice s, from v_s and v_{s-1} evaluated once."""
-
-    v_s: Fraction
-    v_prev: Fraction
-
-    @classmethod
-    def at(cls, d: int, s: Rational) -> _Parabola:
-        s = Fraction(s)
-        if s < 0:
-            raise ValueError("slice parameter must be >= 0")
-        return cls(vol_slab(d, s), vol_slab(d, s - 1))
-
-    def value(self, e: Rational) -> Fraction:
-        e = Fraction(e)
-        return e * (self.v_s - (e - 2) * self.v_prev)
-
-    def apex(self) -> Optional[Fraction]:
-        if self.v_prev == 0:
-            return None
-        return (self.v_s + 2 * self.v_prev) / (2 * self.v_prev)
-
-
-def quadratic_bound(d: int, e: Rational, s: Rational) -> Fraction:
-    """G(e) = e * (v_s - (e - 2) v_{s-1}), the volume bound at r = e - 2."""
-    return _Parabola.at(d, s).value(e)
-
-
-def quadratic_apex(d: int, s: Rational) -> Optional[Fraction]:
-    """Apex (v_s + 2 v_{s-1}) / (2 v_{s-1}) of the parabola e -> G(e).
-
-    Returns None when v_{s-1} = 0: G is then linear and increasing in e,
-    so there is no interior maximum.
-    """
-    return _Parabola.at(d, s).apex()
-
-
-@dataclass(frozen=True)
 class IntervalCertRow:
     """Certified lower bound for G(e) over all integers e in [e_low, e_high]."""
 
@@ -275,10 +200,11 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Ratio
     if e_low < 1:
         raise ValueError("e_low must be >= 1 (multiplicities are positive)")
     s, target = Fraction(s), Fraction(target)
-    parabola = _Parabola.at(d, s)
-    g_low = parabola.value(e_low)
-    g_high = parabola.value(e_high)
-    apex = parabola.apex()
+    if s < 0:
+        raise ValueError("slice parameter must be >= 0")
+    v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
+    g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
+    apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
     if apex is None:
         branch = "degenerate-linear-increasing"
         certified = g_low
@@ -311,64 +237,13 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Ratio
     )
 
 
-def radical_step_bound(e: Rational, k: int, n: int, b: int, ehk_next: Rational) -> Fraction:
-    """One-step lower bound across a degree-n radical extension R -> S.
+def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int) -> Fraction:
+    """Closed form of the iterated radical-extension recursion.
 
-    Given e_HK(S) = ehk_next, with k the embedding codimension and b the
-    fraction-field degree of the extension:
-
-        k = e - 2:  e(n-1)/(en-2)       + n(e-2)/(b(en-2))       * ehk_next
-        k < e - 2:  e(n-1)/((n-1)e+k+1) + n(k+1)/(b((n-1)e+k+1)) * ehk_next
-
-    With b = n both maps fix the value 1 and contract toward it.
-    """
-    e, ehk_next = Fraction(e), Fraction(ehk_next)
-    if n < 2:
-        raise ValueError("root degree n must be >= 2")
-    if not 1 <= b <= n:
-        raise ValueError("field-extension degree b must satisfy 1 <= b <= n")
-    if not 3 <= k <= e - 2:
-        raise ValueError("embedding codimension k must satisfy 3 <= k <= e - 2")
-    if ehk_next < 1:
-        raise ValueError("ehk_next must be >= 1")
-    if k == e - 2:
-        den = e * n - 2
-        return e * (n - 1) / den + Fraction(n) * (e - 2) / (b * den) * ehk_next
-    den = (n - 1) * e + k + 1
-    return e * (n - 1) / den + Fraction(n * (k + 1)) / (b * den) * ehk_next
-
-
-@dataclass(frozen=True)
-class RadicalParams:
-    """Parameters of the iterated radical-extension recursion.
-
-    ``iterations`` is the number of contraction steps applied to the base
-    bound (the recursion depth).  The extension's field degree b is
-    taken equal to ``n``, the case in which the closed form of
-    ``radical_recursion_bound`` is derived.
-    """
-
-    dimension: int
-    multiplicity: Fraction
-    codimension: int
-    root_degree: int
-    iterations: int
-
-    def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError("dimension must be >= 2")
-        if self.multiplicity < 6:
-            raise ValueError("multiplicity must be >= 6")
-        if not 3 <= self.codimension <= self.multiplicity - 2:
-            raise ValueError("codimension must satisfy 3 <= k <= e - 2")
-        if self.root_degree < 2:
-            raise ValueError("root degree must be >= 2")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-
-
-def radical_recursion_bound(params: RadicalParams) -> Fraction:
-    """Closed form of the iterated recursion (b = n case).
+    ``k`` is the embedding codimension, ``n`` the root degree of each
+    extension, and ``iterations`` the number of contraction steps applied
+    to the base bound (the recursion depth).  The extension's field degree
+    is taken equal to n, the case in which the closed form is derived:
 
         k = e - 2:  1 + ((e-2)/(en-2))**iterations * (e/2 - 1)
         k < e - 2:  1 + ((k+1)/((n-1)e+k+1))**iterations * (1/d)
@@ -376,11 +251,20 @@ def radical_recursion_bound(params: RadicalParams) -> Fraction:
     The base values e/2 and 1 + 1/d are the bounds available at the first
     non-F-regular stage of the extension tower.
     """
-    e = Fraction(params.multiplicity)
-    k, n, it = params.codimension, params.root_degree, params.iterations
+    e = Fraction(e)
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    if e < 6:
+        raise ValueError("multiplicity must be >= 6")
+    if not 3 <= k <= e - 2:
+        raise ValueError("codimension must satisfy 3 <= k <= e - 2")
+    if n < 2:
+        raise ValueError("root degree must be >= 2")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     if k == e - 2:
-        return 1 + ((e - 2) / (e * n - 2)) ** it * (e / 2 - 1)
-    return 1 + ((k + 1) / ((n - 1) * e + k + 1)) ** it * Fraction(1, params.dimension)
+        return 1 + ((e - 2) / (e * n - 2)) ** iterations * (e / 2 - 1)
+    return 1 + ((k + 1) / ((n - 1) * e + k + 1)) ** iterations * Fraction(1, d)
 
 
 def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:

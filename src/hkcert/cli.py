@@ -21,20 +21,17 @@ from .bounds import (
     optimize_slice,
     quadric_ehk,
     radical_recursion_bound,
-    RadicalParams,
     volume_lower_bound,
 )
 from .monomial import ehk_estimate, load_ideal
-from .rationals import decimal_render, format_rational, parse_rational
+from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
 from .series import conjecture_threshold, zigzag_coeffs
 from .slab import vol_slab
 from .tables import verify_tables
 
-DIGITS = 4
-
 
 def _fmt(x: Fraction) -> str:
-    return f"{format_rational(x)} ≈ {decimal_render(x, DIGITS)}"
+    return f"{format_rational(x)} ≈ {decimal_render(x, DISPLAY_DIGITS)}"
 
 
 def _rational(text: str) -> Fraction:
@@ -142,7 +139,7 @@ def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
     for d in range(1, args.max_order + 1):
         m = coeffs.coefficient(d)
         threshold = coeffs.threshold(d)
-        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DIGITS)}")
+        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DISPLAY_DIGITS)}")
     return _text(*lines), 0
 
 
@@ -187,14 +184,7 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
-        params = RadicalParams(
-            dimension=args.dim,
-            multiplicity=args.e,
-            codimension=args.k,
-            root_degree=args.n,
-            iterations=args.iterations,
-        )
-        bound = radical_recursion_bound(params)
+        bound = radical_recursion_bound(args.dim, args.e, args.k, args.n, args.iterations)
     else:
         raise ValueError("give either --case, or all of --k --n --iterations")
     return _text(f"bound: {_fmt(bound)}"), 0

@@ -14,6 +14,7 @@ from typing import Union
 Rational = Union[Fraction, int]
 
 __all__ = [
+    "DISPLAY_DIGITS",
     "Fraction",
     "Rational",
     "decimal_render",
@@ -36,6 +37,10 @@ def format_rational(x: Rational) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+# Decimal places of every truncated display: CLI lines, report columns and notes.
+DISPLAY_DIGITS = 4
 
 
 def decimal_render(x: Rational, digits: int) -> str:

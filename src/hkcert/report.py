@@ -14,11 +14,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import decimal_render, format_rational
+from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 
-__all__ = ["CertificationReport", "ReportRow", "REPORT_DIGITS"]
-
-REPORT_DIGITS = 4
+__all__ = ["CertificationReport", "ReportRow"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class ReportRow:
     @property
     def decimal(self) -> str:
         """Truncated rendering of the exact bound."""
-        return decimal_render(self.exact_bound, REPORT_DIGITS)
+        return decimal_render(self.exact_bound, DISPLAY_DIGITS)
 
 
 @dataclass(frozen=True)

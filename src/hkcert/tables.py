@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .bounds import certify_interval, volume_lower_bound
-from .rationals import decimal_render, format_rational
+from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
 
@@ -122,7 +122,7 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         why = f"{cert.branch}: {cert.notes}"
         if cert.branch == "increasing":  # spelled out with the apex's decimal value
             why = (
-                f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex, 4)} "
+                f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex, DISPLAY_DIGITS)} "
                 f"> {row.e_high}, so G increases on the interval and G({row.e_low}) certifies"
             )
     verdict = f"exceeds conjectured threshold {threshold_text}: {'yes' if bound > threshold else 'no'}"

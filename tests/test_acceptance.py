@@ -21,10 +21,7 @@ import pytest
 from hkcert.bounds import (
     certify_interval,
     fixed_dimension_bound,
-    quadratic_apex,
-    quadratic_bound,
     quadric_ehk,
-    radical_step_bound,
     volume_lower_bound,
 )
 from hkcert.monomial import MonomialIdeal, frobenius_colength, mixed_colength
@@ -32,6 +29,7 @@ from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import zigzag_coeffs
 from hkcert.slab import vol_slab
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS
+from test_bounds import radical_step_bound, radical_step_iterates
 from test_cli import child_env
 from test_slab import recurrence_vol_slab
 
@@ -128,7 +126,7 @@ def test_dim6_table():
         if not cert.passed:
             failures.append(f"row {row.name}: certified {format_rational(cert.certified_bound)} < target")
         if cert.branch == "increasing":
-            increasing.append(row)
+            increasing.append((row, cert.apex))
             continue
         if cert.branch != "apex-interior":
             failures.append(f"row {row.name}: apex not interior ({cert.branch})")
@@ -136,9 +134,8 @@ def test_dim6_table():
         if cert.apex is None or not low <= cert.apex <= high:
             failures.append(f"row {row.name}: apex outside quoted interval [{low}, {high}]")
     if len(increasing) != 1:
-        failures.append(f"expected one increasing row, got {[row.name for row in increasing]}")
-    for row in increasing:
-        apex = quadratic_apex(6, row.s)
+        failures.append(f"expected one increasing row, got {[row.name for row, _ in increasing]}")
+    for row, apex in increasing:
         assert apex is not None
         quoted_apex = Fraction(330857, 100)
         if not _is_display(quoted_apex, apex, 2):
@@ -149,7 +146,7 @@ def test_dim6_table():
             )
         if not apex > row.e_high:
             failures.append(f"row {row.name}: apex {format_rational(apex)} is not right of {row.e_high}")
-        if not quadratic_bound(6, row.e_low, row.s) > row.target:
+        if not volume_lower_bound(6, row.e_low, row.s, r=row.e_low - 2) > row.target:
             failures.append(f"row {row.name}: G({row.e_low}) does not exceed {format_rational(row.target)}")
     _finish("dim6-table", started, failures)
 
@@ -225,6 +222,8 @@ def test_radical_recursion():
     bound = fixed_dimension_bound(4, 6, "minimal_gap")
     if bound != Fraction(657, 625) or decimal_render(bound, 4) != "1.0512":
         failures.append(f"fixed-dimension bound at d=4 is {bound}, expected 657/625 = 1.0512")
+    if radical_step_iterates(4, 6, 4, 2, 4)[-1] != Fraction(657, 625):
+        failures.append("four one-step bounds from e/2 at d=4, e=6, k=4, n=2 do not give 657/625")
     if radical_step_bound(6, 4, 2, 2, 1) != 1:
         failures.append("maximal-codimension step does not fix 1")
     if radical_step_bound(6, 3, 2, 2, 1) != 1:

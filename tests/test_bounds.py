@@ -1,23 +1,17 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import ceil, factorial, isqrt
 
 import pytest
 
+from hkcert import bounds
 from hkcert.bounds import (
     _is_odd_prime,
-    RadicalParams,
     certify_interval,
-    duality_bound_cm,
-    duality_bound_gorenstein,
     fixed_dimension_bound,
-    minimal_multiplicity_bound,
     optimize_slice,
-    quadratic_apex,
-    quadratic_bound,
     quadric_ehk,
     radical_recursion_bound,
-    radical_step_bound,
     volume_lower_bound,
 )
 from hkcert.series import conjecture_threshold
@@ -59,6 +53,56 @@ def grid_then_halving(d, e, r, grid_resolution):
                 if bound > best_bound:
                     best_s, best_bound = candidate, bound
     return best_s, best_bound
+
+
+def quadratic_g(d, e, s):
+    """Oracle: the parabola G(e) = e (v_s - (e-2) v_{s-1}) at any rational e."""
+    return e * (termwise_vol_slab(d, s) - (e - 2) * termwise_vol_slab(d, s - 1))
+
+
+def apex(d, s):
+    """The apex of e -> G(e) at slice s, as ``certify_interval`` reports it."""
+    return certify_interval(d, 1, 1, s, 0).apex
+
+
+def radical_step_bound(e, k, n, b, ehk_next):
+    """One-step lower bound across a degree-n radical extension R -> S.
+
+    Given e_HK(S) = ehk_next, with k the embedding codimension and b the
+    fraction-field degree of the extension:
+
+        k = e - 2:  e(n-1)/(en-2)       + n(e-2)/(b(en-2))       * ehk_next
+        k < e - 2:  e(n-1)/((n-1)e+k+1) + n(k+1)/(b((n-1)e+k+1)) * ehk_next
+
+    With b = n both maps fix the value 1 and contract toward it.
+    """
+    e, ehk_next = Fraction(e), Fraction(ehk_next)
+    if n < 2:
+        raise ValueError("root degree n must be >= 2")
+    if not 1 <= b <= n:
+        raise ValueError("field-extension degree b must satisfy 1 <= b <= n")
+    if not 3 <= k <= e - 2:
+        raise ValueError("embedding codimension k must satisfy 3 <= k <= e - 2")
+    if ehk_next < 1:
+        raise ValueError("ehk_next must be >= 1")
+    if k == e - 2:
+        den = e * n - 2
+        return e * (n - 1) / den + Fraction(n) * (e - 2) / (b * den) * ehk_next
+    den = (n - 1) * e + k + 1
+    return e * (n - 1) / den + Fraction(n * (k + 1)) / (b * den) * ehk_next
+
+
+def radical_step_iterates(d, e, k, n, steps):
+    """Oracle: the base value and ``steps`` applications of ``radical_step_bound`` with b = n.
+
+    Returns the list of all ``steps + 1`` iterates.  The base value is
+    e/2 when k = e - 2 and 1 + 1/d otherwise.
+    """
+    e = Fraction(e)
+    values = [e / 2 if k == e - 2 else 1 + Fraction(1, d)]
+    for _ in range(steps):
+        values.append(radical_step_bound(e, k, n, n, values[-1]))
+    return values
 
 
 class TestVolumeLowerBound:
@@ -164,37 +208,6 @@ class TestOptimizeSlice:
             assert optimize_slice(d, e, r, res) == grid_then_halving(d, e, r, res), (d, e, r, res)
 
 
-class TestDualityBounds:
-    def test_cm_formula(self):
-        assert duality_bound_cm(3, 2) == Fraction(3, 2)
-        assert duality_bound_cm(4, 2) == Fraction(4, 3)
-        assert duality_bound_cm(1, 1) == 1
-        assert duality_bound_cm(5, 1) == 1
-
-    def test_cm_invalid(self):
-        with pytest.raises(ValueError):
-            duality_bound_cm(1, 2)
-        with pytest.raises(ValueError):
-            duality_bound_cm(3, 0)
-
-    def test_gorenstein_formula(self):
-        for d in (1, 3, 7):
-            assert duality_bound_gorenstein(5, d + 3, d) == Fraction(5, 2)
-            assert duality_bound_gorenstein(2, d + 1, d) == 2
-            assert duality_bound_gorenstein(4, d + 2, d) == 2
-
-    def test_gorenstein_invalid(self):
-        with pytest.raises(ValueError):
-            duality_bound_gorenstein(2, 5, 2)
-
-    def test_minimal_multiplicity(self):
-        assert minimal_multiplicity_bound(4) == 2
-        assert minimal_multiplicity_bound(5) == Fraction(5, 2)
-        assert minimal_multiplicity_bound(2) == 1
-        with pytest.raises(ValueError):
-            minimal_multiplicity_bound(Fraction(1, 2))
-
-
 class TestQuadric:
     def test_closed_forms(self):
         assert quadric_ehk(3, 5) == Fraction(33, 29)
@@ -235,31 +248,32 @@ class TestQuadric:
 
 class TestQuadratic:
     def test_large_multiplicity_row(self):
-        value = quadratic_bound(6, 296, Fraction(13, 10))
+        value = volume_lower_bound(6, 296, Fraction(13, 10), r=294)
         assert value == Fraction(170500033, 90000000)
         assert value > Fraction(189, 100)
 
     def test_multiplicity_two_is_twice_volume(self):
         for s in (Fraction(7, 4), Fraction(5, 2), Fraction(1, 3)):
-            assert quadratic_bound(6, 2, s) == 2 * vol_slab(6, s)
+            assert certify_interval(6, 2, 2, s, 0).certified_bound == 2 * vol_slab(6, s)
 
     def test_agrees_with_volume_bound_at_r_e_minus_2(self):
         for d, e, s in [(6, 5, Fraction(13, 5)), (5, 7, Fraction(21, 10)), (4, 2, Fraction(3, 2))]:
-            assert quadratic_bound(d, e, s) == volume_lower_bound(d, e, s, r=e - 2)
+            assert certify_interval(d, e, e, s, 0).certified_bound == volume_lower_bound(d, e, s, r=e - 2)
+            assert quadratic_g(d, e, s) == volume_lower_bound(d, e, s, r=e - 2)
 
     def test_apex_values(self):
-        assert quadratic_apex(6, Fraction(13, 10)) == Fraction(4823893, 1458)
-        assert quadratic_apex(6, Fraction(19, 10)) == Fraction(44920117, 1062882)
-        assert quadratic_apex(6, 1) is None
+        assert apex(6, Fraction(13, 10)) == Fraction(4823893, 1458)
+        assert apex(6, Fraction(19, 10)) == Fraction(44920117, 1062882)
+        assert apex(6, 1) is None
 
     def test_apex_is_maximum(self):
         for s in (Fraction(13, 10), Fraction(19, 10), Fraction(23, 10)):
-            apex = quadratic_apex(6, s)
-            assert apex is not None
-            at_apex = quadratic_bound(6, apex, s)
+            top = apex(6, s)
+            assert top is not None
+            at_apex = quadratic_g(6, top, s)
             for eps in (Fraction(1, 10), Fraction(1)):
-                assert quadratic_bound(6, apex - eps, s) <= at_apex
-                assert quadratic_bound(6, apex + eps, s) <= at_apex
+                assert quadratic_g(6, top - eps, s) <= at_apex
+                assert quadratic_g(6, top + eps, s) <= at_apex
 
     def test_apex_closed_form_on_1_2(self):
         # On [1, 2): apex = (s^6 - 4(s-1)^6) / (2 (s-1)^6).  Equivalent to
@@ -268,7 +282,7 @@ class TestQuadratic:
             s = 1 + Fraction(k, 8)
             assert vol_slab(6, s) + 2 * vol_slab(6, s - 1) == (s**6 - 4 * (s - 1) ** 6) / 720
             expected = (s**6 - 4 * (s - 1) ** 6) / (2 * (s - 1) ** 6)
-            assert quadratic_apex(6, s) == expected
+            assert apex(6, s) == expected
 
     def test_apex_closed_form_on_2_3(self):
         # On [2, 3): numerator s^6 - 4(s-1)^6 + 3(s-2)^6 over denominator
@@ -278,7 +292,7 @@ class TestQuadratic:
             s = 2 + Fraction(k, 8)
             num = s**6 - 4 * (s - 1) ** 6 + 3 * (s - 2) ** 6
             den = 2 * (s - 1) ** 6 - 12 * (s - 2) ** 6
-            assert quadratic_apex(6, s) == num / den
+            assert apex(6, s) == num / den
 
 
 class TestCertifyInterval:
@@ -286,7 +300,7 @@ class TestCertifyInterval:
         row = certify_interval(6, 296, 786, Fraction(13, 10), Fraction(189, 100))
         assert row.branch == "increasing"
         assert row.apex == Fraction(4823893, 1458)
-        assert row.certified_bound == quadratic_bound(6, 296, Fraction(13, 10))
+        assert row.certified_bound == volume_lower_bound(6, 296, Fraction(13, 10), r=294)
         assert row.passed
 
     def test_interior_branch(self):
@@ -298,7 +312,7 @@ class TestCertifyInterval:
     def test_decreasing_branch(self):
         row = certify_interval(6, 8, 12, Fraction(13, 5), Fraction(7, 10))
         assert row.branch == "decreasing"
-        assert row.certified_bound == quadratic_bound(6, 12, Fraction(13, 5)) == Fraction(11453, 15625)
+        assert row.certified_bound == volume_lower_bound(6, 12, Fraction(13, 5), r=10) == Fraction(11453, 15625)
         assert row.passed
 
     def test_degenerate_branch(self):
@@ -323,21 +337,29 @@ class TestCertifyInterval:
         assert certify_interval(6, 1, 9, Fraction(13, 5), Fraction(0)).passed
 
     def test_rejects_negative_slice(self):
-        # The same check as volume_lower_bound, on every path through the parabola.
-        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
-            certify_interval(6, 5, 9, -1, Fraction(1107, 1000))
-        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
-            quadratic_bound(6, 7, Fraction(-1, 10))
-        with pytest.raises(ValueError, match="slice parameter must be >= 0"):
-            quadratic_apex(6, -1)
-        assert quadratic_bound(6, 7, 0) == 0
-        assert quadratic_apex(6, 0) is None
+        # The same check as volume_lower_bound.
+        for s in (-1, Fraction(-1, 10)):
+            with pytest.raises(ValueError, match="slice parameter must be >= 0"):
+                certify_interval(6, 5, 9, s, Fraction(1107, 1000))
+        row = certify_interval(6, 7, 7, 0, 0)
+        assert row.certified_bound == 0
+        assert row.apex is None
+
+    def test_evaluates_two_volumes(self, monkeypatch):
+        # v_s and v_{s-1} serve both endpoints and the apex on every branch.
+        calls = []
+        monkeypatch.setattr(bounds, "vol_slab", lambda d, s: calls.append(s) or vol_slab(d, s))
+        for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
+            calls.clear()
+            certify_interval(6, e_low, e_high, s, Fraction(1))
+            assert calls == [s, s - 1]
 
     def test_endpoints_and_apex_match_quadratic_helpers(self):
         for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
             row = certify_interval(6, e_low, e_high, s, Fraction(1))
-            assert row.apex == quadratic_apex(6, s)
-            g_low, g_high = quadratic_bound(6, e_low, s), quadratic_bound(6, e_high, s)
+            v_s, v_prev = termwise_vol_slab(6, s), termwise_vol_slab(6, s - 1)
+            assert row.apex == ((v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None)
+            g_low, g_high = quadratic_g(6, e_low, s), quadratic_g(6, e_high, s)
             assert row.certified_bound in (g_low, g_high)
             assert g_low == ungrouped_bound(6, e_low, s, [1] * (e_low - 2))
 
@@ -378,35 +400,42 @@ class TestRadicalStep:
 
 class TestRadicalRecursion:
     def test_zero_iterations_is_half_multiplicity(self):
-        params = RadicalParams(dimension=4, multiplicity=Fraction(6), codimension=4,
-                               root_degree=2, iterations=0)
-        assert radical_recursion_bound(params) == 3
+        assert radical_recursion_bound(4, 6, 4, 2, 0) == 3
 
     def test_minimal_gap_dimension_four(self):
-        params = RadicalParams(dimension=4, multiplicity=Fraction(6), codimension=4,
-                               root_degree=2, iterations=4)
-        assert radical_recursion_bound(params) == Fraction(657, 625)
+        assert radical_recursion_bound(4, Fraction(6), 4, 2, 4) == Fraction(657, 625)
 
     def test_general_case_dimension_three(self):
-        params = RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3,
-                               root_degree=2, iterations=3)
-        assert radical_recursion_bound(params) == Fraction(383, 375)
+        assert radical_recursion_bound(3, 6, 3, 2, 3) == Fraction(383, 375)
         # Same query with root degree 3 lands at 1 + 1/192.
-        params = RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3,
-                               root_degree=3, iterations=3)
-        assert radical_recursion_bound(params) == Fraction(193, 192)
+        assert radical_recursion_bound(3, 6, 3, 3, 3) == Fraction(193, 192)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=1, multiplicity=Fraction(6), codimension=4, root_degree=2, iterations=1)
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=3, multiplicity=Fraction(5), codimension=3, root_degree=2, iterations=1)
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=2, root_degree=2, iterations=1)
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3, root_degree=1, iterations=1)
-        with pytest.raises(ValueError):
-            RadicalParams(dimension=3, multiplicity=Fraction(6), codimension=3, root_degree=2, iterations=-1)
+        for args, message in [
+            ((1, 6, 4, 2, 1), "dimension must be >= 2"),
+            ((3, 5, 3, 2, 1), "multiplicity must be >= 6"),
+            ((3, 6, 2, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
+            ((3, 6, 5, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
+            ((3, 6, 3, 1, 1), "root degree must be >= 2"),
+            ((3, 6, 3, 2, -1), "iterations must be >= 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                radical_recursion_bound(*args)
+
+    def test_matches_iterated_step_oracle(self):
+        # Every valid k on the grid d 2..8, e 6..24, n 2..5, iterations 0..6.
+        cases = 0
+        for d in range(2, 9):
+            for e in range(6, 25):
+                for k in range(3, e - 1):
+                    for n in range(2, 6):
+                        expected = radical_step_iterates(d, e, k, n, 6)
+                        for iterations, value in enumerate(expected):
+                            assert radical_recursion_bound(d, e, k, n, iterations) == value, (d, e, k, n, iterations)
+                            cases += 1
+        assert cases == 40964
+        # The CLI also accepts a rational multiplicity.
+        assert radical_recursion_bound(6, Fraction(17, 2), 4, 3, 3) == radical_step_iterates(6, Fraction(17, 2), 4, 3, 3)[-1]
 
 
 class TestFixedDimensionBound:
@@ -419,6 +448,16 @@ class TestFixedDimensionBound:
         assert fixed_dimension_bound(4, 6, "minimal_gap") == Fraction(657, 625)
         assert fixed_dimension_bound(3, 6, "general") == Fraction(383, 375)
         assert fixed_dimension_bound(4, 6, "general") == Fraction(114245, 114244)
+
+    def test_closed_forms_equal_iterated_step_oracle(self):
+        # An identity check of the two closed forms against d steps of the
+        # oracle at fixed parameters; it makes no claim about how the
+        # parameters arise.
+        for d in range(3, 13):
+            minimal_gap = radical_step_iterates(d, 6, 4, ceil(Fraction(d, 2)), d)[-1]
+            general = radical_step_iterates(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)[-1]
+            assert fixed_dimension_bound(d, 6, "minimal_gap") == minimal_gap, d
+            assert fixed_dimension_bound(d, 6, "general") == general, d
 
     def test_validation(self):
         with pytest.raises(ValueError):

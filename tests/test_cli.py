@@ -205,6 +205,25 @@ def test_radical_rejects_mixed_modes():
     assert result.returncode != 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dim", "1", "dimension must be >= 2"),
+        ("--e", "5", "multiplicity must be >= 6"),
+        ("--k", "2", "codimension must satisfy 3 <= k <= e - 2"),
+        ("--n", "1", "root degree must be >= 2"),
+        ("--iterations", "-1", "iterations must be >= 0"),
+    ],
+)
+def test_radical_recursion_rejects_bad_input_exit_2(flag, value, message, capsys):
+    # One bad value in an otherwise valid recursion query.
+    flags = {"--dim": "3", "--e": "6", "--k": "3", "--n": "2", "--iterations": "1", flag: value}
+    assert main(["radical", *(token for pair in flags.items() for token in pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_radical_has_no_field_degree_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["radical", "--dim", "6", "--e", "8", "--k", "4", "--n", "3", "--iterations", "2", "--b", "2"])

@@ -3,8 +3,8 @@ from math import factorial
 
 import pytest
 
-from hkcert.cli import DIGITS, main
-from hkcert.rationals import decimal_render, format_rational
+from hkcert.cli import main
+from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational
 from hkcert.series import (
     SeriesCoefficients,
     conjecture_threshold,
@@ -146,7 +146,7 @@ def test_md_prints_the_series_division_values(capsys):
     coeffs = secant_tangent_coeffs(order)
     expected = "".join(
         f"{d}\t{format_rational(coeffs.coefficient(d))}\t{format_rational(coeffs.threshold(d))}"
-        f"\t{decimal_render(coeffs.threshold(d), DIGITS)}\n"
+        f"\t{decimal_render(coeffs.threshold(d), DISPLAY_DIGITS)}\n"
         for d in range(1, order + 1)
     )
     assert main(["md", "--max", str(order)]) == 0
