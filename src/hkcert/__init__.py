@@ -17,7 +17,6 @@ from .monomial import (
     MonomialIdeal,
     ehk_estimate,
     frobenius_colength,
-    load_ideal,
     mixed_colength,
     parse_generators,
 )
@@ -28,7 +27,6 @@ from .rationals import (
 )
 from .report import CertificationReport, ReportRow
 from .series import (
-    SeriesCoefficients,
     conjecture_threshold,
     zigzag_coeffs,
     zigzag_numbers,
@@ -43,7 +41,6 @@ __all__ = [
     "IntervalCertRow",
     "MonomialIdeal",
     "ReportRow",
-    "SeriesCoefficients",
     "__version__",
     "certify_interval",
     "conjecture_threshold",
@@ -52,7 +49,6 @@ __all__ = [
     "fixed_dimension_bound",
     "format_rational",
     "frobenius_colength",
-    "load_ideal",
     "mixed_colength",
     "optimize_slice",
     "parse_generators",

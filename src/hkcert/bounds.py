@@ -13,12 +13,16 @@ t_i = 1 in the uniform case with generator count r).  On top of it sit:
 * interval certification: with r = e - 2 the bound becomes the quadratic
   G(e) = e (v_s - (e-2) v_{s-1}) in e, a downward parabola whose apex
   (v_s + 2 v_{s-1}) / (2 v_{s-1}) locates the maximum, so an entire
-  integer range [a, b] of multiplicities is certified by min(G(a), G(b))
-  when the apex is interior, and by the appropriate endpoint otherwise;
+  integer range [a, b] of multiplicities is bounded below by
+  min(G(a), G(b)) when the apex is interior, and by the appropriate
+  endpoint otherwise;
 * closed forms for the quadric hypersurface x_0^2 + ... + x_d^2 in
   characteristic p for d in {5, 6};
 * the closed form of the recursion across degree-n radical ring
   extensions, and the bounds it gives that depend only on the dimension.
+
+Every function returns the exact value it computes; comparing a bound
+with a target is left to the caller that reports the verdict.
 """
 
 from __future__ import annotations
@@ -172,19 +176,14 @@ def quadric_ehk(p: int, d: int) -> Fraction:
 class IntervalCertRow:
     """Certified lower bound for G(e) over all integers e in [e_low, e_high]."""
 
-    e_low: int
-    e_high: int
-    s: Fraction
     apex: Optional[Fraction]
     certified_bound: Fraction
-    target: Fraction
-    passed: bool
     branch: str
     notes: str
 
 
-def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Rational) -> IntervalCertRow:
-    """Certify ``min G(e) >= target`` over integer e in [e_low, e_high].
+def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCertRow:
+    """Lower bound of G(e) over the integers e in [e_low, e_high].
 
     G is a downward parabola in e (leading coefficient -v_{s-1}), so when
     the apex is interior the minimum over the interval sits at an
@@ -199,7 +198,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Ratio
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
         raise ValueError("e_low must be >= 1 (multiplicities are positive)")
-    s, target = Fraction(s), Fraction(target)
+    s = Fraction(s)
     if s < 0:
         raise ValueError("slice parameter must be >= 0")
     v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
@@ -224,17 +223,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational, target: Ratio
         branch = "decreasing"
         certified = g_high
         notes = f"apex {format_rational(apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
-    return IntervalCertRow(
-        e_low=e_low,
-        e_high=e_high,
-        s=s,
-        apex=apex,
-        certified_bound=certified,
-        target=target,
-        passed=certified >= target,
-        branch=branch,
-        notes=notes,
-    )
+    return IntervalCertRow(apex=apex, certified_bound=certified, branch=branch, notes=notes)
 
 
 def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int) -> Fraction:
@@ -254,6 +243,8 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
     e = Fraction(e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if e.denominator != 1:
+        raise ValueError(f"multiplicity must be an integer, got {format_rational(e)}")
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if not 3 <= k <= e - 2:
@@ -271,16 +262,22 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     """Dimension-only lower bound for Gorenstein F-regular non-complete-intersections.
 
     For e >= d! + 1 the bound 1 + 1/d! applies directly.  Otherwise the
-    radical-extension recursion run d times with n = ceil(d/2) (if the
-    codimension is maximal, ``case="minimal_gap"``) or n = ceil(d/3)
-    (``case="general"``) gives
+    closed forms
 
         minimal_gap:  1 + (4 / (6*ceil(d/2) - 2))**d * 2
         general:      1 + (4 / (ceil(d/3)*d! + 4))**d * (1/d)
+
+    are d steps of ``radical_recursion_bound``: ``minimal_gap`` (maximal
+    codimension) from the base e/2 at e = 6, k = 4, n = ceil(d/2), and
+    ``general`` from the base 1 + 1/d at e = d!, k = 3 and
+    n = ceil(d/3) + 1 (so n - 1 = ceil(d/3)).  The paper's abstract does
+    not settle which n the paper means.
     """
     e = Fraction(e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if e.denominator != 1:
+        raise ValueError(f"multiplicity must be an integer, got {format_rational(e)}")
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if e >= factorial(d) + 1:

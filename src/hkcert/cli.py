@@ -23,7 +23,7 @@ from .bounds import (
     radical_recursion_bound,
     volume_lower_bound,
 )
-from .monomial import ehk_estimate, load_ideal
+from .monomial import ehk_estimate, parse_generators
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
 from .series import conjecture_threshold, zigzag_coeffs
 from .slab import vol_slab
@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=100, help="grid resolution for --optimize")
     p.add_argument("--target", type=_rational, help="pass/fail threshold for the bound")
 
-    p = sub.add_parser("optimize", help="grid search for the best slice parameter")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--e", type=_rational, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=100)
-
     p = sub.add_parser("verify-tables", help="recompute a bundled certification table")
     p.add_argument("--dim", type=int, choices=(5, 6), required=True)
     p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
@@ -134,11 +128,9 @@ def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
-    coeffs = zigzag_coeffs(args.max_order)
     lines = []
-    for d in range(1, args.max_order + 1):
-        m = coeffs.coefficient(d)
-        threshold = coeffs.threshold(d)
+    for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
+        threshold = 1 + m
         lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DISPLAY_DIGITS)}")
     return _text(*lines), 0
 
@@ -155,11 +147,6 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
     lines.append(f"bound: {_fmt(bound)}")
     target_lines, code = _target_lines(bound, args.target)
     return _text(*lines, *target_lines), code
-
-
-def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
-    s, bound = optimize_slice(args.dim, args.e, args.r, args.resolution)
-    return _text(f"s: {format_rational(s)}", f"bound: {_fmt(bound)}"), 0
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
@@ -191,7 +178,7 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
-    ideal = load_ideal(args.file)
+    ideal = parse_generators(args.file.read_text())
     sequence = ehk_estimate(ideal, args.q)
     lines = [
         f"variables: {ideal.num_vars}",
@@ -203,11 +190,11 @@ def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
-    row = certify_interval(args.dim, args.e_low, args.e_high, args.s, args.target)
-    target_lines, code = _target_lines(row.certified_bound, row.target)
+    row = certify_interval(args.dim, args.e_low, args.e_high, args.s)
+    target_lines, code = _target_lines(row.certified_bound, args.target)
     return _text(
-        f"interval: [{row.e_low}, {row.e_high}]",
-        f"s: {format_rational(row.s)}",
+        f"interval: [{args.e_low}, {args.e_high}]",
+        f"s: {format_rational(args.s)}",
         f"apex: {'-' if row.apex is None else _fmt(row.apex)}",
         f"branch: {row.branch}",
         f"certified-bound: {_fmt(row.certified_bound)}",
@@ -220,7 +207,6 @@ _HANDLERS = {
     "vol": _cmd_vol,
     "md": _cmd_md,
     "bound": _cmd_bound,
-    "optimize": _cmd_optimize,
     "verify-tables": _cmd_verify_tables,
     "quadric": _cmd_quadric,
     "radical": _cmd_radical,

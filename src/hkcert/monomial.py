@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from pathlib import Path
 from typing import Sequence
 
 from .rationals import Rational
@@ -35,7 +34,6 @@ __all__ = [
     "MonomialIdeal",
     "ehk_estimate",
     "frobenius_colength",
-    "load_ideal",
     "mixed_colength",
     "parse_generators",
 ]
@@ -171,7 +169,6 @@ class ColengthEntry:
 class ColengthSequence:
     """Raw colength sequence lambda(R/I^[q]) / q^n; no extrapolation."""
 
-    ideal: MonomialIdeal
     entries: tuple[ColengthEntry, ...]
 
 
@@ -186,7 +183,7 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
     for q in qs:
         colength = frobenius_colength(ideal, q)
         entries.append(ColengthEntry(q=q, colength=colength, normalized=Fraction(colength, q**ideal.num_vars)))
-    return ColengthSequence(ideal=ideal, entries=tuple(entries))
+    return ColengthSequence(entries=tuple(entries))
 
 
 def parse_generators(text: str) -> MonomialIdeal:
@@ -207,7 +204,3 @@ def parse_generators(text: str) -> MonomialIdeal:
         raise ValueError("no generators found")
     width = len(rows[0])
     return MonomialIdeal(num_vars=width, generators=tuple(rows))
-
-
-def load_ideal(path: str | Path) -> MonomialIdeal:
-    return parse_generators(Path(path).read_text())

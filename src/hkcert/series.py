@@ -7,51 +7,22 @@ multiplicity of a non-regular ring of dimension d.
 
 The coefficients come from one integer path, ``zigzag_coeffs``: the
 boustrophedon (Seidel triangle) recurrence for E_d, followed by a
-division by d!.  The test suite keeps an independent second path, the
-truncated exact power-series division tan = sin/cos and sec = 1/cos,
-and checks the two against each other.
+division by d!, returned as the plain tuple (m_1, ..., m_order).  The
+test suite keeps an independent second path, the truncated exact
+power-series division tan = sin/cos and sec = 1/cos, and checks the two
+against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 __all__ = [
-    "SeriesCoefficients",
     "conjecture_threshold",
     "zigzag_coeffs",
     "zigzag_numbers",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Coefficients m_1..m_order of sec(x) + tan(x) = 1 + sum m_d x^d."""
-
-    order: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1 or len(self.coefficients) != self.order:
-            raise ValueError("coefficient list must hold m_1..m_order")
-        if any(m <= 0 for m in self.coefficients):
-            raise ValueError("all m_d must be positive")
-        # m_d decreases strictly; guaranteed on the range we ever compute.
-        window = self.coefficients[: min(self.order, 20)]
-        if any(a <= b for a, b in zip(window, window[1:])):
-            raise ValueError("m_d must be strictly decreasing")
-
-    def coefficient(self, d: int) -> Fraction:
-        """m_d for 1 <= d <= order."""
-        if not 1 <= d <= self.order:
-            raise ValueError(f"m_{d} not computed (order {self.order})")
-        return self.coefficients[d - 1]
-
-    def threshold(self, d: int) -> Fraction:
-        """The conjectured bound 1 + m_d."""
-        return 1 + self.coefficient(d)
 
 
 def zigzag_numbers(count: int) -> list[int]:
@@ -73,12 +44,12 @@ def zigzag_numbers(count: int) -> list[int]:
     return numbers
 
 
-def zigzag_coeffs(order: int) -> SeriesCoefficients:
-    """m_1..m_order as E_d / d!."""
+def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
+    """The tuple (m_1, ..., m_order), each m_d = E_d / d!."""
     if order < 1:
         raise ValueError("order must be >= 1")
     zig = zigzag_numbers(order)
-    return SeriesCoefficients(order, tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1)))
+    return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
 
 
 def conjecture_threshold(d: int) -> Fraction:
@@ -89,4 +60,4 @@ def conjecture_threshold(d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return zigzag_coeffs(d).threshold(d)
+    return 1 + zigzag_coeffs(d)[-1]

@@ -106,18 +106,16 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
     target = threshold if row.target is None else row.target
     if row.kind == "large-e":
         bound = Fraction(row.e_low, factorial(d))
-        passed = bound >= target
         inputs = f"d={d} e>={row.e_low}"
         why = f"e_HK >= e/d! >= {row.e_low}/{factorial(d)}"
     elif row.kind == "volume":
         r0 = row.e_high - 2
         bound = volume_lower_bound(d, row.e_low, row.s, r=r0)
-        passed = bound >= target
         inputs = f"d={d} e0={row.e_low} r0={r0} s={format_rational(row.s)}"
         why = ""
     else:
-        cert = certify_interval(d, row.e_low, row.e_high, row.s, target)
-        bound, passed = cert.certified_bound, cert.passed
+        cert = certify_interval(d, row.e_low, row.e_high, row.s)
+        bound = cert.certified_bound
         inputs = f"d={d} a={row.e_low} b={row.e_high} s={format_rational(row.s)}"
         why = f"{cert.branch}: {cert.notes}"
         if cert.branch == "increasing":  # spelled out with the apex's decimal value
@@ -131,7 +129,7 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         inputs=inputs,
         exact_bound=bound,
         target=target,
-        passed=passed,
+        passed=bound >= target,
         notes="; ".join(filter(None, (verdict, why, row.note))),
     )
 

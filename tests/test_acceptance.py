@@ -66,9 +66,9 @@ def test_series_thresholds():
     expected = {3: Fraction(1, 3), 4: Fraction(5, 24), 5: Fraction(2, 15), 6: Fraction(61, 720)}
     thresholds = {3: Fraction(4, 3), 4: Fraction(29, 24), 5: Fraction(17, 15), 6: Fraction(781, 720)}
     for d, m in expected.items():
-        if coeffs.coefficient(d) != m:
-            failures.append(f"m_{d} = {coeffs.coefficient(d)} != {m}")
-        if coeffs.threshold(d) != thresholds[d]:
+        if coeffs[d - 1] != m:
+            failures.append(f"m_{d} = {coeffs[d - 1]} != {m}")
+        if 1 + coeffs[d - 1] != thresholds[d]:
             failures.append(f"1 + m_{d} != {thresholds[d]}")
     _finish("series-thresholds", started, failures)
 
@@ -122,8 +122,8 @@ def test_dim6_table():
             if not Fraction(row.e_low, factorial(6)) > Fraction(781, 720):
                 failures.append(f"{row.e_low}/720 <= 781/720")
             continue
-        cert = certify_interval(6, row.e_low, row.e_high, row.s, row.target)
-        if not cert.passed:
+        cert = certify_interval(6, row.e_low, row.e_high, row.s)
+        if not cert.certified_bound >= row.target:
             failures.append(f"row {row.name}: certified {format_rational(cert.certified_bound)} < target")
         if cert.branch == "increasing":
             increasing.append((row, cert.apex))

@@ -62,7 +62,7 @@ def quadratic_g(d, e, s):
 
 def apex(d, s):
     """The apex of e -> G(e) at slice s, as ``certify_interval`` reports it."""
-    return certify_interval(d, 1, 1, s, 0).apex
+    return certify_interval(d, 1, 1, s).apex
 
 
 def radical_step_bound(e, k, n, b, ehk_next):
@@ -254,11 +254,11 @@ class TestQuadratic:
 
     def test_multiplicity_two_is_twice_volume(self):
         for s in (Fraction(7, 4), Fraction(5, 2), Fraction(1, 3)):
-            assert certify_interval(6, 2, 2, s, 0).certified_bound == 2 * vol_slab(6, s)
+            assert certify_interval(6, 2, 2, s).certified_bound == 2 * vol_slab(6, s)
 
     def test_agrees_with_volume_bound_at_r_e_minus_2(self):
         for d, e, s in [(6, 5, Fraction(13, 5)), (5, 7, Fraction(21, 10)), (4, 2, Fraction(3, 2))]:
-            assert certify_interval(d, e, e, s, 0).certified_bound == volume_lower_bound(d, e, s, r=e - 2)
+            assert certify_interval(d, e, e, s).certified_bound == volume_lower_bound(d, e, s, r=e - 2)
             assert quadratic_g(d, e, s) == volume_lower_bound(d, e, s, r=e - 2)
 
     def test_apex_values(self):
@@ -297,51 +297,50 @@ class TestQuadratic:
 
 class TestCertifyInterval:
     def test_increasing_branch(self):
-        row = certify_interval(6, 296, 786, Fraction(13, 10), Fraction(189, 100))
+        row = certify_interval(6, 296, 786, Fraction(13, 10))
         assert row.branch == "increasing"
         assert row.apex == Fraction(4823893, 1458)
         assert row.certified_bound == volume_lower_bound(6, 296, Fraction(13, 10), r=294)
-        assert row.passed
+        assert row.certified_bound >= Fraction(189, 100)
 
     def test_interior_branch(self):
-        row = certify_interval(6, 5, 9, Fraction(13, 5), Fraction(1107, 1000))
+        row = certify_interval(6, 5, 9, Fraction(13, 5))
         assert row.branch == "apex-interior"
         assert row.certified_bound == Fraction(249157, 225000)
-        assert row.passed
+        assert row.certified_bound >= Fraction(1107, 1000)
 
     def test_decreasing_branch(self):
-        row = certify_interval(6, 8, 12, Fraction(13, 5), Fraction(7, 10))
+        row = certify_interval(6, 8, 12, Fraction(13, 5))
         assert row.branch == "decreasing"
         assert row.certified_bound == volume_lower_bound(6, 12, Fraction(13, 5), r=10) == Fraction(11453, 15625)
-        assert row.passed
+        assert row.certified_bound >= Fraction(7, 10)
 
     def test_degenerate_branch(self):
-        row = certify_interval(6, 2, 5, 1, Fraction(1, 360))
+        row = certify_interval(6, 2, 5, 1)
         assert row.branch == "degenerate-linear-increasing"
         assert row.apex is None
         assert row.certified_bound == Fraction(1, 360)
-        assert row.passed
 
     def test_single_point_interval(self):
-        row = certify_interval(6, 2, 2, Fraction(7, 4), Fraction(1))
+        row = certify_interval(6, 2, 2, Fraction(7, 4))
         assert row.certified_bound == 2 * vol_slab(6, Fraction(7, 4))
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            certify_interval(6, 9, 5, Fraction(13, 5), Fraction(1))
+            certify_interval(6, 9, 5, Fraction(13, 5))
 
     def test_rejects_non_positive_multiplicity(self):
         for e_low in (-5, 0):
             with pytest.raises(ValueError):
-                certify_interval(6, e_low, 9, Fraction(13, 5), Fraction(1107, 1000))
-        assert certify_interval(6, 1, 9, Fraction(13, 5), Fraction(0)).passed
+                certify_interval(6, e_low, 9, Fraction(13, 5))
+        assert certify_interval(6, 1, 9, Fraction(13, 5)).certified_bound >= 0
 
     def test_rejects_negative_slice(self):
         # The same check as volume_lower_bound.
         for s in (-1, Fraction(-1, 10)):
             with pytest.raises(ValueError, match="slice parameter must be >= 0"):
-                certify_interval(6, 5, 9, s, Fraction(1107, 1000))
-        row = certify_interval(6, 7, 7, 0, 0)
+                certify_interval(6, 5, 9, s)
+        row = certify_interval(6, 7, 7, 0)
         assert row.certified_bound == 0
         assert row.apex is None
 
@@ -351,12 +350,12 @@ class TestCertifyInterval:
         monkeypatch.setattr(bounds, "vol_slab", lambda d, s: calls.append(s) or vol_slab(d, s))
         for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
             calls.clear()
-            certify_interval(6, e_low, e_high, s, Fraction(1))
+            certify_interval(6, e_low, e_high, s)
             assert calls == [s, s - 1]
 
     def test_endpoints_and_apex_match_quadratic_helpers(self):
         for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
-            row = certify_interval(6, e_low, e_high, s, Fraction(1))
+            row = certify_interval(6, e_low, e_high, s)
             v_s, v_prev = termwise_vol_slab(6, s), termwise_vol_slab(6, s - 1)
             assert row.apex == ((v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None)
             g_low, g_high = quadratic_g(6, e_low, s), quadratic_g(6, e_high, s)
@@ -414,6 +413,7 @@ class TestRadicalRecursion:
         for args, message in [
             ((1, 6, 4, 2, 1), "dimension must be >= 2"),
             ((3, 5, 3, 2, 1), "multiplicity must be >= 6"),
+            ((3, Fraction(13, 2), 3, 2, 1), "multiplicity must be an integer, got 13/2"),
             ((3, 6, 2, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
             ((3, 6, 5, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
             ((3, 6, 3, 1, 1), "root degree must be >= 2"),
@@ -434,8 +434,9 @@ class TestRadicalRecursion:
                             assert radical_recursion_bound(d, e, k, n, iterations) == value, (d, e, k, n, iterations)
                             cases += 1
         assert cases == 40964
-        # The CLI also accepts a rational multiplicity.
-        assert radical_recursion_bound(6, Fraction(17, 2), 4, 3, 3) == radical_step_iterates(6, Fraction(17, 2), 4, 3, 3)[-1]
+        # A multiplicity is an integer; a rational one is rejected.
+        with pytest.raises(ValueError, match="multiplicity must be an integer, got 17/2"):
+            radical_recursion_bound(6, Fraction(17, 2), 4, 3, 3)
 
 
 class TestFixedDimensionBound:
@@ -466,3 +467,6 @@ class TestFixedDimensionBound:
             fixed_dimension_bound(3, 5, "minimal_gap")
         with pytest.raises(ValueError):
             fixed_dimension_bound(3, 6, "nope")
+        for case in ("minimal_gap", "general"):
+            with pytest.raises(ValueError, match="multiplicity must be an integer, got 17/2"):
+                fixed_dimension_bound(6, Fraction(17, 2), case)

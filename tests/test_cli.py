@@ -156,7 +156,7 @@ def test_bound_optimize(capsys):
 
 
 def test_optimize(capsys):
-    assert main(["optimize", "--dim", "2", "--e", "1", "--r", "0", "--resolution", "10"]) == 0
+    assert main(["bound", "--dim", "2", "--e", "1", "--r", "0", "--optimize", "--resolution", "10"]) == 0
     assert capsys.readouterr().out == "s: 2\nbound: 1 ≈ 1.0000\n"
 
 
@@ -210,6 +210,7 @@ def test_radical_rejects_mixed_modes():
     [
         ("--dim", "1", "dimension must be >= 2"),
         ("--e", "5", "multiplicity must be >= 6"),
+        ("--e", "17/2", "multiplicity must be an integer, got 17/2"),
         ("--k", "2", "codimension must satisfy 3 <= k <= e - 2"),
         ("--n", "1", "root degree must be >= 2"),
         ("--iterations", "-1", "iterations must be >= 0"),
@@ -222,6 +223,14 @@ def test_radical_recursion_rejects_bad_input_exit_2(flag, value, message, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["general", "minimal_gap"])
+def test_radical_case_rejects_rational_multiplicity(case, capsys):
+    assert main(["radical", "--dim", "6", "--e", "17/2", "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multiplicity must be an integer, got 17/2\n"
 
 
 def test_radical_has_no_field_degree_flag(capsys):
@@ -252,12 +261,73 @@ def test_monomial_missing_file():
     assert "error:" in result.stderr
 
 
-def test_certify_interval(capsys):
-    assert main(["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9",
-                 "--s", "2.6", "--target", "1.107"]) == 0
-    out = capsys.readouterr().out
-    assert "branch: apex-interior" in out
-    assert "target: 1107/1000 -> PASS" in out
+@pytest.mark.parametrize(
+    "flags, lines, code",
+    [
+        pytest.param(
+            ("5", "9", "2.6", "1.107"),
+            [
+                "interval: [5, 9]",
+                "s: 13/5",
+                "apex: 189021/25777 ≈ 7.3329",
+                "branch: apex-interior",
+                "certified-bound: 249157/225000 ≈ 1.1073",
+                "notes: apex 189021/25777 inside [5, 9]; G(5) = 249157/225000, G(9) = 146049/125000",
+                "target: 1107/1000 -> PASS",
+            ],
+            0,
+            id="apex-interior",
+        ),
+        pytest.param(
+            ("296", "786", "13/10", "1.89"),
+            [
+                "interval: [296, 786]",
+                "s: 13/10",
+                "apex: 4823893/1458 ≈ 3308.5685",
+                "branch: increasing",
+                "certified-bound: 170500033/90000000 ≈ 1.8944",
+                "notes: apex 4823893/1458 right of [296, 786]; G increasing; G(296) certifies",
+                "target: 189/100 -> PASS",
+            ],
+            0,
+            id="increasing",
+        ),
+        pytest.param(
+            ("20", "30", "2.6", "1"),
+            [
+                "interval: [20, 30]",
+                "s: 13/5",
+                "apex: 189021/25777 ≈ 7.3329",
+                "branch: decreasing",
+                "certified-bound: -32939/3125 ≈ -10.5405",
+                "notes: apex 189021/25777 left of [20, 30]; G decreasing; G(30) certifies",
+                "target: 1 -> FAIL",
+            ],
+            1,
+            id="decreasing",
+        ),
+        pytest.param(
+            ("5", "9", "1/2", "0"),
+            [
+                "interval: [5, 9]",
+                "s: 1/2",
+                "apex: -",
+                "branch: degenerate-linear-increasing",
+                "certified-bound: 1/9216 ≈ 0.0001",
+                "notes: v_(s-1) = 0: G(e) = e*v_s is linear increasing; G(5) certifies",
+                "target: 0 -> PASS",
+            ],
+            0,
+            id="degenerate-linear-increasing",
+        ),
+    ],
+)
+def test_certify_interval(flags, lines, code, capsys):
+    # One case per branch; the expected text is the command's full stdout.
+    e_low, e_high, s, target = flags
+    assert main(["certify-interval", "--dim", "6", "--e-low", e_low, "--e-high", e_high,
+                 "--s", s, "--target", target]) == code
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
 
 
 def test_certify_interval_rejects_non_positive_multiplicity():

@@ -9,7 +9,6 @@ from hkcert.monomial import (
     MonomialIdeal,
     ehk_estimate,
     frobenius_colength,
-    load_ideal,
     mixed_colength,
     parse_generators,
 )
@@ -268,11 +267,6 @@ class TestParsing:
     def test_parse_generators(self):
         ideal = parse_generators("# squares\n2 0\n1 1\n0 2\n\n")
         assert ideal == SQUARE
-
-    def test_load_ideal(self, tmp_path):
-        path = tmp_path / "sq.ideal"
-        path.write_text("2 0\n1 1\n0 2\n")
-        assert load_ideal(path) == SQUARE
 
     def test_parse_rejects_bad_tokens(self):
         with pytest.raises(ValueError):

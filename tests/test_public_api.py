@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "IntervalCertRow",
     "MonomialIdeal",
     "ReportRow",
-    "SeriesCoefficients",
     "certify_interval",
     "conjecture_threshold",
     "decimal_render",
@@ -20,7 +19,6 @@ PUBLIC_NAMES = [
     "fixed_dimension_bound",
     "format_rational",
     "frobenius_colength",
-    "load_ideal",
     "mixed_colength",
     "optimize_slice",
     "parse_generators",
@@ -36,8 +34,8 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    # 26 public names plus __version__; adding or dropping an export must edit this list.
-    assert len(PUBLIC_NAMES) == 26
+    # 24 public names plus __version__; adding or dropping an export must edit this list.
+    assert len(PUBLIC_NAMES) == 24
     assert sorted(hkcert.__all__) == sorted(PUBLIC_NAMES + ["__version__"])
     namespace = {}
     exec("from hkcert import *", namespace)

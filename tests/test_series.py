@@ -5,12 +5,7 @@ import pytest
 
 from hkcert.cli import main
 from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational
-from hkcert.series import (
-    SeriesCoefficients,
-    conjecture_threshold,
-    zigzag_coeffs,
-    zigzag_numbers,
-)
+from hkcert.series import conjecture_threshold, zigzag_coeffs, zigzag_numbers
 
 
 # -- oracle: the series by exact power-series division ----------------------
@@ -28,8 +23,8 @@ def _series_quotient(num: list[Fraction], den: list[Fraction], order: int) -> li
     return out
 
 
-def secant_tangent_coeffs(order: int) -> SeriesCoefficients:
-    """Compute m_1..m_order by exact power-series division, independently of the
+def secant_tangent_coeffs(order: int) -> tuple[Fraction, ...]:
+    """Compute (m_1, ..., m_order) by exact power-series division, independently of the
     boustrophedon recurrence: tan = sin/cos and sec = 1/cos, with sin and cos
     built from factorials.
 
@@ -47,7 +42,7 @@ def secant_tangent_coeffs(order: int) -> SeriesCoefficients:
         sin[j] = Fraction((-1) ** (j // 2), factorial(j))
     sec = _series_quotient([Fraction(1)], cos, working)
     tan = _series_quotient(sin, cos, working)
-    return SeriesCoefficients(order, tuple(sec[d] + tan[d] for d in range(1, order + 1)))
+    return tuple(sec[d] + tan[d] for d in range(1, order + 1))
 
 
 def test_zigzag_numbers():
@@ -66,14 +61,12 @@ def test_zigzag_numbers():
     ],
 )
 def test_series_division_values(d, expected):
-    assert secant_tangent_coeffs(6).coefficient(d) == expected
-    assert zigzag_coeffs(6).coefficient(d) == expected
+    assert secant_tangent_coeffs(6)[d - 1] == expected
+    assert zigzag_coeffs(6)[d - 1] == expected
 
 
 def test_dual_paths_agree_through_order_20():
-    division = secant_tangent_coeffs(20)
-    recurrence = zigzag_coeffs(20)
-    assert division.coefficients == recurrence.coefficients
+    assert secant_tangent_coeffs(20) == zigzag_coeffs(20)
 
 
 @pytest.mark.parametrize(
@@ -93,11 +86,11 @@ def test_conjecture_threshold(d, expected):
 
 def test_conjecture_threshold_matches_series_division():
     for d in range(1, 31):
-        assert conjecture_threshold(d) == secant_tangent_coeffs(d).threshold(d)
+        assert conjecture_threshold(d) == 1 + secant_tangent_coeffs(d)[-1]
 
 
 def test_coefficients_positive_and_decreasing():
-    coeffs = zigzag_coeffs(20).coefficients
+    coeffs = zigzag_coeffs(20)
     assert all(m > 0 for m in coeffs)
     assert all(a > b for a, b in zip(coeffs, coeffs[1:]))
 
@@ -114,40 +107,32 @@ def test_even_part_is_secant_and_odd_part_is_tangent():
         sin[j] = Fraction((-1) ** (j // 2), factorial(j))
     sec = _series_quotient([Fraction(1)], cos, order)
     tan = _series_quotient(sin, cos, order)
-    coeffs = zigzag_coeffs(order)
-    for d in range(1, order + 1):
+    for d, m in enumerate(zigzag_coeffs(order), start=1):
         if d % 2:
             assert sec[d] == 0
-            assert coeffs.coefficient(d) == tan[d]
+            assert m == tan[d]
         else:
             assert tan[d] == 0
-            assert coeffs.coefficient(d) == sec[d]
+            assert m == sec[d]
     # sec(0) = 1: the even part contributes nothing at x = 0.
     assert sec[0] == 1
 
 
 def test_series_coefficients_validation():
     with pytest.raises(ValueError):
-        SeriesCoefficients(2, (Fraction(1),))
-    with pytest.raises(ValueError):
-        SeriesCoefficients(2, (Fraction(1), Fraction(2)))  # not decreasing
-    with pytest.raises(ValueError):
-        SeriesCoefficients(1, (Fraction(-1),))
-    with pytest.raises(ValueError):
         zigzag_coeffs(0)
     with pytest.raises(ValueError):
         zigzag_numbers(-1)
     with pytest.raises(ValueError):
-        zigzag_coeffs(3).coefficient(4)
+        conjecture_threshold(0)
+    assert len(zigzag_coeffs(3)) == 3
 
 
 def test_md_prints_the_series_division_values(capsys):
     order = 200
-    coeffs = secant_tangent_coeffs(order)
     expected = "".join(
-        f"{d}\t{format_rational(coeffs.coefficient(d))}\t{format_rational(coeffs.threshold(d))}"
-        f"\t{decimal_render(coeffs.threshold(d), DISPLAY_DIGITS)}\n"
-        for d in range(1, order + 1)
+        f"{d}\t{format_rational(m)}\t{format_rational(1 + m)}\t{decimal_render(1 + m, DISPLAY_DIGITS)}\n"
+        for d, m in enumerate(secant_tangent_coeffs(order), start=1)
     )
     assert main(["md", "--max", str(order)]) == 0
     assert capsys.readouterr().out == expected
