@@ -28,10 +28,9 @@ with a target is left to the caller that reports the verdict.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, format_rational
 from .slab import _slab_numerator, vol_slab
@@ -172,8 +171,7 @@ def quadric_ehk(p: int, d: int) -> Fraction:
     raise ValueError(f"unsupported dimension {d} (closed forms exist for d in {{5, 6}})")
 
 
-@dataclass(frozen=True)
-class IntervalCertRow:
+class IntervalCertRow(NamedTuple):
     """Certified lower bound for G(e) over all integers e in [e_low, e_high]."""
 
     apex: Optional[Fraction]

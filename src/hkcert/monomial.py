@@ -21,10 +21,9 @@ them (see the two docstrings below).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rationals import Rational
 
@@ -39,8 +38,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _MonomialIdealFields(NamedTuple):
+    num_vars: int
+    generators: tuple[tuple[int, ...], ...]
+
+
+class MonomialIdeal(_MonomialIdealFields):
     """m-primary monomial ideal given by exponent vectors.
 
     The constructor rejects ideals without a pure power of every
@@ -48,18 +51,17 @@ class MonomialIdeal:
     minimally and sorted: no generator componentwise-dominates another.
     """
 
-    num_vars: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
+    def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        gens = [tuple(int(c) for c in g) for g in self.generators]
+        gens = [tuple(int(c) for c in g) for g in generators]
         if not gens:
             raise ValueError("generator list must be non-empty")
         for g in gens:
-            if len(g) != self.num_vars:
-                raise ValueError(f"generator {g} does not have {self.num_vars} exponents")
+            if len(g) != num_vars:
+                raise ValueError(f"generator {g} does not have {num_vars} exponents")
             if any(c < 0 for c in g):
                 raise ValueError(f"generator {g} has a negative exponent")
             if not any(g):
@@ -68,10 +70,10 @@ class MonomialIdeal:
         for g in sorted(set(gens)):
             if not any(_dominates(g, h) for h in gens if h != g):
                 minimal.append(g)
-        for i in range(self.num_vars):
+        for i in range(num_vars):
             if not any(_is_pure_power(g, i) for g in minimal):
                 raise ValueError(f"not m-primary: no pure power of variable {i} among the generators")
-        object.__setattr__(self, "generators", tuple(minimal))
+        return super().__new__(cls, num_vars, tuple(minimal))
 
     def pure_power_exponents(self) -> tuple[int, ...]:
         """Exponent c_i of the (minimal) pure power of each variable."""
@@ -158,15 +160,13 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ColengthEntry:
+class ColengthEntry(NamedTuple):
     q: int
     colength: int
     normalized: Fraction
 
 
-@dataclass(frozen=True)
-class ColengthSequence:
+class ColengthSequence(NamedTuple):
     """Raw colength sequence lambda(R/I^[q]) / q^n; no extrapolation."""
 
     entries: tuple[ColengthEntry, ...]

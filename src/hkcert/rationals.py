@@ -15,7 +15,6 @@ Rational = Union[Fraction, int]
 
 __all__ = [
     "DISPLAY_DIGITS",
-    "Fraction",
     "Rational",
     "decimal_render",
     "format_rational",

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 
 __all__ = ["CertificationReport", "ReportRow"]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One certified comparison: an exact bound against an exact target."""
 
     name: str
@@ -36,8 +35,7 @@ class ReportRow:
         return decimal_render(self.exact_bound, DISPLAY_DIGITS)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     tool_version: str
     command: str
     rows: tuple[ReportRow, ...]

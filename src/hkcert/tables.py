@@ -21,10 +21,9 @@ replaced by its truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import certify_interval, volume_lower_bound
@@ -35,8 +34,7 @@ from .series import conjecture_threshold
 __all__ = ["DIM5_ROWS", "DIM6_ROWS", "TableRow", "verify_tables"]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One range of multiplicities and the certificate that covers it."""
 
     kind: str  # "large-e", "volume" or "interval"

@@ -30,6 +30,16 @@ def run_cli(*args, timeout=None):
     )
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Every hkcert process pays for its imports.  dataclasses (which loads inspect,
+    # ast and dis) is among the dearest, and no code path needs either module.
+    # -S keeps site's own imports out of the picture.
+    probe = "import sys, hkcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_vol(capsys):
     assert main(["vol", "--dim", "6", "--s", "3/2"]) == 0
     assert capsys.readouterr().out == "241/15360 ≈ 0.0156\n"

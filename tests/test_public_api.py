@@ -1,9 +1,11 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hkcert
+from hkcert.tables import TableRow
 
 PUBLIC_NAMES = [
     "CertificationReport",
@@ -51,3 +53,30 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == hkcert.__version__
+
+
+_ROW = hkcert.ReportRow("r", "d=5", Fraction(6, 5), Fraction(1), True)
+_ENTRY = hkcert.ColengthEntry(q=2, colength=12, normalized=Fraction(3))
+RECORDS = [
+    (hkcert.IntervalCertRow(None, Fraction(1), "degenerate-linear-increasing", ""), "apex"),
+    (_ENTRY, "colength"),
+    (hkcert.ColengthSequence((_ENTRY,)), "entries"),
+    (hkcert.MonomialIdeal(2, [(2, 0), (0, 2)]), "generators"),
+    (_ROW, "passed"),
+    (hkcert.CertificationReport("0", "verify-tables --dim 5", (_ROW,)), "rows"),
+    (TableRow("large-e", 137), "e_low"),
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_record_defaults():
+    row = TableRow("large-e", 137)
+    assert row.e_high is None and row.s is None and row.target is None
+    assert row.quoted_target is None and row.quoted_interval is None and row.quoted_s is None
+    assert row.note == ""
+    assert _ROW.notes == ""
