@@ -72,6 +72,8 @@ def volume_lower_bound(
     if valuations is None:
         if r < 0:
             raise ValueError("generator count must be >= 0")
+        if Fraction(r).denominator != 1:
+            raise ValueError(f"generator count must be an integer, got {format_rational(r)}")
         counts = {Fraction(1): int(r)} if r else {}
     else:
         counts = Counter(Fraction(t) for t in valuations)
@@ -91,37 +93,34 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     Every evaluation is exact, so the returned bound is always valid;
     only the optimality of s is best-effort.
 
-    Each grid volume is evaluated once: v_{s-1} at k/grid_resolution is
-    the grid volume at k - grid_resolution (0 when k < grid_resolution).
-    The grid volumes share one positive denominator and e >= 1, so the
-    scan compares the integer numerators N_k - r * N_{k-grid_resolution}
-    in place of the bounds, and only the best grid point is evaluated as
-    a ``Fraction``.
+    Every candidate, grid point or halving, is j/D with D = 256 * grid_resolution,
+    and its bound is e * (N_j - r * N_{j-D}) / (d! D^d), where
+    v_{j/D} = N_j / (d! D^d) and N_j = 0 for j < 0.  The one denominator
+    and the checked e >= 1 > 0 make comparing these integer scores exact,
+    and the strict ``>`` keeps the first maximum.  The grid scan evaluates
+    each grid numerator once; a grid score scales to D by ``<< 8*d``.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
-    best_s = Fraction(0)
-    best_bound = volume_lower_bound(d, e, best_s, r=r)
+    volume_lower_bound(d, e, 0, r=r)  # input checks only
+    r = int(r)
     numerators = [_slab_numerator(d, k, grid_resolution) for k in range(d * grid_resolution + 1)]
-    count = int(r)
     best_k, best_score = 0, 0
     for k in range(1, len(numerators)):
         previous = numerators[k - grid_resolution] if k >= grid_resolution else 0
-        score = numerators[k] - count * previous
+        score = numerators[k] - r * previous
         if score > best_score:
             best_k, best_score = k, score
-    if best_k:
-        best_s = Fraction(best_k, grid_resolution)
-        best_bound = volume_lower_bound(d, e, best_s, r=r)
-    step = Fraction(1, grid_resolution)
-    for _ in range(8):
-        step /= 2
-        for candidate in (best_s - step, best_s + step):
-            if 0 <= candidate <= d:
-                bound = volume_lower_bound(d, e, candidate, r=r)
-                if bound > best_bound:
-                    best_s, best_bound = candidate, bound
-    return best_s, best_bound
+    fine = 256 * grid_resolution
+    best_j, best_score = best_k << 8, best_score << 8 * d
+    for step in (128, 64, 32, 16, 8, 4, 2, 1):
+        for j in (best_j - step, best_j + step):
+            if 0 <= j <= d * fine:
+                previous = _slab_numerator(d, j - fine, fine) if j >= fine else 0
+                score = _slab_numerator(d, j, fine) - r * previous
+                if score > best_score:
+                    best_j, best_score = j, score
+    return Fraction(best_j, fine), Fraction(e) * Fraction(best_score, factorial(d) * fine**d)
 
 
 # Miller-Rabin with the first 12 prime bases is deterministic below
@@ -192,6 +191,9 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     certifies; the branch field reports the monotonicity direction.
     v_s and v_{s-1} are evaluated once for both endpoints and the apex.
     """
+    for name, value in (("e_low", e_low), ("e_high", e_high)):
+        if Fraction(value).denominator != 1:
+            raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
@@ -259,17 +261,11 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     """Dimension-only lower bound for Gorenstein F-regular non-complete-intersections.
 
-    For e >= d! + 1 the bound 1 + 1/d! applies directly.  Otherwise the
-    closed forms
-
-        minimal_gap:  1 + (4 / (6*ceil(d/2) - 2))**d * 2
-        general:      1 + (4 / (ceil(d/3)*d! + 4))**d * (1/d)
-
-    are d steps of ``radical_recursion_bound``: ``minimal_gap`` (maximal
+    For e >= d! + 1 the bound 1 + 1/d! applies directly.  Otherwise it is
+    d steps of ``radical_recursion_bound``: ``minimal_gap`` (maximal
     codimension) from the base e/2 at e = 6, k = 4, n = ceil(d/2), and
-    ``general`` from the base 1 + 1/d at e = d!, k = 3 and
-    n = ceil(d/3) + 1 (so n - 1 = ceil(d/3)).  The paper's abstract does
-    not settle which n the paper means.
+    ``general`` from the base 1 + 1/d at e = d!, k = 3, n = ceil(d/3) + 1.
+    The paper's abstract does not settle which n the paper means.
     """
     e = Fraction(e)
     if d < 2:
@@ -281,7 +277,7 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     if e >= factorial(d) + 1:
         return 1 + Fraction(1, factorial(d))
     if case == "minimal_gap":
-        return 1 + Fraction(4, 6 * ceil(Fraction(d, 2)) - 2) ** d * 2
+        return radical_recursion_bound(d, 6, 4, ceil(Fraction(d, 2)), d)
     if case == "general":
-        return 1 + Fraction(4, ceil(Fraction(d, 3)) * factorial(d) + 4) ** d * Fraction(1, d)
+        return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)
     raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")

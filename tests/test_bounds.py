@@ -170,6 +170,12 @@ class TestVolumeLowerBound:
         with pytest.raises(ValueError):
             volume_lower_bound(2, Fraction(2), Fraction(1), valuations=(Fraction(0),))
 
+    def test_rejects_non_integer_generator_count(self):
+        # Truncating r = 3/2 to 1 would return the r = 1 bound 115/48.
+        with pytest.raises(ValueError, match="generator count must be an integer, got 3/2"):
+            volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(3, 2))
+        assert volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(1)) == Fraction(115, 48)
+
 
 class TestOptimizeSlice:
     def test_matches_hand_picked_slice(self):
@@ -195,11 +201,28 @@ class TestOptimizeSlice:
             optimize_slice(5, 5, -1, 10)
         with pytest.raises(ValueError):
             optimize_slice(0, 5, 3, 10)
+        with pytest.raises(ValueError, match="generator count must be an integer, got 3/2"):
+            optimize_slice(3, 5, Fraction(3, 2), 10)
+
+    def test_integer_path_after_input_checks(self, monkeypatch):
+        # The one volume_lower_bound call checks the inputs at s = 0; every
+        # candidate after it is compared as an integer slab numerator.
+        checks, volumes = [], []
+        monkeypatch.setattr(bounds, "vol_slab", lambda d, s: volumes.append(s) or vol_slab(d, s))
+        real_bound = bounds.volume_lower_bound
+        monkeypatch.setattr(bounds, "volume_lower_bound", lambda *a, **k: checks.append(a) or real_bound(*a, **k))
+        assert optimize_slice(6, 20, 5, 40) == grid_then_halving(6, 20, 5, 40)
+        assert checks == [(6, 20, 0)]
+        assert volumes == [0, -1]
 
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)
         cases = [(2, 1, 0, 2), (2, Fraction(7, 3), 16, 2), (8, Fraction(37, 2), 16, 60), (8, 5, 0, 60),
-                 (4, 6, 4, 41), (5, Fraction(35, 3), 7, 2)]
+                 (4, 6, 4, 41), (5, Fraction(35, 3), 7, 2),
+                 # d = 1: v is piecewise linear, so the maximum sits on a breakpoint.
+                 (1, 1, 0, 2), (1, 5, 1, 2), (1, Fraction(7, 2), 3, 17), (1, 40, 16, 100), (1, Fraction(9, 7), 0, 33),
+                 # the corners of the bench search cells
+                 (8, 38, 16, 100), (4, 6, 1, 40)]
         for _ in range(16):
             d, r, res = rng.randint(2, 8), rng.randint(0, 16), rng.randint(2, 60)
             e = Fraction(rng.randint(max(3, 2 * r), 90), rng.choice([1, 2, 3, 7]))
@@ -334,6 +357,14 @@ class TestCertifyInterval:
             with pytest.raises(ValueError):
                 certify_interval(6, e_low, 9, Fraction(13, 5))
         assert certify_interval(6, 1, 9, Fraction(13, 5)).certified_bound >= 0
+
+    def test_rejects_non_integer_endpoints(self):
+        # A range of multiplicities has integer ends; [5/2, 9] would report G(5/2).
+        with pytest.raises(ValueError, match="e_low must be an integer, got 5/2"):
+            certify_interval(3, Fraction(5, 2), 9, 2)
+        with pytest.raises(ValueError, match="e_high must be an integer, got 17/2"):
+            certify_interval(3, 5, Fraction(17, 2), 2)
+        assert certify_interval(3, Fraction(5), Fraction(9), 2) == certify_interval(3, 5, 9, 2)
 
     def test_rejects_negative_slice(self):
         # The same check as volume_lower_bound.
