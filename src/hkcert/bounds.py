@@ -33,7 +33,7 @@ from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, format_rational
-from .slab import _slab_numerator, vol_slab
+from .slab import _grid_numerators, _slab_numerator, vol_slab
 
 __all__ = [
     "IntervalCertRow",
@@ -85,6 +85,11 @@ def volume_lower_bound(
     return e * total
 
 
+# Cost cap on optimize_slice: the largest d * grid_resolution it scans,
+# 1250 times the largest bench `search` cell (d * grid_resolution = 800).
+_MAX_GRID_STEPS = 10**6
+
+
 def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
     """Best-found slice parameter for the uniform volume bound.
 
@@ -97,14 +102,21 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     and its bound is e * (N_j - r * N_{j-D}) / (d! D^d), where
     v_{j/D} = N_j / (d! D^d) and N_j = 0 for j < 0.  The one denominator
     and the checked e >= 1 > 0 make comparing these integer scores exact,
-    and the strict ``>`` keeps the first maximum.  The grid scan evaluates
-    each grid numerator once; a grid score scales to D by ``<< 8*d``.
+    and the strict ``>`` keeps the first maximum.  The grid numerators come
+    at once from ``_grid_numerators`` (d difference passes over k^d); a
+    grid score scales to D by ``<< 8*d``.  The 16 halving candidates are
+    single points off the grid and use ``_slab_numerator``.
+
+    Raises ValueError, before any grid is built, when d * grid_resolution
+    exceeds ``_MAX_GRID_STEPS``.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
+    if d * grid_resolution > _MAX_GRID_STEPS:
+        raise ValueError(f"dimension * grid_resolution must be <= {_MAX_GRID_STEPS}, got {d * grid_resolution}")
     volume_lower_bound(d, e, 0, r=r)  # input checks only
     r = int(r)
-    numerators = [_slab_numerator(d, k, grid_resolution) for k in range(d * grid_resolution + 1)]
+    numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
     for k in range(1, len(numerators)):
         previous = numerators[k - grid_resolution] if k >= grid_resolution else 0

@@ -13,7 +13,15 @@ evaluated as one integer numerator over the common denominator d! b^d,
 
 so a single ``Fraction`` is built per volume.  On a grid {k/b} all
 numerators share that denominator, so volumes on one grid compare as
-integers.
+integers.  The whole grid needs no binomials or powers beyond k^d: with
+the shift (S^b N)_k = N_{k-b} (zero for k < b), the numerators are the
+d-th b-step backward difference of the truncated power (the cardinal
+B-spline identity, Schoenberg 1946),
+
+    N = (1 - S^b)^d k_+^d,   k = 0, ..., d*b,
+
+which expands to the same inclusion-exclusion sum, in d passes of
+integer subtractions.
 """
 
 from __future__ import annotations
@@ -54,3 +62,15 @@ def _slab_numerator(d: int, a: int, b: int) -> int:
         term = comb(d, n) * (a - n * b) ** d
         total += -term if n % 2 else term
     return total
+
+
+def _grid_numerators(d: int, b: int) -> list[int]:
+    """[N_0, ..., N_{d*b}] with v_{k/b} = N_k / (d! b^d), for d >= 1 and b >= 1.
+
+    Starts from k^d and applies the b-step backward difference d times;
+    equal to ``_slab_numerator(d, k, b)`` for every k.
+    """
+    n = [k**d for k in range(d * b + 1)]
+    for _ in range(d):
+        n[b:] = [x - y for x, y in zip(n[b:], n)]
+    return n

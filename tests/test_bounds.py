@@ -206,14 +206,29 @@ class TestOptimizeSlice:
 
     def test_integer_path_after_input_checks(self, monkeypatch):
         # The one volume_lower_bound call checks the inputs at s = 0; every
-        # candidate after it is compared as an integer slab numerator.
-        checks, volumes = [], []
+        # candidate after it is compared as an integer slab numerator.  The
+        # 241 grid numerators come from one _grid_numerators call, so only
+        # the 16 halving candidates (two numerators each at most) are
+        # single-point _slab_numerator calls.
+        checks, volumes, points = [], [], []
         monkeypatch.setattr(bounds, "vol_slab", lambda d, s: volumes.append(s) or vol_slab(d, s))
         real_bound = bounds.volume_lower_bound
         monkeypatch.setattr(bounds, "volume_lower_bound", lambda *a, **k: checks.append(a) or real_bound(*a, **k))
+        real_numerator = bounds._slab_numerator
+        monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: points.append(a) or real_numerator(*a))
         assert optimize_slice(6, 20, 5, 40) == grid_then_halving(6, 20, 5, 40)
         assert checks == [(6, 20, 0)]
         assert volumes == [0, -1]
+        assert len(points) <= 32
+        assert all(b == 256 * 40 for _, _, b in points)
+
+    def test_rejects_grid_beyond_cost_cap(self, monkeypatch):
+        # The cap is checked before the grid exists: a kernel call would fail the test.
+        monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
+        assert bounds._MAX_GRID_STEPS == 10**6
+        for d, res in ((2, 500001), (1000001, 2)):
+            with pytest.raises(ValueError, match=f"dimension \\* grid_resolution must be <= 1000000, got {d * res}"):
+                optimize_slice(d, 5, 3, res)
 
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hkcert import bounds
 from hkcert.cli import main
 from hkcert.tables import verify_tables
 
@@ -163,6 +164,16 @@ def test_bound_optimize(capsys):
                  "--target", "1.313"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("s: ")
+
+
+@pytest.mark.parametrize("dim, resolution", [("2", "500001"), ("1000001", "2")])
+def test_optimize_rejects_grid_beyond_cost_cap(dim, resolution, capsys, monkeypatch):
+    # Should the cap ever be lost, fail instead of building the huge grid.
+    monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
+    assert main(["bound", "--dim", dim, "--e", "5", "--r", "3", "--optimize", "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dimension * grid_resolution must be <= 1000000")
 
 
 def test_optimize(capsys):

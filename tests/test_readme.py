@@ -50,10 +50,10 @@ DESCRIBED = [command for command, output in _examples() if not _is_literal(outpu
 
 def test_literal_examples_are_found():
     assert [shlex.split(command)[1] for command, _ in EXAMPLES] == [
-        "vol", "bound", "bound", "quadric", "radical", "radical", "certify-interval",
+        "vol", "bound", "bound", "bound", "bound", "quadric", "radical", "radical", "certify-interval",
     ]
     assert [shlex.split(command)[1] for command in DESCRIBED] == [
-        "md", "bound", "bound", "monomial", "verify-tables", "verify-tables",
+        "md", "monomial", "verify-tables", "verify-tables",
     ]
 
 

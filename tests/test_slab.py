@@ -5,7 +5,7 @@ from math import comb, factorial, floor
 import pytest
 from hypothesis import given, strategies as st
 
-from hkcert.slab import _slab_numerator, vol_slab
+from hkcert.slab import _grid_numerators, _slab_numerator, vol_slab
 
 
 def termwise_vol_slab(d: int, s: Fraction) -> Fraction:
@@ -104,6 +104,15 @@ def test_grid_numerators_share_one_denominator():
             for k in range(d * b + 1):
                 expected = termwise_vol_slab(d, Fraction(k, b))
                 assert Fraction(_slab_numerator(d, k, b), factorial(d) * b**d) == expected
+
+
+def test_grid_numerators_equal_pointwise_sums():
+    # d difference passes over k^d give the inclusion-exclusion numerator at every k/b.
+    for d in range(1, 13):
+        for b in (1, 2, 3, 7, 40, 100, 101):
+            grid = _grid_numerators(d, b)
+            assert grid == [_slab_numerator(d, k, b) for k in range(d * b + 1)], (d, b)
+            assert all(type(n) is int for n in grid)
 
 
 def test_lattice_oracle_agrees():
