@@ -47,6 +47,17 @@ def _ideal_file_text():
 EXAMPLES = [(command, output) for command, output in _examples() if _is_literal(output)]
 DESCRIBED = [command for command, output in _examples() if not _is_literal(output)]
 
+# Case numbers are given once and never renumbered, so a case keeps its id
+# when an example is added or moves between the two lists; examples past
+# the numbered ones take the next free numbers.
+EXAMPLE_CASES = [0, 1, 2, 7, 8, 3, 4, 5, 6]
+DESCRIBED_CASES = [0, 3, 4, 5]
+
+
+def _case_ids(cases, commands):
+    cases = cases + list(range(max(cases) + 1, max(cases) + 1 + len(commands) - len(cases)))
+    return [f"{case}-{shlex.split(command)[1]}" for case, command in zip(cases, commands)]
+
 
 def test_literal_examples_are_found():
     assert [shlex.split(command)[1] for command, _ in EXAMPLES] == [
@@ -58,7 +69,7 @@ def test_literal_examples_are_found():
 
 
 @pytest.mark.parametrize(
-    "command, output", EXAMPLES, ids=[f"{i}-{shlex.split(command)[1]}" for i, (command, _) in enumerate(EXAMPLES)]
+    "command, output", EXAMPLES, ids=_case_ids(EXAMPLE_CASES, [command for command, _ in EXAMPLES])
 )
 def test_example_output_matches(command, output, capsys):
     assert main(shlex.split(command)[1:]) == 0
@@ -66,7 +77,7 @@ def test_example_output_matches(command, output, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", DESCRIBED, ids=[f"{i}-{shlex.split(command)[1]}" for i, command in enumerate(DESCRIBED)]
+    "command", DESCRIBED, ids=_case_ids(DESCRIBED_CASES, DESCRIBED)
 )
 def test_described_example_runs(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "sq.ideal").write_text(_ideal_file_text())
