@@ -30,6 +30,11 @@ from .slab import vol_slab
 from .tables import verify_tables
 
 
+# The largest order whose line prints under Python's default 4300-digit
+# int-to-str limit: 1 + m_1562 has a part of more than 4300 digits.
+_MAX_MD_ORDER = 1561
+
+
 def _fmt(x: Fraction) -> str:
     return f"{format_rational(x)} ≈ {decimal_render(x, DISPLAY_DIGITS)}"
 
@@ -128,6 +133,8 @@ def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
+    if args.max_order > _MAX_MD_ORDER:
+        raise ValueError(f"--max must be <= {_MAX_MD_ORDER}")
     lines = []
     for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
         threshold = 1 + m

@@ -2,27 +2,31 @@
 
 For a monomial ideal I in n variables, the bracket power I^[q] is
 generated by the q-scaled exponent vectors, and the colength of R/I^[q]
-is the number of lattice points outside the scaled staircase.  Counting
-is a deterministic row-major scan of the bounding box given by the pure
-powers in I (the m-primary witness), with the innermost axis collapsed
-to a threshold test: once a point enters the ideal every later point in
-the row is inside too, by upward closure.
+is the number of lattice points outside the scaled staircase.  That
+count is q^n times the colength of R/I (Frobenius is flat on a regular
+ring), so ``frobenius_colength`` counts lambda(R/I) once, at q = 1, and
+multiplies.  Counting is a deterministic row-major scan of the bounding
+box given by the pure powers in I (the m-primary witness), with the
+innermost axis collapsed to a threshold test: once a point enters the
+ideal every later point in the row is inside too, by upward closure.
 
 This realizes the Hilbert-Kunz numerator exactly at finite q and serves
 as the desk-scale oracle for the slab-volume machinery via
 ``mixed_colength`` (colength of J^{floor(sq)} + J^[q] for a pure-power
-parameter ideal J, whose normalization converges to e(J) * v_s).
+parameter ideal J, whose normalization converges to e(J) * v_s).  That
+scan still walks the q-scaled box, so its cost grows like q^(n-1).
 
-Both counts also have closed forms whose cost does not grow with q; the
-test suite keeps them as the second path and checks the scans against
-them (see the two docstrings below).
+Both scans refuse a box of more than ``_MAX_SCAN_ROWS`` rows (prefixes
+of the first n-1 coordinates) with ValueError before they start.  The
+test suite keeps a brute-force count and a closed form for each as
+second paths (see the two docstrings below).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 from typing import NamedTuple, Sequence
 
 from .rationals import Rational
@@ -36,6 +40,12 @@ __all__ = [
     "mixed_colength",
     "parse_generators",
 ]
+
+
+# Row cap for both scans.  A row costs about 1-5 microseconds (more with
+# more generators; Python 3.11, 2-core x86-64), so 10**6 rows take up to
+# about 5 s, the most a desk-scale command should spend before it answers.
+_MAX_SCAN_ROWS = 10**6
 
 
 class _MonomialIdealFields(NamedTuple):
@@ -97,31 +107,34 @@ def _is_pure_power(g: tuple[int, ...], i: int) -> bool:
 def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     """Number of lattice points outside the bracket power I^[q].
 
-    Scans the box prod [0, q*c_i) row-major; for each prefix of the
-    first n-1 coordinates the points outside the ideal along the last
-    axis form an initial segment, whose length is the smallest last
-    exponent among generators already dominated in the prefix.
-
     The count equals q^n * lambda(R/I), because Frobenius is flat on a
     regular ring (Kunz 1969).  For monomials: write a = q*b + r with
     0 <= r_i < q; then a dominates q*g exactly when b dominates g, so
     x^a lies outside I^[q] exactly when x^b lies outside I, and each such
     b has q^n residues r.
+
+    lambda(R/I) is counted once by scanning the box prod [0, c_i)
+    row-major; for each prefix of the first n-1 coordinates the points
+    outside the ideal along the last axis form an initial segment, whose
+    length is the smallest last exponent among generators already
+    dominated in the prefix.  The cost does not depend on q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    box = [q * c for c in ideal.pure_power_exponents()]
-    scaled = [tuple(q * c for c in g) for g in ideal.generators]
+    box = ideal.pure_power_exponents()
+    rows = prod(box[:-1])
+    if rows > _MAX_SCAN_ROWS:
+        raise ValueError(f"the staircase scan needs {rows} rows, more than {_MAX_SCAN_ROWS}")
     count = 0
     for prefix in itertools.product(*(range(b) for b in box[:-1])):
         threshold = box[-1]
-        for g in scaled:
+        for g in ideal.generators:
             if g[-1] < threshold and all(prefix[i] >= g[i] for i in range(len(prefix))):
                 threshold = g[-1]
                 if threshold == 0:
                     break
         count += threshold
-    return count
+    return q**ideal.num_vars * count
 
 
 def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
@@ -150,6 +163,9 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
     if cut <= 0:
         return 0
     cs = ideal.pure_power_exponents()
+    rows = prod(q * c for c in cs[:-1])
+    if rows > _MAX_SCAN_ROWS:
+        raise ValueError(f"the mixed colength scan needs {rows} rows, more than {_MAX_SCAN_ROWS}")
     budget = cut - 1
     last = cs[-1]
     count = 0
@@ -173,17 +189,19 @@ class ColengthSequence(NamedTuple):
 
 
 def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequence:
-    """Colengths and normalized values for each q in an increasing list."""
+    """Colengths and normalized values for each q in an increasing list.
+
+    The sequence is constant: lambda(R/I^[q]) / q^n = lambda(R/I) for
+    every q (see ``frobenius_colength``), so lambda(R/I) is counted once.
+    """
     qs = list(q_list)
     if not qs:
         raise ValueError("q_list must be non-empty")
     if any(b <= a for a, b in zip(qs, qs[1:])) or qs[0] < 1:
         raise ValueError("q_list must be strictly increasing and positive")
-    entries = []
-    for q in qs:
-        colength = frobenius_colength(ideal, q)
-        entries.append(ColengthEntry(q=q, colength=colength, normalized=Fraction(colength, q**ideal.num_vars)))
-    return ColengthSequence(entries=tuple(entries))
+    length = frobenius_colength(ideal, 1)
+    n = ideal.num_vars
+    return ColengthSequence(entries=tuple(ColengthEntry(q, q**n * length, Fraction(length)) for q in qs))
 
 
 def parse_generators(text: str) -> MonomialIdeal:

@@ -3,11 +3,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hkcert import bounds
+from hkcert import bounds, cli, monomial
 from hkcert.cli import main
+from hkcert.rationals import format_rational
+from hkcert.series import zigzag_coeffs
 from hkcert.tables import verify_tables
 
 
@@ -74,6 +77,30 @@ def test_md_large_order_is_fast():
     lines = result.stdout.splitlines()
     assert len(lines) == 1000
     assert lines[-1].startswith("1000\t")
+
+
+@pytest.mark.parametrize("order", ["1562", "1000000000"])
+def test_md_rejects_order_beyond_cap(order, capsys, monkeypatch):
+    # Should the cap ever be lost, fail instead of computing the coefficients.
+    monkeypatch.setattr(cli, "zigzag_coeffs", lambda *a: pytest.fail("coefficients computed"))
+    assert main(["md", "--max", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max must be <= 1561")
+
+
+def test_md_cap_is_the_last_order_that_prints():
+    # Under Python's default int-to-str limit, the threshold 1 + m_d of the
+    # largest allowed order still formats, and that of the next order does not.
+    *_, last, beyond = zigzag_coeffs(cli._MAX_MD_ORDER + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        format_rational(1 + last)
+        with pytest.raises(ValueError):
+            format_rational(1 + beyond)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
@@ -274,6 +301,25 @@ def test_monomial(capsys, tmp_path):
         "q=3\tcolength=27\tnormalized=3 ≈ 3.0000",
         "q=4\tcolength=48\tnormalized=3 ≈ 3.0000",
     ]
+
+
+def test_monomial_cost_does_not_grow_with_q(tmp_path):
+    path = tmp_path / "sq.ideal"
+    path.write_text("2 0\n1 1\n0 2\n")
+    result = run_cli("monomial", "--file", str(path), "--q", "2,1000000007", timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert "q=1000000007\tcolength=3000000042000000147\tnormalized=3 ≈ 3.0000" in result.stdout.splitlines()
+
+
+def test_monomial_rejects_box_beyond_row_cap(capsys, tmp_path, monkeypatch):
+    # Should the cap ever be lost, fail instead of materializing the huge ranges.
+    monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+    path = tmp_path / "wide.ideal"
+    path.write_text("1000000000000 0\n0 1\n")
+    assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the staircase scan needs 1000000000000 rows")
 
 
 def test_monomial_missing_file():

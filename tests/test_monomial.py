@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, floor, prod
+from types import SimpleNamespace
 
 import pytest
 
+from hkcert import monomial
 from hkcert.monomial import (
     MonomialIdeal,
     ehk_estimate,
@@ -148,6 +150,14 @@ class TestFrobeniusColength:
         for ideal in ideals:
             for q in (1, 2, 3):
                 assert frobenius_colength(ideal, q) == brute_colength(ideal, q)
+        # The q factor against the direct-dominance count on the q-scaled box.
+        checked = 0
+        for ideal in seeded_ideals({1: 4, 2: 6, 3: 5, 4: 3}):
+            for q in ORACLE_QS:
+                if prod(q * c for c in ideal.pure_power_exponents()) <= 4096:
+                    assert frobenius_colength(ideal, q) == brute_colength(ideal, q), (ideal, q)
+                    checked += 1
+        assert checked == 106
 
     def test_scaling_identity_for_pure_powers(self):
         base = MonomialIdeal(2, ((2, 0), (0, 3)))
@@ -165,6 +175,14 @@ class TestFrobeniusColength:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             frobenius_colength(SQUARE, 0)
+
+    def test_scans_reject_boxes_beyond_row_cap(self, monkeypatch):
+        # Should the cap ever be lost, fail instead of materializing the huge ranges.
+        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+        with pytest.raises(ValueError, match="rows, more than 1000000"):
+            frobenius_colength(MonomialIdeal(2, ((10**12, 0), (0, 1))), 1)
+        with pytest.raises(ValueError, match="rows, more than 1000000"):
+            mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001)
 
     def test_matches_closed_form(self):
         corner = pure_power_ideal((4, 4, 4, 4))
