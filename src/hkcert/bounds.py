@@ -11,11 +11,9 @@ valuations of the generators counted against a minimal reduction (all
 t_i = 1 in the uniform case with generator count r).  On top of it sit:
 
 * interval certification: with r = e - 2 the bound becomes the quadratic
-  G(e) = e (v_s - (e-2) v_{s-1}) in e, a downward parabola whose apex
-  (v_s + 2 v_{s-1}) / (2 v_{s-1}) locates the maximum, so an entire
+  G(e) = e (v_s - (e-2) v_{s-1}) in e, a downward parabola, so an entire
   integer range [a, b] of multiplicities is bounded below by
-  min(G(a), G(b)) when the apex is interior, and by the appropriate
-  endpoint otherwise;
+  min(G(a), G(b)) wherever its apex lies;
 * closed forms for the quadric hypersurface x_0^2 + ... + x_d^2 in
   characteristic p for d in {5, 6};
 * the closed form of the recursion across degree-n radical ring
@@ -33,7 +31,7 @@ from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, format_rational
-from .slab import _grid_numerators, _slab_numerator, vol_slab
+from .slab import _MAX_DIM, _grid_numerators, _slab_numerator, vol_slab
 
 __all__ = [
     "IntervalCertRow",
@@ -72,7 +70,7 @@ def volume_lower_bound(
     if valuations is None:
         if r < 0:
             raise ValueError("generator count must be >= 0")
-        if Fraction(r).denominator != 1:
+        if (r := Fraction(r)).denominator != 1:
             raise ValueError(f"generator count must be an integer, got {format_rational(r)}")
         counts = {Fraction(1): int(r)} if r else {}
     else:
@@ -85,9 +83,13 @@ def volume_lower_bound(
     return e * total
 
 
-# Cost cap on optimize_slice: the largest d * grid_resolution it scans,
-# 1250 times the largest bench `search` cell (d * grid_resolution = 800).
+# Cost caps on optimize_slice.  The points cap is the largest d * grid_resolution
+# it scans, 1250 times the largest bench `search` cell (d * grid_resolution = 800).
+# The work grows about like d^2 * (d * grid_resolution): far under the points cap,
+# d 100 / res 1000 took 3.2 s, d 200 / res 500 8.7 s and 101 MB, d 1000 / res 20
+# 31 s.  The work cap admits d 100 / res 1000 and nothing costlier.
 _MAX_GRID_STEPS = 10**6
+_MAX_GRID_WORK = 10**9
 
 
 def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
@@ -108,12 +110,16 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     single points off the grid and use ``_slab_numerator``.
 
     Raises ValueError, before any grid is built, when d * grid_resolution
-    exceeds ``_MAX_GRID_STEPS``.
+    exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
+    ``_MAX_GRID_WORK``.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     if d * grid_resolution > _MAX_GRID_STEPS:
         raise ValueError(f"dimension * grid_resolution must be <= {_MAX_GRID_STEPS}, got {d * grid_resolution}")
+    work = d**3 * grid_resolution
+    if work > _MAX_GRID_WORK:
+        raise ValueError(f"dimension**3 * grid_resolution must be <= {_MAX_GRID_WORK}, got {work}")
     volume_lower_bound(d, e, 0, r=r)  # input checks only
     r = int(r)
     numerators = _grid_numerators(d, grid_resolution)
@@ -194,17 +200,17 @@ class IntervalCertRow(NamedTuple):
 def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCertRow:
     """Lower bound of G(e) over the integers e in [e_low, e_high].
 
-    G is a downward parabola in e (leading coefficient -v_{s-1}), so when
-    the apex is interior the minimum over the interval sits at an
-    endpoint and min(G(e_low), G(e_high)) certifies; when the apex lies
-    right (left) of the interval G is increasing (decreasing) there and
-    the left (right) endpoint certifies.  If v_{s-1} = 0 the parabola
-    degenerates to a line with slope v_s >= 0 and the left endpoint
-    certifies; the branch field reports the monotonicity direction.
+    G(e) = e (v_s - (e-2) v_{s-1}) has leading coefficient -v_{s-1} <= 0,
+    so it is concave and its minimum over the interval is
+    min(G(e_low), G(e_high)) wherever the apex lies: that is the certified
+    bound.  The branch says which endpoint is the minimum and why: the apex
+    (v_s + 2 v_{s-1}) / (2 v_{s-1}) lies left of the interval (G decreasing,
+    G(e_high)), right of it (G increasing, G(e_low)) or inside it (either),
+    or v_{s-1} = 0 and G is a line of slope v_s >= 0 (G(e_low)).
     v_s and v_{s-1} are evaluated once for both endpoints and the apex.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
-        if Fraction(value).denominator != 1:
+        if (value := Fraction(value)).denominator != 1:
             raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
@@ -215,27 +221,31 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
         raise ValueError("slice parameter must be >= 0")
     v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
     g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
+    certified = min(g_low, g_high)
     apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
     if apex is None:
         branch = "degenerate-linear-increasing"
-        certified = g_low
         notes = f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
     elif e_low <= apex <= e_high:
         branch = "apex-interior"
-        certified = min(g_low, g_high)
         notes = (
             f"apex {format_rational(apex)} inside [{e_low}, {e_high}]; "
             f"G({e_low}) = {format_rational(g_low)}, G({e_high}) = {format_rational(g_high)}"
         )
     elif apex > e_high:
         branch = "increasing"
-        certified = g_low
         notes = f"apex {format_rational(apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
     else:
         branch = "decreasing"
-        certified = g_high
         notes = f"apex {format_rational(apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
     return IntervalCertRow(apex=apex, certified_bound=certified, branch=branch, notes=notes)
+
+
+# Cost cap on radical_recursion_bound: its power has about
+# iterations * (bit length of e*n) bits.  10**6 iterations at e = 6, n = 2
+# (4 * 10**6 bits) took 0.23 s, 4 * 10**6 iterations 1.7 s; the cap is
+# about 1 s.  fixed_dimension_bound at d = _MAX_DIM needs 2 * 10**6 bits.
+_MAX_POWER_BITS = 10**7
 
 
 def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int) -> Fraction:
@@ -250,7 +260,8 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
         k < e - 2:  1 + ((k+1)/((n-1)e+k+1))**iterations * (1/d)
 
     The base values e/2 and 1 + 1/d are the bounds available at the first
-    non-F-regular stage of the extension tower.
+    non-F-regular stage of the extension tower.  Raises ValueError when
+    iterations * (bit length of e*n) exceeds ``_MAX_POWER_BITS``.
     """
     e = Fraction(e)
     if d < 2:
@@ -265,6 +276,9 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
         raise ValueError("root degree must be >= 2")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    power_bits = iterations * (e.numerator * n).bit_length()
+    if power_bits > _MAX_POWER_BITS:
+        raise ValueError(f"iterations * bit length of e*n must be <= {_MAX_POWER_BITS}, got {power_bits}")
     if k == e - 2:
         return 1 + ((e - 2) / (e * n - 2)) ** iterations * (e / 2 - 1)
     return 1 + ((k + 1) / ((n - 1) * e + k + 1)) ** iterations * Fraction(1, d)
@@ -278,10 +292,15 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     codimension) from the base e/2 at e = 6, k = 4, n = ceil(d/2), and
     ``general`` from the base 1 + 1/d at e = d!, k = 3, n = ceil(d/3) + 1.
     The paper's abstract does not settle which n the paper means.
+    Raises ValueError for d above ``_MAX_DIM``.
     """
+    if case not in ("minimal_gap", "general"):
+        raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
     e = Fraction(e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if d > _MAX_DIM:
+        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
     if e.denominator != 1:
         raise ValueError(f"multiplicity must be an integer, got {format_rational(e)}")
     if e < 6:
@@ -290,6 +309,4 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
         return 1 + Fraction(1, factorial(d))
     if case == "minimal_gap":
         return radical_recursion_bound(d, 6, 4, ceil(Fraction(d, 2)), d)
-    if case == "general":
-        return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)
-    raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
+    return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)

@@ -17,9 +17,12 @@ parameter ideal J, whose normalization converges to e(J) * v_s).  That
 scan still walks the q-scaled box, so its cost grows like q^(n-1).
 
 Both scans refuse a box of more than ``_MAX_SCAN_ROWS`` rows (prefixes
-of the first n-1 coordinates) with ValueError before they start.  The
-test suite keeps a brute-force count and a closed form for each as
-second paths (see the two docstrings below).
+of the first n-1 coordinates) with ValueError before they start, and the
+staircase scan also refuses more than ``_MAX_SCAN_WORK`` rows times
+generators.  ``MonomialIdeal`` refuses more than ``_MAX_GENERATORS``
+generators before it minimalizes.  The test suite keeps a brute-force
+count and a closed form for each scan as second paths (see the two
+docstrings below).
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ __all__ = [
 # more generators; Python 3.11, 2-core x86-64), so 10**6 rows take up to
 # about 5 s, the most a desk-scale command should spend before it answers.
 _MAX_SCAN_ROWS = 10**6
+# The staircase scan tests every generator on every row, at 0.9-1.3
+# microseconds per row and generator (2-4 variables, same machine), so
+# its cap counts rows * generators: up to about 5 s.
+_MAX_SCAN_WORK = 4 * 10**6
+# Minimalizing tests every pair of generators: the 2-variable staircase
+# (i, N - i), i = 0..N, took 0.27 s to build at N = 500 and 1.6 s at N = 1000.
+_MAX_GENERATORS = 1000
 
 
 class _MonomialIdealFields(NamedTuple):
@@ -66,6 +76,8 @@ class MonomialIdeal(_MonomialIdealFields):
     def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
         if num_vars < 1:
             raise ValueError("need at least one variable")
+        if len(generators) > _MAX_GENERATORS:
+            raise ValueError(f"at most {_MAX_GENERATORS} generators are supported, got {len(generators)}")
         gens = [tuple(int(c) for c in g) for g in generators]
         if not gens:
             raise ValueError("generator list must be non-empty")
@@ -125,6 +137,9 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     rows = prod(box[:-1])
     if rows > _MAX_SCAN_ROWS:
         raise ValueError(f"the staircase scan needs {rows} rows, more than {_MAX_SCAN_ROWS}")
+    work = rows * len(ideal.generators)
+    if work > _MAX_SCAN_WORK:
+        raise ValueError(f"the staircase scan needs {work} rows * generators, more than {_MAX_SCAN_WORK}")
     count = 0
     for prefix in itertools.product(*(range(b) for b in box[:-1])):
         threshold = box[-1]

@@ -22,17 +22,28 @@ __all__ = [
 ]
 
 
+# Largest |decimal exponent| that parse_rational accepts.  Python's int-to-str
+# limit already stops mantissas of more than 4300 digits; exponents have no
+# such limit: `vol --dim 3 --s 1e10000000` ran 12.7 s.
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"``, integer, or decimal literals exactly ("3.32" -> 83/25)."""
+    """Parse ``"p/q"``, integer, or decimal literals exactly ("3.32" -> 83/25).
+
+    Raises ValueError for a decimal exponent beyond ``_MAX_EXPONENT``
+    in absolute value, before building the power of ten.
+    """
     try:
-        return Fraction(text.strip())
+        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+    raise ValueError(f"decimal exponent must be at most {_MAX_EXPONENT} in absolute value, got {text!r}")
 
 
 def format_rational(x: Rational) -> str:
-    """Render ``x`` as ``num/den``, or plain ``num`` for integers."""
-    x = Fraction(x)
+    """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -50,7 +61,6 @@ def decimal_render(x: Rational, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    x = Fraction(x)
     scaled = (x.numerator * 10**digits) // x.denominator
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)

@@ -26,8 +26,12 @@ class ReportRow(NamedTuple):
     inputs: str
     exact_bound: Fraction
     target: Fraction
-    passed: bool
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """The verdict, derived from the exact values: the bound meets the target."""
+        return self.exact_bound >= self.target
 
     @property
     def decimal(self) -> str:

@@ -34,14 +34,23 @@ from .rationals import Rational
 __all__ = ["vol_slab"]
 
 
+# Dimension ceiling for every slab volume and for the dimension-only radical
+# bounds.  At d = 512 the worst volume bound took 0.04 s and
+# fixed_dimension_bound(d, 6, "general") 0.21 s; at d = 1024, 0.23 s and 2.0 s.
+_MAX_DIM = 512
+
+
 def vol_slab(d: int, s: Rational) -> Fraction:
     """Exact volume of ``{x in [0,1]^d : x_1 + ... + x_d <= s}``.
 
     Total in s: returns 0 for s <= 0 and 1 for s >= d, so shifted
-    evaluations like v_{s-t} with s < t are well defined.
+    evaluations like v_{s-t} with s < t are well defined.  Raises
+    ValueError for d above ``_MAX_DIM``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if d > _MAX_DIM:
+        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
     s = Fraction(s)
     if s <= 0:
         return Fraction(0)

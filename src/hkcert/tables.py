@@ -127,7 +127,6 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         inputs=inputs,
         exact_bound=bound,
         target=target,
-        passed=bound >= target,
         notes="; ".join(filter(None, (verdict, why, row.note))),
     )
 

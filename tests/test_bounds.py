@@ -230,6 +230,16 @@ class TestOptimizeSlice:
             with pytest.raises(ValueError, match=f"dimension \\* grid_resolution must be <= 1000000, got {d * res}"):
                 optimize_slice(d, 5, 3, res)
 
+    def test_rejects_work_beyond_cost_cap(self, monkeypatch):
+        # The work grows like d^2 * (d * res); these pass the points cap.
+        monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
+        assert bounds._MAX_GRID_WORK == 10**9 == 100 * 100 * (100 * 1000)
+        for d, res in ((101, 1000), (100, 1001), (200, 500), (1000, 20), (10000, 2)):
+            assert d * res <= bounds._MAX_GRID_STEPS
+            message = f"dimension\\*\\*3 \\* grid_resolution must be <= 1000000000, got {d**3 * res}"
+            with pytest.raises(ValueError, match=message):
+                optimize_slice(d, 5, 3, res)
+
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)
         cases = [(2, 1, 0, 2), (2, Fraction(7, 3), 16, 2), (8, Fraction(37, 2), 16, 60), (8, 5, 0, 60),
@@ -399,6 +409,23 @@ class TestCertifyInterval:
             certify_interval(6, e_low, e_high, s)
             assert calls == [s, s - 1]
 
+    def test_certified_bound_is_min_over_every_integer(self):
+        # Second path: G at every integer of [a, b] from the termwise volumes.
+        rng = random.Random(2011)
+        branches = {}
+        for _ in range(300):
+            d = rng.randint(1, 9)
+            s = Fraction(rng.randint(0, 10 * (d + 1)), rng.choice([1, 10]))
+            e_low = rng.randint(1, rng.choice([10, 40, 400]))
+            e_high = e_low + rng.choice([0, 1, rng.randint(2, 400)])
+            v_s, v_prev = termwise_vol_slab(d, s), termwise_vol_slab(d, s - 1)
+            row = certify_interval(d, e_low, e_high, s)
+            assert row.certified_bound == min(e * (v_s - (e - 2) * v_prev) for e in range(e_low, e_high + 1))
+            branches[row.branch] = branches.get(row.branch, 0) + 1
+        assert branches == {
+            "decreasing": 230, "degenerate-linear-increasing": 38, "apex-interior": 10, "increasing": 22,
+        }
+
     def test_endpoints_and_apex_match_quadratic_helpers(self):
         for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
             row = certify_interval(6, e_low, e_high, s)
@@ -468,6 +495,15 @@ class TestRadicalRecursion:
             with pytest.raises(ValueError, match=message):
                 radical_recursion_bound(*args)
 
+    def test_rejects_power_beyond_cost_cap(self):
+        # Just past the cap the power has 10**7 + 4 bits (about 1 s if the cap were lost).
+        assert bounds._MAX_POWER_BITS == 10**7
+        with pytest.raises(ValueError, match="iterations \\* bit length of e\\*n must be <= 10000000, got 10000004"):
+            radical_recursion_bound(2, 6, 4, 2, 2_500_001)
+        # fixed_dimension_bound's deepest recursion, at the dimension ceiling, stays inside.
+        d = bounds._MAX_DIM
+        assert d * (factorial(d) * (ceil(Fraction(d, 3)) + 1)).bit_length() <= bounds._MAX_POWER_BITS
+
     def test_matches_iterated_step_oracle(self):
         # Every valid k on the grid d 2..8, e 6..24, n 2..5, iterations 0..6.
         cases = 0
@@ -513,6 +549,19 @@ class TestFixedDimensionBound:
             fixed_dimension_bound(3, 5, "minimal_gap")
         with pytest.raises(ValueError):
             fixed_dimension_bound(3, 6, "nope")
+        # The case is checked before e >= d! + 1 answers 1 + 1/d!.
+        with pytest.raises(ValueError, match="case must be 'minimal_gap' or 'general', got 'bogus'"):
+            fixed_dimension_bound(2, 6, "bogus")
         for case in ("minimal_gap", "general"):
             with pytest.raises(ValueError, match="multiplicity must be an integer, got 17/2"):
                 fixed_dimension_bound(6, Fraction(17, 2), case)
+
+    def test_rejects_dimension_beyond_cap(self, monkeypatch):
+        # Checked before d! or the recursion is computed.
+        monkeypatch.setattr(bounds, "factorial", lambda *a: pytest.fail("factorial computed"))
+        monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("recursion run"))
+        assert bounds._MAX_DIM == 512
+        for d in (513, 10**8):
+            for case in ("minimal_gap", "general"):
+                with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):
+                    fixed_dimension_bound(d, 6, case)

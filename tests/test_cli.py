@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hkcert import bounds, cli, monomial
+from hkcert import bounds, cli, monomial, rationals, slab
 from hkcert.cli import main
 from hkcert.rationals import format_rational
 from hkcert.series import zigzag_coeffs
@@ -203,6 +203,57 @@ def test_optimize_rejects_grid_beyond_cost_cap(dim, resolution, capsys, monkeypa
     assert captured.err.startswith("error: dimension * grid_resolution must be <= 1000000")
 
 
+@pytest.mark.parametrize("dim, resolution", [("200", "500"), ("1000", "20"), ("10000", "2")])
+def test_optimize_rejects_work_beyond_cost_cap(dim, resolution, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
+    assert main(["bound", "--dim", dim, "--e", "5", "--r", "3", "--optimize", "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dimension**3 * grid_resolution must be <= 1000000000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vol", "--dim", "1000000", "--s", "1/2"],
+        ["vol", "--dim", "513", "--s", "600"],
+        ["bound", "--dim", "513", "--e", "5", "--r", "3", "--s", "1/2"],
+        ["bound", "--dim", "513", "--e", "5", "--r", "3", "--optimize", "--resolution", "2"],
+        ["certify-interval", "--dim", "513", "--e-low", "5", "--e-high", "9", "--s", "2", "--target", "1"],
+        ["radical", "--dim", "513", "--case", "general"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_dimension_beyond_cap_exits_2(argv, capsys, monkeypatch):
+    # Should the cap ever be lost, fail instead of computing the volumes or d!.
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+    monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
+    monkeypatch.setattr(bounds, "factorial", lambda *a: pytest.fail("factorial computed"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: dimension must be <= 512, got {argv[2]}")
+
+
+def test_radical_rejects_power_beyond_cost_cap(capsys):
+    # Just past the cap (about 1 s of work if the cap were lost).
+    assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "2500001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iterations * bit length of e*n must be <= 10000000, got 10000004\n"
+
+
+def test_rational_exponent_beyond_cap_exits_2(capsys, monkeypatch):
+    # Should the cap ever be lost, fail instead of building 10**10000000.
+    monkeypatch.setattr(rationals, "Fraction", lambda *a: pytest.fail("literal converted"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["vol", "--dim", "3", "--s", "1e10000000"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "decimal exponent must be at most 4300 in absolute value, got '1e10000000'" in captured.err
+
+
 def test_optimize(capsys):
     assert main(["bound", "--dim", "2", "--e", "1", "--r", "0", "--optimize", "--resolution", "10"]) == 0
     assert capsys.readouterr().out == "s: 2\nbound: 1 ≈ 1.0000\n"
@@ -320,6 +371,26 @@ def test_monomial_rejects_box_beyond_row_cap(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the staircase scan needs 1000000000000 rows")
+
+
+def test_monomial_rejects_generators_beyond_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
+    path = tmp_path / "staircase.ideal"
+    path.write_text("".join(f"{i} {1000 - i}\n" for i in range(1001)))
+    assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: at most 1000 generators are supported, got 1001\n"
+
+
+def test_monomial_rejects_scan_work_beyond_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+    path = tmp_path / "tall.ideal"
+    path.write_text("1000 0 0\n0 1000 0\n0 0 1\n500 500 0\n999 1 0\n")
+    assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the staircase scan needs 5000000 rows * generators, more than 4000000\n"
 
 
 def test_monomial_missing_file():

@@ -184,6 +184,22 @@ class TestFrobeniusColength:
         with pytest.raises(ValueError, match="rows, more than 1000000"):
             mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001)
 
+    def test_staircase_scan_rejects_work_beyond_cap(self, monkeypatch):
+        # 10**6 rows pass the row cap; times 5 generators they exceed 4 * 10**6.
+        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+        assert monomial._MAX_SCAN_WORK == 4 * 10**6
+        ideal = MonomialIdeal(3, ((1000, 0, 0), (0, 1000, 0), (0, 0, 1), (500, 500, 0), (999, 1, 0)))
+        with pytest.raises(ValueError, match="the staircase scan needs 5000000 rows \\* generators, more than 4000000"):
+            frobenius_colength(ideal, 1)
+
+    def test_rejects_generators_beyond_cap(self, monkeypatch):
+        # Checked before the quadratic minimalization.
+        monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
+        assert monomial._MAX_GENERATORS == 1000
+        staircase = [(i, 1000 - i) for i in range(1001)]
+        with pytest.raises(ValueError, match="at most 1000 generators are supported, got 1001"):
+            MonomialIdeal(2, staircase)
+
     def test_matches_closed_form(self):
         corner = pure_power_ideal((4, 4, 4, 4))
         for ideal in (corner, *seeded_ideals({1: 4, 2: 6, 3: 5, 4: 3})):

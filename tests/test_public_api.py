@@ -55,7 +55,7 @@ def test_version_matches_pyproject():
         assert tomllib.load(fh)["project"]["version"] == hkcert.__version__
 
 
-_ROW = hkcert.ReportRow("r", "d=5", Fraction(6, 5), Fraction(1), True)
+_ROW = hkcert.ReportRow("r", "d=5", Fraction(6, 5), Fraction(1))
 _ENTRY = hkcert.ColengthEntry(q=2, colength=12, normalized=Fraction(3))
 RECORDS = [
     (hkcert.IntervalCertRow(None, Fraction(1), "degenerate-linear-increasing", ""), "apex"),

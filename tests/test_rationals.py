@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hkcert import rationals as rationals_module
 from hkcert.rationals import (
     decimal_render,
     format_rational,
@@ -64,4 +66,16 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects_junk():
     with pytest.raises(ValueError):
         parse_rational("three halves")
+
+
+def test_parse_rational_caps_decimal_exponent(monkeypatch):
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational(" -2E-4300 ") == Fraction(-2, 10**4300)
+    assert parse_rational("3.32") == parse_rational("83/25") == Fraction(83, 25)
+    # Rejected before the power of ten is built.
+    monkeypatch.setattr(rationals_module, "Fraction", lambda *a: pytest.fail("literal converted"))
+    for text in ("1e4301", "1e-10000000", "-2.5E+4301", "1e100000000"):
+        message = f"decimal exponent must be at most 4300 in absolute value, got '{text}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_rational(text)
 

@@ -5,6 +5,7 @@ from math import comb, factorial, floor
 import pytest
 from hypothesis import given, strategies as st
 
+from hkcert import slab
 from hkcert.slab import _grid_numerators, _slab_numerator, vol_slab
 
 
@@ -80,6 +81,17 @@ def test_vol_slab_values(d, s, expected):
 def test_vol_slab_rejects_bad_dimension():
     with pytest.raises(ValueError):
         vol_slab(0, Fraction(1, 2))
+
+
+def test_vol_slab_rejects_dimension_beyond_cap(monkeypatch):
+    # Checked before any numerator or d! is computed, even where the volume is 0 or 1.
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+    monkeypatch.setattr(slab, "factorial", lambda *a: pytest.fail("factorial computed"))
+    assert slab._MAX_DIM == 512
+    for d in (513, 10**8):
+        for s in (Fraction(1, 2), 0, d):
+            with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):
+                vol_slab(d, s)
 
 
 def test_integer_kernel_matches_termwise_oracle():

@@ -176,8 +176,24 @@ def test_decimal_column_truncates_exact_bound():
 
 
 def test_overall_pass_reflects_rows():
-    failing = ReportRow(name="x", inputs="-", exact_bound=Fraction(1), target=Fraction(2), passed=False)
-    passing = ReportRow(name="y", inputs="-", exact_bound=Fraction(2), target=Fraction(1), passed=True)
+    failing = ReportRow(name="x", inputs="-", exact_bound=Fraction(1), target=Fraction(2))
+    passing = ReportRow(name="y", inputs="-", exact_bound=Fraction(2), target=Fraction(1))
     report = CertificationReport(tool_version="0", command="test", rows=(passing, failing))
     assert not report.overall_pass
     assert report.to_text().splitlines()[-1] == "overall-pass: false"
+
+
+def test_verdict_is_derived_from_the_exact_values():
+    # A row below its target cannot report a pass: the verdict is not stored.
+    short = ReportRow(name="short", inputs="-", exact_bound=Fraction(1196, 1000), target=Fraction(1197, 1000))
+    exact = ReportRow(name="exact", inputs="-", exact_bound=Fraction(1197, 1000), target=Fraction(1197, 1000))
+    assert short.passed is False and exact.passed is True
+    assert ReportRow._fields == ("name", "inputs", "exact_bound", "target", "notes")
+    report = CertificationReport(tool_version="0", command="test", rows=(exact, short))
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if line.startswith("  pass: ")] == ["  pass: true", "  pass: false"]
+    assert lines[-1] == "overall-pass: false"
+    rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+    assert [(row["name"], row["pass"]) for row in rows] == [("exact", "true"), ("short", "false")]
+    passing = CertificationReport(tool_version="0", command="test", rows=(exact,))
+    assert passing.to_text().endswith("overall-pass: true\n")
