@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 
+# Cost cap on the distinct valuations of volume_lower_bound, one volume each.
+# 999 distinct valuations (1/2 ... 1/1000) at d 8, s 4 took 0.04 s and gave an
+# 11504-bit denominator, 2999 took 0.27 s; `bound --t` with 14998 of them
+# worked 5.65 s and then failed at the int-to-str limit.
+_MAX_VALUATIONS = 1000
+
+
 def volume_lower_bound(
     d: int,
     e: Rational,
@@ -57,6 +64,7 @@ def volume_lower_bound(
     Volumes at negative index are 0 by definition.  Equal valuations are
     grouped, so the sum is taken as ``sum_t count(t) * v_{s-t}`` with one
     volume per distinct t: the uniform form costs two volumes for any r.
+    Raises ValueError for more than ``_MAX_VALUATIONS`` distinct t.
     """
     e, s = Fraction(e), Fraction(s)
     if d < 1:
@@ -77,6 +85,8 @@ def volume_lower_bound(
         counts = Counter(Fraction(t) for t in valuations)
         if any(t <= 0 for t in counts):
             raise ValueError("valuations must be positive")
+        if len(counts) > _MAX_VALUATIONS:
+            raise ValueError(f"at most {_MAX_VALUATIONS} distinct valuations, got {len(counts)}")
     total = vol_slab(d, s)
     for t, count in counts.items():
         total -= count * vol_slab(d, s - t)
@@ -87,7 +97,9 @@ def volume_lower_bound(
 # it scans, 1250 times the largest bench `search` cell (d * grid_resolution = 800).
 # The work grows about like d^2 * (d * grid_resolution): far under the points cap,
 # d 100 / res 1000 took 3.2 s, d 200 / res 500 8.7 s and 101 MB, d 1000 / res 20
-# 31 s.  The work cap admits d 100 / res 1000 and nothing costlier.
+# 31 s while the grid took d difference passes; from half the powers,
+# d 100 / res 1000 takes 0.9 s and 48 MB.  The work cap admits
+# d 100 / res 1000 and nothing costlier.
 _MAX_GRID_STEPS = 10**6
 _MAX_GRID_WORK = 10**9
 
@@ -105,9 +117,10 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     v_{j/D} = N_j / (d! D^d) and N_j = 0 for j < 0.  The one denominator
     and the checked e >= 1 > 0 make comparing these integer scores exact,
     and the strict ``>`` keeps the first maximum.  The grid numerators come
-    at once from ``_grid_numerators`` (d difference passes over k^d); a
-    grid score scales to D by ``<< 8*d``.  The 16 halving candidates are
-    single points off the grid and use ``_slab_numerator``.
+    at once from ``_grid_numerators`` (powers up to d*grid_resolution/2,
+    the rest by the slab symmetry); a grid score scales to D by
+    ``<< 8*d``.  The 16 halving candidates are single points off the grid
+    and use ``_slab_numerator``.
 
     Raises ValueError, before any grid is built, when d * grid_resolution
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
@@ -263,6 +276,12 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
     non-F-regular stage of the extension tower.  Raises ValueError when
     iterations * (bit length of e*n) exceeds ``_MAX_POWER_BITS``.
     """
+    base, start = _radical_terms(d, e, k, n, iterations)
+    return 1 + base**iterations * start
+
+
+def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
+    """The checked (base, start) of ``radical_recursion_bound``, before the power."""
     e = Fraction(e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -280,8 +299,8 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
     if power_bits > _MAX_POWER_BITS:
         raise ValueError(f"iterations * bit length of e*n must be <= {_MAX_POWER_BITS}, got {power_bits}")
     if k == e - 2:
-        return 1 + ((e - 2) / (e * n - 2)) ** iterations * (e / 2 - 1)
-    return 1 + ((k + 1) / ((n - 1) * e + k + 1)) ** iterations * Fraction(1, d)
+        return (e - 2) / (e * n - 2), e / 2 - 1
+    return (k + 1) / ((n - 1) * e + k + 1), Fraction(1, d)
 
 
 def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:

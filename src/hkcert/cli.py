@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bounds import (
+    _radical_terms,
     certify_interval,
     fixed_dimension_bound,
     optimize_slice,
@@ -33,6 +34,10 @@ from .tables import verify_tables
 # The largest order whose line prints under Python's default 4300-digit
 # int-to-str limit: 1 + m_1562 has a part of more than 4300 digits.
 _MAX_MD_ORDER = 1561
+
+# An integer above 2**_MAX_PRINT_BITS has more than 4300 digits, so it does
+# not print under the same limit.
+_MAX_PRINT_BITS = (10**4300).bit_length()
 
 
 def _fmt(x: Fraction) -> str:
@@ -178,6 +183,12 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
+        # With base = a/b in lowest terms, the bound's denominator is at least
+        # b**iterations / numerator(start) > 2**bits.
+        base, start = _radical_terms(args.dim, args.e, args.k, args.n, args.iterations)
+        bits = args.iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
+        if bits > _MAX_PRINT_BITS:
+            raise ValueError(f"--iterations {args.iterations} gives a bound of more than 4300 digits")
         bound = radical_recursion_bound(args.dim, args.e, args.k, args.n, args.iterations)
     else:
         raise ValueError("give either --case, or all of --k --n --iterations")

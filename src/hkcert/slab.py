@@ -13,15 +13,11 @@ evaluated as one integer numerator over the common denominator d! b^d,
 
 so a single ``Fraction`` is built per volume.  On a grid {k/b} all
 numerators share that denominator, so volumes on one grid compare as
-integers.  The whole grid needs no binomials or powers beyond k^d: with
-the shift (S^b N)_k = N_{k-b} (zero for k < b), the numerators are the
-d-th b-step backward difference of the truncated power (the cardinal
-B-spline identity, Schoenberg 1946),
-
-    N = (1 - S^b)^d k_+^d,   k = 0, ..., d*b,
-
-which expands to the same inclusion-exclusion sum, in d passes of
-integer subtractions.
+integers.  One table of powers P_j = j^d, j <= h = floor(d*b/2), gives
+the lower half of that grid: N_k is P_k plus the shifted terms
+(-1)^m C(d,m) P_{k-mb} for 1 <= m <= k/b, so floor(d/2) weighted shifted
+adds fill N_0, ..., N_h.  The distribution is symmetric about d/2,
+v_{d-s} = 1 - v_s, so the upper half is N_{d*b-k} = d! b^d - N_k.
 """
 
 from __future__ import annotations
@@ -76,10 +72,14 @@ def _slab_numerator(d: int, a: int, b: int) -> int:
 def _grid_numerators(d: int, b: int) -> list[int]:
     """[N_0, ..., N_{d*b}] with v_{k/b} = N_k / (d! b^d), for d >= 1 and b >= 1.
 
-    Starts from k^d and applies the b-step backward difference d times;
-    equal to ``_slab_numerator(d, k, b)`` for every k.
+    Equal to ``_slab_numerator(d, k, b)`` for every k: the lower half by
+    shifted adds over one power table, the upper half by the symmetry.
     """
-    n = [k**d for k in range(d * b + 1)]
-    for _ in range(d):
-        n[b:] = [x - y for x, y in zip(n[b:], n)]
-    return n
+    half = d * b // 2
+    powers = [k**d for k in range(half + 1)]
+    n = powers[:]
+    for m in range(1, half // b + 1):
+        c = -comb(d, m) if m % 2 else comb(d, m)
+        n[m * b:] = [x + c * y for x, y in zip(n[m * b:], powers)]
+    full = factorial(d) * b**d
+    return n + [full - x for x in reversed(n[: d * b - half])]

@@ -176,6 +176,14 @@ class TestVolumeLowerBound:
             volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(3, 2))
         assert volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(1)) == Fraction(115, 48)
 
+    def test_rejects_valuations_beyond_cap(self, monkeypatch):
+        # Checked before any volume is computed; a repeated valuation counts once.
+        assert bounds._MAX_VALUATIONS == 1000
+        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("volume computed"))
+        valuations = [Fraction(1, k) for k in range(2, 1003)] * 2
+        with pytest.raises(ValueError, match="at most 1000 distinct valuations, got 1001"):
+            volume_lower_bound(8, 5, 4, valuations=valuations)
+
 
 class TestOptimizeSlice:
     def test_matches_hand_picked_slice(self):

@@ -243,6 +243,48 @@ def test_radical_rejects_power_beyond_cost_cap(capsys):
     assert captured.err == "error: iterations * bit length of e*n must be <= 10000000, got 10000004\n"
 
 
+def test_radical_prints_deepest_printable_depth(capsys):
+    # At e 6, n 2 the bound's denominator is 5**iterations: 6151 is the last
+    # depth under the 4300-digit limit, and 6152 fails only when printed.
+    assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "6151"]) == 0
+    assert capsys.readouterr().out.startswith("bound: ")
+
+
+@pytest.mark.parametrize("iterations", ["10000", "2000000"])
+def test_radical_rejects_depth_beyond_print_limit(iterations, capsys, monkeypatch):
+    # Should the check be lost, fail instead of building the power.
+    monkeypatch.setattr(cli, "radical_recursion_bound", lambda *a: pytest.fail("power built"))
+    assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", iterations]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --iterations {iterations} gives a bound of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("dim, e, k, n", [(4, 6, 4, 2), (5, 20, 18, 3), (6, 9, 3, 2), (7, 12, 5, 4)])
+def test_radical_print_limit_rejects_only_unprintable_bounds(dim, e, k, n, capsys):
+    # At the first depth the check rejects, the exact bound's denominator
+    # already has more than 4300 digits.
+    base, start = bounds._radical_terms(dim, e, k, n, 0)
+    depth = (cli._MAX_PRINT_BITS + start.numerator.bit_length()) // (base.denominator.bit_length() - 1) + 1
+    args = ["radical", "--dim", str(dim), "--e", str(e), "--k", str(k), "--n", str(n)]
+    assert main([*args, "--iterations", str(depth)]) == 2
+    assert capsys.readouterr().out == ""
+    assert bounds.radical_recursion_bound(dim, e, k, n, depth).denominator >= 10**4300
+    assert main([*args, "--iterations", str(depth - 1)]) in (0, 2)
+    assert "more than 4300 digits" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1001, 14998])
+def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
+    # Should the cap ever be lost, fail instead of computing one volume per valuation.
+    monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("volume computed"))
+    valuations = ",".join(f"1/{k}" for k in range(2, count + 2))
+    assert main(["bound", "--dim", "8", "--e", "5", "--s", "4", "--t", valuations]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: at most 1000 distinct valuations, got {count}\n"
+
+
 def test_rational_exponent_beyond_cap_exits_2(capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of building 10**10000000.
     monkeypatch.setattr(rationals, "Fraction", lambda *a: pytest.fail("literal converted"))

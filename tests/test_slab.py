@@ -119,12 +119,43 @@ def test_grid_numerators_share_one_denominator():
 
 
 def test_grid_numerators_equal_pointwise_sums():
-    # d difference passes over k^d give the inclusion-exclusion numerator at every k/b.
+    # The grid kernel gives the inclusion-exclusion numerator at every k/b.
     for d in range(1, 13):
         for b in (1, 2, 3, 7, 40, 100, 101):
             grid = _grid_numerators(d, b)
             assert grid == [_slab_numerator(d, k, b) for k in range(d * b + 1)], (d, b)
             assert all(type(n) is int for n in grid)
+
+
+def difference_grid(d: int, b: int) -> list[int]:
+    """Second path for ``_grid_numerators``: d b-step backward differences of k^d.
+
+    With the shift (S^b N)_k = N_{k-b} (zero for k < b), the grid numerators
+    are N = (1 - S^b)^d k_+^d for k = 0, ..., d*b (the cardinal B-spline
+    identity, Schoenberg 1946).  It expands to the same inclusion-exclusion
+    sum, in d passes of integer subtractions over the whole grid, and uses
+    neither binomials nor the slab symmetry.
+    """
+    n = [k**d for k in range(d * b + 1)]
+    for _ in range(d):
+        n[b:] = [x - y for x, y in zip(n[b:], n)]
+    return n
+
+
+def test_grid_numerators_equal_difference_oracle():
+    # Odd d*b checks where the computed lower half and the mirrored upper half meet.
+    for d in range(1, 13):
+        for b in (1, 2, 3, 7, 40, 100, 101):
+            assert _grid_numerators(d, b) == difference_grid(d, b), (d, b)
+
+
+def test_grid_numerator_symmetry():
+    # v_{d-s} = 1 - v_s, over the one denominator: N_k + N_{d*b-k} = d! b^d.
+    for d in range(1, 13):
+        for b in (1, 2, 3, 7, 40, 101):
+            full = factorial(d) * b**d
+            for k in range(d * b + 1):
+                assert _slab_numerator(d, k, b) + _slab_numerator(d, d * b - k, b) == full, (d, b, k)
 
 
 def test_lattice_oracle_agrees():
