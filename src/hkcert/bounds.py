@@ -313,6 +313,14 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     The paper's abstract does not settle which n the paper means.
     Raises ValueError for d above ``_MAX_DIM``.
     """
+    recursion = _fixed_dimension_recursion(d, e, case)
+    if recursion is None:
+        return 1 + Fraction(1, factorial(d))
+    return radical_recursion_bound(*recursion)
+
+
+def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple[int, int, int, int, int]]:
+    """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
     e = Fraction(e)
@@ -325,7 +333,7 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if e >= factorial(d) + 1:
-        return 1 + Fraction(1, factorial(d))
+        return None
     if case == "minimal_gap":
-        return radical_recursion_bound(d, 6, 4, ceil(Fraction(d, 2)), d)
-    return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)
+        return d, 6, 4, ceil(Fraction(d, 2)), d
+    return d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d

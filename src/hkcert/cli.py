@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bounds import (
+    _fixed_dimension_recursion,
     _radical_terms,
     certify_interval,
     fixed_dimension_bound,
@@ -74,13 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vol", help="exact hypercube slab volume v_s")
+    p.set_defaults(handler=_cmd_vol)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--s", type=_rational, required=True)
 
     p = sub.add_parser("md", help="series coefficients m_d and thresholds 1 + m_d")
+    p.set_defaults(handler=_cmd_md)
     p.add_argument("--max", type=int, required=True, dest="max_order")
 
     p = sub.add_parser("bound", help="volume lower bound e (v_s - sum v_{s-t_i})")
+    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--e", type=_rational, required=True)
     gens = p.add_mutually_exclusive_group(required=True)
@@ -93,14 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_rational, help="pass/fail threshold for the bound")
 
     p = sub.add_parser("verify-tables", help="recompute a bundled certification table")
+    p.set_defaults(handler=_cmd_verify_tables)
     p.add_argument("--dim", type=int, choices=(5, 6), required=True)
     p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
 
     p = sub.add_parser("quadric", help="closed-form e_HK of the quadric hypersurface")
+    p.set_defaults(handler=_cmd_quadric)
     p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     p.add_argument("--d", type=int, choices=(5, 6), required=True)
 
     p = sub.add_parser("radical", help="radical-extension lower bounds")
+    p.set_defaults(handler=_cmd_radical)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--e", type=_rational, default=Fraction(6))
     p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
@@ -109,10 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, help="recursion depth (recursion mode)")
 
     p = sub.add_parser("monomial", help="Frobenius colengths of a monomial ideal")
+    p.set_defaults(handler=_cmd_monomial)
     p.add_argument("--file", type=Path, required=True, help="one generator per line, space-separated exponents")
     p.add_argument("--q", type=_int_list, required=True, help="comma-separated Frobenius powers")
 
     p = sub.add_parser("certify-interval", help="certify G(e) >= target over an integer interval")
+    p.set_defaults(handler=_cmd_certify_interval)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--e-low", type=int, required=True)
     p.add_argument("--e-high", type=int, required=True)
@@ -176,18 +185,28 @@ def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
     return _text(line), 0 if exceeds else 1
 
 
+def _printable_radical(d: int, e: Fraction | int, k: int, n: int, iterations: int) -> bool:
+    """Whether ``radical_recursion_bound`` with these arguments prints, checked before the power.
+
+    With base = a/b in lowest terms, the bound's denominator is at least
+    b**iterations / numerator(start) > 2**bits.
+    """
+    base, start = _radical_terms(d, e, k, n, iterations)
+    bits = iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
+    return bits <= _MAX_PRINT_BITS
+
+
 def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
         if any(flag is not None for flag in recursion_flags):
             raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
+        recursion = _fixed_dimension_recursion(args.dim, args.e, args.case)
+        if recursion is not None and not _printable_radical(*recursion):
+            raise ValueError(f"--dim {args.dim} gives a bound of more than 4300 digits")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
-        # With base = a/b in lowest terms, the bound's denominator is at least
-        # b**iterations / numerator(start) > 2**bits.
-        base, start = _radical_terms(args.dim, args.e, args.k, args.n, args.iterations)
-        bits = args.iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
-        if bits > _MAX_PRINT_BITS:
+        if not _printable_radical(args.dim, args.e, args.k, args.n, args.iterations):
             raise ValueError(f"--iterations {args.iterations} gives a bound of more than 4300 digits")
         bound = radical_recursion_bound(args.dim, args.e, args.k, args.n, args.iterations)
     else:
@@ -221,22 +240,10 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     ), code
 
 
-_HANDLERS = {
-    "vol": _cmd_vol,
-    "md": _cmd_md,
-    "bound": _cmd_bound,
-    "verify-tables": _cmd_verify_tables,
-    "quadric": _cmd_quadric,
-    "radical": _cmd_radical,
-    "monomial": _cmd_monomial,
-    "certify-interval": _cmd_certify_interval,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out, code = _HANDLERS[args.command](args)
+        out, code = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

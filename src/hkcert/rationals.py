@@ -13,13 +13,7 @@ from typing import Union
 
 Rational = Union[Fraction, int]
 
-__all__ = [
-    "DISPLAY_DIGITS",
-    "Rational",
-    "decimal_render",
-    "format_rational",
-    "parse_rational",
-]
+__all__ = ["decimal_render", "format_rational", "parse_rational"]
 
 
 # Largest |decimal exponent| that parse_rational accepts.  Python's int-to-str

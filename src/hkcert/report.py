@@ -39,6 +39,18 @@ class ReportRow(NamedTuple):
         return decimal_render(self.exact_bound, DISPLAY_DIGITS)
 
 
+# The columns of a report row, in order, as the text form labels them; the
+# CSV header spells them with underscores.  The text form heads each row's
+# block with its name and prints an empty cell as "-".
+_COLUMNS = ("name", "inputs", "exact-bound", "decimal", "target", "pass", "notes")
+
+
+def _cells(row: ReportRow) -> tuple[str, ...]:
+    """The row's cells in ``_COLUMNS`` order."""
+    verdict = "true" if row.passed else "false"
+    return row.name, row.inputs, format_rational(row.exact_bound), row.decimal, format_rational(row.target), verdict, row.notes
+
+
 class CertificationReport(NamedTuple):
     tool_version: str
     command: str
@@ -56,30 +68,15 @@ class CertificationReport(NamedTuple):
             f"rows: {len(self.rows)}",
         ]
         for row in self.rows:
-            lines.append(f"row: {row.name}")
-            lines.append(f"  inputs: {row.inputs}")
-            lines.append(f"  exact-bound: {format_rational(row.exact_bound)}")
-            lines.append(f"  decimal: {row.decimal}")
-            lines.append(f"  target: {format_rational(row.target)}")
-            lines.append(f"  pass: {'true' if row.passed else 'false'}")
-            lines.append(f"  notes: {row.notes or '-'}")
+            name, *cells = _cells(row)
+            lines.append(f"row: {name}")
+            lines += [f"  {column}: {cell or '-'}" for column, cell in zip(_COLUMNS[1:], cells)]
         lines.append(f"overall-pass: {'true' if self.overall_pass else 'false'}")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["name", "inputs", "exact_bound", "decimal", "target", "pass", "notes"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.name,
-                    row.inputs,
-                    format_rational(row.exact_bound),
-                    row.decimal,
-                    format_rational(row.target),
-                    "true" if row.passed else "false",
-                    row.notes,
-                ]
-            )
+        writer.writerow(column.replace("-", "_") for column in _COLUMNS)
+        writer.writerows(_cells(row) for row in self.rows)
         return buffer.getvalue()

@@ -18,11 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = [
-    "conjecture_threshold",
-    "zigzag_coeffs",
-    "zigzag_numbers",
-]
+__all__ = ["conjecture_threshold", "zigzag_coeffs"]
 
 
 def zigzag_numbers(count: int) -> list[int]:

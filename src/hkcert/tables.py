@@ -12,11 +12,12 @@ evaluator; a row's ``kind`` names its certificate:
 * ``interval``: G(e) = e (v_s - (e-2) v_{s-1}) certified over the
   integer interval [e_low, e_high] by the apex analysis.
 
-A row's name is derived from its range.  The paper's quoted values
-(target, interval, slice) are stored only on rows where they differ from
-the effective ones, and the row note says why: displayed bounds here are
+A row's name is derived from its range, and a row holds only the values
+it enforces.  Where the paper quotes a different target, interval or
+slice, the row note says which and why: displayed bounds here are
 truncations, so a quoted value that overstates the exact bound is
-replaced by its truncation.
+replaced by its truncation.  The quoted values live in the acceptance
+tests, which check them against the exact ones.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
 
-__all__ = ["DIM5_ROWS", "DIM6_ROWS", "TableRow", "verify_tables"]
+__all__ = ["verify_tables"]
 
 
 class TableRow(NamedTuple):
@@ -42,9 +43,6 @@ class TableRow(NamedTuple):
     e_high: Optional[int] = None  # None: every e >= e_low
     s: Optional[Fraction] = None
     target: Optional[Fraction] = None  # None: the conjectured threshold
-    quoted_target: Optional[Fraction] = None
-    quoted_interval: Optional[tuple[int, int]] = None
-    quoted_s: Optional[Fraction] = None
     note: str = ""
 
     @property
@@ -57,7 +55,6 @@ DIM5_ROWS: tuple[TableRow, ...] = (
     TableRow("volume", 35, 136, Fraction(7, 5), Fraction(1153, 1000)),
     TableRow(
         "volume", 18, 34, Fraction(17, 10), Fraction(1196, 1000),
-        quoted_target=Fraction(1197, 1000),
         note=(
             "quoted target 1.197 rounds up from the exact bound 1196997/1000000; "
             "effective target 1.196 is its truncated display"
@@ -75,7 +72,6 @@ DIM6_ROWS: tuple[TableRow, ...] = (
     ),
     TableRow(
         "interval", 296, 786, Fraction(13, 10), Fraction(189, 100),
-        quoted_interval=(286, 786),
         note=(
             "the quoted apex display 3308.57 rounds up from the exact value (truncation: 3308.56); "
             "the increasing interval is sometimes quoted as [286, 786], endpoints [296, 786] used"
@@ -86,8 +82,6 @@ DIM6_ROWS: tuple[TableRow, ...] = (
     TableRow("interval", 16, 25, Fraction(21, 10), Fraction(1118, 1000)),
     TableRow(
         "interval", 10, 15, Fraction(23, 10), Fraction(1118, 1000),
-        quoted_interval=(10, 25),
-        quoted_s=Fraction(11, 5),
         note=(
             "quoted row ([10, 25], s = 11/5) is inconsistent: apex 16.98 is interior but "
             "min(G(10), G(25)) = 0.9304 misses 1.118, s = 11/5 contradicts the quoted apex 13.3, "

@@ -184,6 +184,11 @@ class TestVolumeLowerBound:
         with pytest.raises(ValueError, match="at most 1000 distinct valuations, got 1001"):
             volume_lower_bound(8, 5, 4, valuations=valuations)
 
+    def test_admits_valuations_at_cap(self, monkeypatch):
+        monkeypatch.setattr(bounds, "vol_slab", lambda *a: Fraction(0))
+        valuations = [Fraction(1, k) for k in range(2, 1002)]
+        assert volume_lower_bound(8, 5, 4, valuations=valuations) == 0
+
 
 class TestOptimizeSlice:
     def test_matches_hand_picked_slice(self):
@@ -248,6 +253,13 @@ class TestOptimizeSlice:
             with pytest.raises(ValueError, match=message):
                 optimize_slice(d, 5, 3, res)
 
+    def test_admits_grid_at_both_cost_caps(self, monkeypatch):
+        # d * res = 10**6 exactly (work 10**6), then d**3 * res = 10**9 exactly.
+        monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: [0])
+        monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: 0)
+        for d, res in ((1, 10**6), (100, 1000)):
+            assert optimize_slice(d, 5, 3, res) == (0, 0)
+
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)
         cases = [(2, 1, 0, 2), (2, Fraction(7, 3), 16, 2), (8, Fraction(37, 2), 16, 60), (8, 5, 0, 60),
@@ -262,6 +274,33 @@ class TestOptimizeSlice:
             cases.append((d, max(e, 1), r, res))
         for d, e, r, res in cases:
             assert optimize_slice(d, e, r, res) == grid_then_halving(d, e, r, res), (d, e, r, res)
+
+
+# Miller-Rabin to exactly these bases, the first 12 primes, is deterministic
+# below psi_12 (Sorenson and Webster 2017).
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for each k
+# at which it changes (OEIS A014233; Jaeschke 1993), with that k.
+LEAST_STRONG_PSEUDOPRIMES = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 8),
+    (3825123056546413051, 11),
+]
+
+
+def strong_probable_prime(n, base):
+    """Whether odd n > base passes the strong (Miller-Rabin) test to one base."""
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    x = pow(base, odd, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, twos))
 
 
 class TestQuadric:
@@ -294,12 +333,20 @@ class TestQuadric:
             assert _is_odd_prime(p) == trial_division(p), p
 
     def test_rejects_strong_pseudoprimes(self):
-        # 3215031751 = 151*751*28351 fools bases 2..7; 3825123056546413051
-        # = 149491*747451*34233211 fools bases 2..23.
-        for composite in (3215031751, 3825123056546413051):
+        # psi_k passes the first k prime bases and fails the next, which also
+        # proves it composite: a prime passes every base.  3215031751 =
+        # 151*751*28351 fools bases 2..7; 3825123056546413051 =
+        # 149491*747451*34233211 fools bases 2..31.
+        for composite, fooled in LEAST_STRONG_PSEUDOPRIMES:
+            passes = [strong_probable_prime(composite, base) for base in FIRST_PRIMES]
+            assert passes[: fooled + 1] == [True] * fooled + [False], composite
             assert not _is_odd_prime(composite)
             with pytest.raises(ValueError, match="odd prime"):
                 quadric_ehk(composite, 5)
+
+    def test_bases_are_the_first_primes(self):
+        # The cited bound psi_12 holds for these bases and no others.
+        assert bounds._MILLER_RABIN_BASES == FIRST_PRIMES
 
 
 class TestQuadratic:
@@ -364,6 +411,10 @@ class TestCertifyInterval:
         assert row.branch == "apex-interior"
         assert row.certified_bound == Fraction(249157, 225000)
         assert row.certified_bound >= Fraction(1107, 1000)
+        # An apex on an endpoint is interior: d = 2, s = 4/3 puts it exactly at 8.
+        for e_low, e_high in ((8, 11), (5, 8)):
+            row = certify_interval(2, e_low, e_high, Fraction(4, 3))
+            assert (row.apex, row.branch) == (8, "apex-interior"), (e_low, e_high)
 
     def test_decreasing_branch(self):
         row = certify_interval(6, 8, 12, Fraction(13, 5))
@@ -512,6 +563,11 @@ class TestRadicalRecursion:
         d = bounds._MAX_DIM
         assert d * (factorial(d) * (ceil(Fraction(d, 3)) + 1)).bit_length() <= bounds._MAX_POWER_BITS
 
+    def test_admits_power_at_cost_cap(self):
+        # 2500000 iterations of the 4-bit e*n = 12 make exactly 10**7 bits; the
+        # checked terms come back without building the power.
+        assert bounds._radical_terms(2, 6, 4, 2, 2_500_000) == (Fraction(2, 5), 2)
+
     def test_matches_iterated_step_oracle(self):
         # Every valid k on the grid d 2..8, e 6..24, n 2..5, iterations 0..6.
         cases = 0
@@ -573,3 +629,8 @@ class TestFixedDimensionBound:
             for case in ("minimal_gap", "general"):
                 with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):
                     fixed_dimension_bound(d, 6, case)
+
+    def test_admits_dimension_at_cap(self, monkeypatch):
+        monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: a)
+        assert fixed_dimension_bound(512, 6, "minimal_gap") == (512, 6, 4, 256, 512)
+        assert fixed_dimension_bound(512, 6, "general") == (512, factorial(512), 3, 172, 512)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from hkcert.cli import main
 from hkcert.rationals import format_rational
 from hkcert.series import zigzag_coeffs
 from hkcert.tables import verify_tables
+from test_bounds import LEAST_STRONG_PSEUDOPRIMES
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -274,6 +276,23 @@ def test_radical_print_limit_rejects_only_unprintable_bounds(dim, e, k, n, capsy
     assert "more than 4300 digits" not in capsys.readouterr().err
 
 
+def test_radical_case_rejects_dimension_beyond_print_limit(capsys, monkeypatch):
+    # The general bound first has more than 4300 digits at d = 57; minimal_gap
+    # prints up to the 512 cap.  The check runs before the recursion, and
+    # e >= d! + 1 needs no recursion.
+    assert main(["radical", "--dim", "56", "--case", "general"]) == 0
+    assert capsys.readouterr().out.startswith("bound: ")
+    assert main(["radical", "--dim", "512", "--case", "minimal_gap"]) == 0
+    assert capsys.readouterr().out.startswith("bound: ")
+    monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("recursion run"))
+    assert main(["radical", "--dim", "57", "--case", "general"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dim 57 gives a bound of more than 4300 digits\n"
+    assert main(["radical", "--dim", "57", "--case", "general", "--e", str(factorial(57) + 1)]) == 0
+    assert capsys.readouterr().out == f"bound: {factorial(57) + 1}/{factorial(57)} ≈ 1.0000\n"
+
+
 @pytest.mark.parametrize("count", [1001, 14998])
 def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of computing one volume per valuation.
@@ -324,6 +343,14 @@ def test_quadric_rejects_p_beyond_primality_limit():
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("composite", [p for p, _ in LEAST_STRONG_PSEUDOPRIMES])
+def test_quadric_rejects_least_strong_pseudoprimes(composite, capsys):
+    assert main(["quadric", "--p", str(composite), "--d", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: p must be an odd prime, got {composite}\n"
 
 
 def test_radical_closed_form(capsys):

@@ -184,6 +184,12 @@ class TestFrobeniusColength:
         with pytest.raises(ValueError, match="rows, more than 1000000"):
             mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001)
 
+    def test_scans_admit_boxes_at_row_cap(self, monkeypatch):
+        # Exactly 10**6 rows; the stubbed scan visits none of them.
+        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: ()))
+        assert frobenius_colength(MonomialIdeal(2, ((10**6, 0), (0, 1))), 1) == 0
+        assert mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500000) == 0
+
     def test_staircase_scan_rejects_work_beyond_cap(self, monkeypatch):
         # 10**6 rows pass the row cap; times 5 generators they exceed 4 * 10**6.
         monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
@@ -192,6 +198,12 @@ class TestFrobeniusColength:
         with pytest.raises(ValueError, match="the staircase scan needs 5000000 rows \\* generators, more than 4000000"):
             frobenius_colength(ideal, 1)
 
+    def test_staircase_scan_admits_work_at_cap(self, monkeypatch):
+        # 10**6 rows times 4 generators is exactly 4 * 10**6.
+        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: ()))
+        ideal = MonomialIdeal(3, ((1000, 0, 0), (0, 1000, 0), (0, 0, 1), (500, 500, 0)))
+        assert frobenius_colength(ideal, 1) == 0
+
     def test_rejects_generators_beyond_cap(self, monkeypatch):
         # Checked before the quadratic minimalization.
         monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
@@ -199,6 +211,12 @@ class TestFrobeniusColength:
         staircase = [(i, 1000 - i) for i in range(1001)]
         with pytest.raises(ValueError, match="at most 1000 generators are supported, got 1001"):
             MonomialIdeal(2, staircase)
+
+    def test_admits_generators_at_cap(self, monkeypatch):
+        # 1000 generators pass the cap; the stub keeps all of them minimal.
+        monkeypatch.setattr(monomial, "_dominates", lambda *a: False)
+        staircase = [(i, 999 - i) for i in range(1000)]
+        assert len(MonomialIdeal(2, staircase).generators) == 1000
 
     def test_matches_closed_form(self):
         corner = pure_power_ideal((4, 4, 4, 4))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import hkcert
+from hkcert import bounds, monomial, rationals, report, series, slab, tables
 from hkcert.tables import TableRow
 
 PUBLIC_NAMES = [
@@ -31,18 +32,29 @@ PUBLIC_NAMES = [
     "vol_slab",
     "volume_lower_bound",
     "zigzag_coeffs",
-    "zigzag_numbers",
 ]
 
 
 def test_public_api_is_pinned():
-    # 24 public names plus __version__; adding or dropping an export must edit this list.
-    assert len(PUBLIC_NAMES) == 24
+    # 23 public names plus __version__; adding or dropping an export must edit this list.
+    assert len(PUBLIC_NAMES) == 23
     assert sorted(hkcert.__all__) == sorted(PUBLIC_NAMES + ["__version__"])
     namespace = {}
     exec("from hkcert import *", namespace)
     for name in hkcert.__all__:
         assert namespace[name] is getattr(hkcert, name), name
+
+
+def test_package_names_are_the_module_lists():
+    # Each module's __all__ is the one list of its public names; the package
+    # adds only __version__, and no name is exported by two modules.
+    modules = (bounds, monomial, rationals, report, series, slab, tables)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(hkcert.__all__) == sorted(["__version__", *names])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hkcert, name) is getattr(module, name), name
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
@@ -77,6 +89,7 @@ def test_records_are_immutable(record, field):
 def test_record_defaults():
     row = TableRow("large-e", 137)
     assert row.e_high is None and row.s is None and row.target is None
-    assert row.quoted_target is None and row.quoted_interval is None and row.quoted_s is None
     assert row.note == ""
+    # The paper's quoted values live in tests/test_acceptance.py, not on the rows.
+    assert TableRow._fields == ("kind", "e_low", "e_high", "s", "target", "note")
     assert _ROW.notes == ""

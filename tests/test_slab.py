@@ -94,6 +94,12 @@ def test_vol_slab_rejects_dimension_beyond_cap(monkeypatch):
                 vol_slab(d, s)
 
 
+def test_vol_slab_admits_dimension_at_cap(monkeypatch):
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 1)
+    monkeypatch.setattr(slab, "factorial", lambda d: 1)
+    assert vol_slab(512, Fraction(1, 2)) == Fraction(1, 2**512)
+
+
 def test_integer_kernel_matches_termwise_oracle():
     rng = random.Random(20110)
     cases = []

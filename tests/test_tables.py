@@ -11,7 +11,10 @@ from hkcert.rationals import format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
 from hkcert.series import conjecture_threshold
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS, verify_tables
+from test_acceptance import QUOTED, effective
 from test_slab import termwise_vol_slab
+
+TABLES = {5: DIM5_ROWS, 6: DIM6_ROWS}
 
 
 def test_dim5_report_passes():
@@ -45,24 +48,22 @@ def test_exact_bounds_reparse_to_recomputed_values():
             assert parse_rational(rendered) == recomputed
 
 
-def _quoted(row):
-    """The quoted values stored on a row, each with the effective value it replaces."""
-    pairs = [
-        (row.quoted_target, row.target),
-        (row.quoted_interval, (row.e_low, row.e_high)),
-        (row.quoted_s, row.s),
-    ]
-    return [(quoted, effective) for quoted, effective in pairs if quoted is not None]
+def _quoted(dim, row):
+    """The paper's quoted values of a row, each with the effective value it replaces."""
+    return [(value, effective(row)[field]) for field, value in QUOTED.get((dim, row.name), {}).items()]
 
 
 def test_quoted_targets_match_effective_except_flagged_rows():
-    # A quoted value is stored only where it differs from the effective one.
-    for rows, flagged in ((DIM5_ROWS, ["18<=e<=34"]), (DIM6_ROWS, ["296<=e<=786", "10<=e<=15"])):
-        assert [row.name for row in rows if _quoted(row)] == flagged
+    # A quoted value is listed only where it differs from the effective one.
+    for dim, flagged in ((5, ["18<=e<=34"]), (6, ["296<=e<=786", "10<=e<=15"])):
+        rows = TABLES[dim]
+        assert [row.name for row in rows if _quoted(dim, row)] == flagged
         for row in rows:
-            for quoted, effective in _quoted(row):
-                assert quoted != effective, row.name
-    assert _quoted(DIM5_ROWS[2]) == [(Fraction(1197, 1000), Fraction(1196, 1000))]
+            for value, enforced in _quoted(dim, row):
+                assert value != enforced, row.name
+    assert _quoted(5, DIM5_ROWS[2]) == [(Fraction(1197, 1000), Fraction(1196, 1000))]
+    assert _quoted(6, DIM6_ROWS[5]) == [((10, 25), (10, 15)), (Fraction(11, 5), Fraction(23, 10))]
+    assert len(QUOTED) == 3
 
 
 def test_report_is_deterministic():
@@ -90,9 +91,6 @@ def test_report_bytes_are_pinned(dim):
     text_sha, csv_sha = REPORT_SHA256[dim]
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_sha
-
-
-TABLES = {5: DIM5_ROWS, 6: DIM6_ROWS}
 
 
 def _finite_rows(dim):
