@@ -4,7 +4,6 @@ import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -432,8 +431,8 @@ def test_monomial_cost_does_not_grow_with_q(tmp_path):
 
 
 def test_monomial_rejects_box_beyond_row_cap(capsys, tmp_path, monkeypatch):
-    # Should the cap ever be lost, fail instead of materializing the huge ranges.
-    monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+    # Should the cap ever be lost, fail instead of allocating the huge box.
+    monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: pytest.fail("sweep started"))
     path = tmp_path / "wide.ideal"
     path.write_text("1000000000000 0\n0 1\n")
     assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
@@ -452,14 +451,28 @@ def test_monomial_rejects_generators_beyond_cap(capsys, tmp_path, monkeypatch):
     assert captured.err == "error: at most 1000 generators are supported, got 1001\n"
 
 
-def test_monomial_rejects_scan_work_beyond_cap(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
+def test_monomial_counts_former_work_cap_input(capsys, tmp_path):
+    # 10**6 rows and 5 generators; the sweep's cost does not grow with the generators.
     path = tmp_path / "tall.ideal"
     path.write_text("1000 0 0\n0 1000 0\n0 0 1\n500 500 0\n999 1 0\n")
+    assert main(["monomial", "--file", str(path), "--q", "1,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2:] == [
+        "q=1\tcolength=749501\tnormalized=749501 ≈ 749501.0000",
+        "q=2\tcolength=5996008\tnormalized=749501 ≈ 749501.0000",
+    ]
+
+
+def test_monomial_rejects_minimalize_work_beyond_cap(capsys, tmp_path, monkeypatch):
+    # One pure square per variable in 500 variables: 1.25 * 10**8 pairs times
+    # variables, refused before the minimalization starts.
+    monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
+    path = tmp_path / "squares.ideal"
+    path.write_text("".join(" ".join("2" if j == i else "0" for j in range(500)) + "\n" for i in range(500)))
     assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the staircase scan needs 5000000 rows * generators, more than 4000000\n"
+    assert captured.err == "error: minimalizing needs 125000000 pairs * variables, more than 100000000\n"
 
 
 def test_monomial_missing_file():

@@ -27,6 +27,36 @@ def brute_colength(ideal: MonomialIdeal, q: int) -> int:
     return outside
 
 
+def reference_pure_powers(num_vars: int, gens) -> tuple[int, ...]:
+    """Reference c_i: the least exponent among the pure powers of x_i in a raw generator list."""
+    return tuple(
+        min(g[i] for g in gens if g[i] > 0 and not any(c for j, c in enumerate(g) if j != i)) for i in range(num_vars)
+    )
+
+
+def scan_colength(num_vars: int, gens) -> int:
+    """Reference lambda(R/I) from a raw generator list: scan the prefixes of the
+    first n-1 coordinates row-major and test every generator on every row.  The
+    points outside the ideal along the last axis form an initial segment as long
+    as the least last exponent among the generators the prefix dominates (c_n if
+    none), so the cost is rows x generators x n."""
+    box = reference_pure_powers(num_vars, gens)
+    count = 0
+    for prefix in itertools.product(*(range(b) for b in box[:-1])):
+        threshold = box[-1]
+        for g in gens:
+            if g[-1] < threshold and all(prefix[i] >= g[i] for i in range(len(prefix))):
+                threshold = g[-1]
+        count += threshold
+    return count
+
+
+def all_pairs_minimal(gens) -> tuple[tuple[int, ...], ...]:
+    """Reference minimalization: the sorted distinct generators that no other generator divides."""
+    gens = [tuple(g) for g in gens]
+    return tuple(g for g in sorted(set(gens)) if not any(all(a >= b for a, b in zip(g, h)) for h in gens if h != g))
+
+
 def compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -100,6 +130,30 @@ def seeded_ideals(count_per_n: dict[int, int], seed: int = 20111):
         yield MonomialIdeal(len(cs), tuple(gens))
 
 
+def seeded_generator_lists(count: int, seed: int = 20181):
+    """Seeded raw generator lists of m-primary ideals in 1-5 variables, boxes of
+    at most 256 points: pure powers (x_i^1 among them, so unit axes), up to five
+    mixed generators inside or on the edge of the box, multiples of earlier
+    generators, raised pure powers and exact duplicates, in shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        cs = [rng.choice((1, 1, 2, 3, 4)) for _ in range(n)]
+        while prod(cs) > 256:
+            cs[cs.index(max(cs))] -= 1
+        gens = [tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(cs)]
+        for _ in range(rng.randint(0, 5)):
+            g = tuple(rng.randint(0, c) for c in cs)
+            if any(g):
+                gens.append(g)
+        for _ in range(rng.randint(0, 2)):
+            gens.append(tuple(a + rng.randint(0, 2) for a in rng.choice(gens)))
+        for _ in range(rng.randint(0, 2)):
+            gens.append(rng.choice(gens))
+        rng.shuffle(gens)
+        yield n, gens
+
+
 SQUARE = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
 
 
@@ -122,6 +176,24 @@ class TestMonomialIdeal:
         ideal = MonomialIdeal(2, ((3, 0), (1, 0), (0, 2), (2, 2), (0, 2)))
         assert ideal.generators == ((0, 2), (1, 0))
         assert ideal.pure_power_exponents() == (1, 2)
+
+    def test_rejects_non_integer_exponents(self):
+        # Truncating 1.5 to 1 would build (x, y^2) and count a colength of 2.
+        for bad in ((1.5, 0), (2.0, 0), (Fraction(3, 2), 0), ("1", 0)):
+            with pytest.raises(ValueError, match="exponents must be integers"):
+                MonomialIdeal(2, (bad, (0, 2)))
+
+    def test_seeded_generator_lists_match_all_pairs_oracle(self):
+        # The kept-only minimalization and the one-pass pure powers against the
+        # all-pairs minimalization and the least pure power of each variable.
+        dropped = duplicated = 0
+        for n, gens in seeded_generator_lists(1200):
+            ideal = MonomialIdeal(n, gens)
+            assert ideal.generators == all_pairs_minimal(gens), gens
+            assert ideal.pure_power_exponents() == reference_pure_powers(n, gens), gens
+            duplicated += len(set(gens)) < len(gens)
+            dropped += len(ideal.generators) < len(set(gens))
+        assert (duplicated, dropped) == (948, 1042)
 
     def test_parameter_ideal_detection(self):
         assert MonomialIdeal(2, ((3, 0), (0, 2))).is_parameter_ideal()
@@ -176,8 +248,50 @@ class TestFrobeniusColength:
         with pytest.raises(ValueError):
             frobenius_colength(SQUARE, 0)
 
+    def test_sweep_matches_scan_and_brute_force(self):
+        # The prefix-minimum sweep against the rows x generators scan and the
+        # direct-dominance count, on raw lists with unit axes, duplicates and
+        # non-minimal generators.
+        unit_axes = 0
+        for n, gens in seeded_generator_lists(1200):
+            ideal = MonomialIdeal(n, gens)
+            length = frobenius_colength(ideal, 1)
+            assert length == scan_colength(n, gens) == brute_colength(ideal, 1), gens
+            unit_axes += 1 in ideal.pure_power_exponents()[:-1]
+        assert unit_axes == 692
+
+    def test_sweep_skips_unit_axes(self, monkeypatch):
+        # One pass per axis of length >= 2 among the first n-1, counted, not timed.
+        passes = []
+        sweep = monomial._min_pass
+        monkeypatch.setattr(monomial, "_min_pass", lambda t, c: passes.append(c) or sweep(t, c))
+        n = 120
+        cs = [1] * n
+        cs[4], cs[70], cs[-1] = 4, 3, 5
+        gens = [tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(cs)]
+        for mixed in ({4: 1, n - 1: 2}, {4: 2, 70: 1}, {70: 2, n - 1: 1}, {4: 3, 70: 2, n - 1: 4}):
+            gens.append(tuple(mixed.get(j, 0) for j in range(n)))
+        ideal = MonomialIdeal(n, gens)
+        assert frobenius_colength(ideal, 1) == scan_colength(n, gens) == brute_colength(ideal, 1)
+        assert passes == [4, 3]
+        passes.clear()
+        assert frobenius_colength(MonomialIdeal(1, ((4,),)), 3) == 12
+        assert passes == []
+
+    def test_sweep_counts_former_work_cap_input(self, monkeypatch):
+        # 10**6 rows and 5 generators: two passes, one per axis of length
+        # 1000, whatever the generator count.
+        passes = []
+        sweep = monomial._min_pass
+        monkeypatch.setattr(monomial, "_min_pass", lambda t, c: passes.append(c) or sweep(t, c))
+        ideal = MonomialIdeal(3, ((1000, 0, 0), (0, 1000, 0), (0, 0, 1), (500, 500, 0), (999, 1, 0)))
+        assert frobenius_colength(ideal, 1) == 10**6 - 500**2 - 999 + 500 == 749501
+        assert passes == [1000, 1000]
+
     def test_scans_reject_boxes_beyond_row_cap(self, monkeypatch):
-        # Should the cap ever be lost, fail instead of materializing the huge ranges.
+        # Should the cap ever be lost, fail instead of allocating the huge box
+        # or materializing the huge ranges.
+        monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: pytest.fail("sweep started"))
         monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
         with pytest.raises(ValueError, match="rows, more than 1000000"):
             frobenius_colength(MonomialIdeal(2, ((10**12, 0), (0, 1))), 1)
@@ -185,24 +299,11 @@ class TestFrobeniusColength:
             mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001)
 
     def test_scans_admit_boxes_at_row_cap(self, monkeypatch):
-        # Exactly 10**6 rows; the stubbed scan visits none of them.
+        # Exactly 10**6 rows; the stubbed sweep and scan visit none of them.
+        monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: 0)
         monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: ()))
         assert frobenius_colength(MonomialIdeal(2, ((10**6, 0), (0, 1))), 1) == 0
         assert mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500000) == 0
-
-    def test_staircase_scan_rejects_work_beyond_cap(self, monkeypatch):
-        # 10**6 rows pass the row cap; times 5 generators they exceed 4 * 10**6.
-        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
-        assert monomial._MAX_SCAN_WORK == 4 * 10**6
-        ideal = MonomialIdeal(3, ((1000, 0, 0), (0, 1000, 0), (0, 0, 1), (500, 500, 0), (999, 1, 0)))
-        with pytest.raises(ValueError, match="the staircase scan needs 5000000 rows \\* generators, more than 4000000"):
-            frobenius_colength(ideal, 1)
-
-    def test_staircase_scan_admits_work_at_cap(self, monkeypatch):
-        # 10**6 rows times 4 generators is exactly 4 * 10**6.
-        monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: ()))
-        ideal = MonomialIdeal(3, ((1000, 0, 0), (0, 1000, 0), (0, 0, 1), (500, 500, 0)))
-        assert frobenius_colength(ideal, 1) == 0
 
     def test_rejects_generators_beyond_cap(self, monkeypatch):
         # Checked before the quadratic minimalization.
@@ -217,6 +318,26 @@ class TestFrobeniusColength:
         monkeypatch.setattr(monomial, "_dominates", lambda *a: False)
         staircase = [(i, 999 - i) for i in range(1000)]
         assert len(MonomialIdeal(2, staircase).generators) == 1000
+
+    def test_rejects_minimalize_work_beyond_cap(self, monkeypatch):
+        # One pure square per variable in 1000 variables: 10**9 pairs times
+        # variables, refused before the minimalization starts.
+        monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
+        assert monomial._MAX_MINIMALIZE_WORK == 10**8
+        squares = [tuple(2 * (j == i) for j in range(1000)) for i in range(1000)]
+        with pytest.raises(ValueError, match="minimalizing needs 1000000000 pairs \\* variables, more than 100000000"):
+            MonomialIdeal(1000, squares)
+        # One variable more than the admitted 1000 generators in 100 variables.
+        with pytest.raises(ValueError, match="minimalizing needs 101000000 pairs"):
+            MonomialIdeal(101, [(1,) * 101] * 1000)
+
+    def test_admits_minimalize_work_at_cap(self, monkeypatch):
+        # 1000 generators in 100 variables is exactly 10**8; the stub keeps all of them.
+        monkeypatch.setattr(monomial, "_dominates", lambda *a: False)
+        n = 100
+        squares = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
+        pairs = [tuple(int(j in (a, b)) for j in range(n)) for a, b in itertools.combinations(range(43), 2)]
+        assert len(MonomialIdeal(n, squares + pairs[:900]).generators) == 1000
 
     def test_matches_closed_form(self):
         corner = pure_power_ideal((4, 4, 4, 4))
@@ -319,6 +440,11 @@ class TestParsing:
     def test_parse_generators(self):
         ideal = parse_generators("# squares\n2 0\n1 1\n0 2\n\n")
         assert ideal == SQUARE
+
+    def test_parse_error_names_the_line(self):
+        # Comments and blank lines count: the bad row is the file's third line.
+        with pytest.raises(ValueError, match="^line 3: expected space-separated integers, got '1 x'$"):
+            parse_generators("# comment\n\n1 x\n2 0\n")
 
     def test_parse_rejects_bad_tokens(self):
         with pytest.raises(ValueError):
