@@ -15,9 +15,8 @@ parameter ideal J, whose normalization converges to e(J) * v_s).  That
 scan still walks the q-scaled box, so its cost grows like q^(n-1).
 
 The ``_MAX_*`` caps below refuse oversized input with ValueError before
-any work starts.  The test suite keeps a brute-force count and a closed
-form for each count as second paths (see the two docstrings below), and
-a row-by-row scan and an all-pairs minimalization too.
+any work starts.  The test suite keeps second paths for each count (see
+the two docstrings below) and for the minimalization.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ __all__ = [
 # Row cap for both counts.  The mixed scan costs about 1-5 microseconds a
 # row (Python 3.11, 2-core x86-64), so 10**6 rows take up to about 5 s,
 # the most a desk-scale command should spend before it answers.  The
-# staircase sweep takes 0.2-1 s there (1-19 passes), whatever the generators.
+# staircase sweep takes 0.25-1.3 s there (1-19 passes), whatever the generators.
 _MAX_SCAN_ROWS = 10**6
 # Minimalizing tests each generator against those already kept, up to n
 # steps a pair at 12-15 ns a step in many variables (same machine): the
@@ -103,6 +102,10 @@ class MonomialIdeal(_MonomialIdealFields):
             raise ValueError(f"not m-primary: no pure power of variable {powers.index(0)} among the generators")
         return ideal
 
+    @classmethod
+    def _make(cls, iterable) -> MonomialIdeal:  # so _replace runs the checks too
+        return cls(*iterable)
+
     def pure_power_exponents(self) -> tuple[int, ...]:
         """Exponent c_i of the pure power of each variable (0 if none; a minimal list has at most one)."""
         powers = [0] * self.num_vars
@@ -130,14 +133,12 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     x^a lies outside I^[q] exactly when x^b lies outside I, and each such
     b has q^n residues r.
 
-    lambda(R/I) is counted once in the box prod [0, c_i): over each prefix
-    p of the first n-1 coordinates, the points outside I form an initial
-    segment of the last axis, of length T(p) = min(c_n, g_n over the
-    generators g whose first n-1 exponents are <= p).  Each generator
-    writes g_n at its own prefix (only the pure powers of x_1..x_{n-1} fall
-    outside the box, and a minimal list has at most one generator per
-    prefix), and one prefix-minimum pass per axis of length >= 2 makes T.
-    The cost is O(rows * passes), whatever q and the generator count.
+    lambda(R/I) is the sum over the prefixes p in prod_{i<n} [0, c_i) of
+    T(p) = min(c_n, g_n for the generators g with g_i <= p_i for i < n).
+    Each generator writes g_n at its own prefix (the pure powers of
+    x_1..x_{n-1} lie outside the box; a minimal list has one generator a
+    prefix), and one prefix-minimum pass per axis of length >= 2 makes T:
+    O(rows * passes), whatever q and the generator count.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -151,14 +152,10 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
 def _staircase_colength(box: tuple[int, ...], generators: Sequence[tuple[int, ...]]) -> int:
     *heads, last = box
     thresholds = [last] * prod(heads)
+    strides = [prod(heads[i + 1 :]) for i in range(len(heads))]
     for g in generators:
-        cell = 0
-        for a, c in zip(g, heads):
-            if a >= c:
-                break
-            cell = cell * c + a
-        else:
-            thresholds[cell] = g[-1]
+        if all(map(operator.lt, g, heads)):
+            thresholds[sum(map(operator.mul, g, strides))] = g[-1]
     for c in heads:
         if c > 1:
             thresholds = _min_pass(thresholds, c)
@@ -168,12 +165,12 @@ def _staircase_colength(box: tuple[int, ...], generators: Sequence[tuple[int, ..
 def _min_pass(t: list[int], c: int) -> list[int]:
     """Prefix minimum of row-major t along its first axis (length c), moved last for the next pass."""
     s = len(t) // c
-    if c > s:
-        return list(itertools.chain.from_iterable(itertools.accumulate(t[r::s], min) for r in range(s)))
-    rows = [t[:s]]
-    for k in range(s, len(t), s):
-        rows.append([a if a < b else b for a, b in zip(t[k : k + s], rows[-1])])
-    return list(itertools.chain.from_iterable(zip(*rows)))
+    out = [0] * len(t)
+    row = t[:s]
+    for j in range(c):
+        row = [a if a < b else b for a, b in zip(t[j * s : j * s + s], row)]
+        out[j::c] = row
+    return out
 
 
 def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:

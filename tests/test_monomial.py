@@ -195,6 +195,22 @@ class TestMonomialIdeal:
             dropped += len(ideal.generators) < len(set(gens))
         assert (duplicated, dropped) == (948, 1042)
 
+    def test_replace_and_make_run_the_constructor_checks(self):
+        # The NamedTuple helpers used to skip __new__: this _replace built a
+        # non-m-primary ideal whose colength read 0.
+        ideal = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+        with pytest.raises(ValueError, match="not m-primary: no pure power of variable 0"):
+            ideal._replace(generators=((1, 1), (0, 2)))
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MonomialIdeal._make((2, ((1.5, 0), (0, 2))))
+        # A non-minimal list is minimalized, so the sweep's one generator a
+        # prefix holds: (1, 0) must not be overwritten by (1, 2).
+        gens = ((2, 0), (1, 0), (1, 2), (0, 3))
+        for built in (ideal._replace(generators=gens), MonomialIdeal._make((2, gens))):
+            assert type(built) is MonomialIdeal
+            assert built == MonomialIdeal(2, gens) == (2, ((0, 3), (1, 0)))
+            assert frobenius_colength(built, 1) == scan_colength(2, gens) == 3
+
     def test_parameter_ideal_detection(self):
         assert MonomialIdeal(2, ((3, 0), (0, 2))).is_parameter_ideal()
         assert not SQUARE.is_parameter_ideal()
