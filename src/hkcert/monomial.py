@@ -251,10 +251,12 @@ def parse_generators(text: str) -> MonomialIdeal:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(tuple(int(tok) for tok in line.split()))
+            row = tuple(int(tok) for tok in line.split())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: expected space-separated integers, got {raw!r}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: generator {row} does not have {len(rows[0])} exponents")
+        rows.append(row)
     if not rows:
         raise ValueError("no generators found")
-    width = len(rows[0])
-    return MonomialIdeal(num_vars=width, generators=tuple(rows))
+    return MonomialIdeal(num_vars=len(rows[0]), generators=tuple(rows))

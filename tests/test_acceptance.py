@@ -29,7 +29,7 @@ from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import zigzag_coeffs
 from hkcert.slab import vol_slab
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS
-from test_bounds import radical_step_bound, radical_step_iterates
+from test_bounds import ODD_PRIMES_TO_97, radical_step_bound, radical_step_iterates
 from test_cli import child_env
 from test_slab import recurrence_vol_slab
 
@@ -52,10 +52,6 @@ def effective(row):
 def quoted(dim, row, field):
     """The paper's quoted ``target``, ``interval`` or ``s`` of a row: the effective one unless ``QUOTED`` differs."""
     return QUOTED.get((dim, row.name), {}).get(field, effective(row)[field])
-
-
-ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                    59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def _is_display(quoted: Fraction, exact: Fraction, places: int) -> bool:

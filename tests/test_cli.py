@@ -137,6 +137,17 @@ def test_bound_with_target(capsys):
     assert "target: 139/125 -> PASS" in out
 
 
+@pytest.mark.parametrize("target, code", [("1.112", 0), ("1.2", 1), ("x", 2)])
+def test_console_script_exits_with_the_command_code(target, code, monkeypatch, capsys):
+    # cli.entrypoint is the function behind the installed ``hkcert`` script.
+    argv = ["hkcert", "bound", "--dim", "7", "--e", "5", "--r", "3", "--s", "3.32", "--target", target]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.entrypoint()
+    assert excinfo.value.code == code
+    assert (capsys.readouterr().out == "") == (code == 2)
+
+
 def test_bound_decimal_slice_parses_exactly(capsys):
     assert main(["bound", "--dim", "7", "--e", "5", "--r", "3", "--s", "3.32"]) == 0
     first = capsys.readouterr().out
@@ -473,6 +484,15 @@ def test_monomial_rejects_minimalize_work_beyond_cap(capsys, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: minimalizing needs 125000000 pairs * variables, more than 100000000\n"
+
+
+def test_monomial_width_error_names_the_line(capsys, tmp_path):
+    path = tmp_path / "ragged.ideal"
+    path.write_text("2 0\n0 2 1\n")
+    assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: generator (0, 2, 1) does not have 2 exponents\n"
 
 
 def test_monomial_missing_file():

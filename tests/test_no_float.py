@@ -1,15 +1,21 @@
-"""Tripwire for the "no float on any computational path" invariant.
+"""Tripwires for two source invariants.
 
-Parses every module of the package and fails on a float literal, any use
-of the name ``float``, or a floating-point ``math`` function.
+No float on any computational path: parses every module of the package
+and fails on a float literal, any use of the name ``float``, or a
+floating-point ``math`` function.
+
+Independent references: ``bench/oracles.py``, which the tests and the
+benchmark both check ``hkcert`` against, imports only the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hkcert"
+ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 FLOAT_MATH = {"sqrt", "log", "exp", "pow", "fsum"}
 
@@ -48,3 +54,37 @@ def test_tripwire_catches_each_form():
         "from math import fsum",
     ])
     assert len(float_uses(ast.parse(source))) == 4
+
+
+def non_stdlib_imports(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: import {name}" for name in names
+                     if name.partition(".")[0] not in sys.stdlib_module_names)
+    return found
+
+
+def test_oracles_import_only_the_standard_library():
+    assert non_stdlib_imports(ast.parse(ORACLES.read_text(), str(ORACLES))) == []
+
+
+def test_import_tripwire_catches_each_form():
+    source = "\n".join([
+        "import hkcert",
+        "from hkcert.slab import vol_slab",
+        "from . import ops",
+        "import itertools, hypothesis.strategies",
+        "from fractions import Fraction",
+    ])
+    assert non_stdlib_imports(ast.parse(source)) == [
+        "line 1: import hkcert",
+        "line 2: import hkcert.slab",
+        "line 3: import .",
+        "line 4: import hypothesis.strategies",
+    ]
