@@ -13,7 +13,9 @@ t_i = 1 in the uniform case with generator count r).  On top of it sit:
 * interval certification: with r = e - 2 the bound becomes the quadratic
   G(e) = e (v_s - (e-2) v_{s-1}) in e, a downward parabola, so an entire
   integer range [a, b] of multiplicities is bounded below by
-  min(G(a), G(b)) wherever its apex lies;
+  min(G(a), G(b)) wherever its apex lies; both endpoints and the apex
+  are compared as integer numerators over the one denominator of v_s
+  and v_{s-1};
 * closed forms for the quadric hypersurface x_0^2 + ... + x_d^2 in
   characteristic p for d in {5, 6};
 * the closed form of the recursion across degree-n radical ring
@@ -31,7 +33,7 @@ from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, format_rational
-from .slab import _MAX_DIM, _grid_numerators, _slab_numerator, vol_slab
+from .slab import _MAX_DIM, _grid_numerators, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
     "IntervalCertRow",
@@ -220,7 +222,14 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     (v_s + 2 v_{s-1}) / (2 v_{s-1}) lies left of the interval (G decreasing,
     G(e_high)), right of it (G increasing, G(e_low)) or inside it (either),
     or v_{s-1} = 0 and G is a line of slope v_s >= 0 (G(e_low)).
-    v_s and v_{s-1} are evaluated once for both endpoints and the apex.
+
+    With s = a/b, v_s = N_s / D and v_{s-1} = N_{s-1} / D share the
+    denominator D = d! b^d (D = 1 for s >= d + 1, where both are 1), from
+    one ``_slab_ratio`` call each.  The endpoints compare as the integers
+    e (N_s - (e-2) N_{s-1}), and the apex is placed by comparing
+    e * 2 N_{s-1} with N_s + 2 N_{s-1}.  A ``Fraction`` is built only for
+    the returned bound and apex and for the two G values that the
+    apex-interior note prints.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
         if (value := Fraction(value)).denominator != 1:
@@ -232,20 +241,26 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     s = Fraction(s)
     if s < 0:
         raise ValueError("slice parameter must be >= 0")
-    v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
-    g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
-    certified = min(g_low, g_high)
-    apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
+    a, b = s.numerator, s.denominator
+    (n_s, den), (n_prev, den_prev) = _slab_ratio(d, a, b), _slab_ratio(d, a - b, b)
+    if den < den_prev:  # d <= s < d + 1: v_s = 1 came as (1, 1)
+        n_s = den = den_prev
+    e_low, e_high = int(e_low), int(e_high)
+    g_low, g_high = (e * (n_s - (e - 2) * n_prev) for e in (e_low, e_high))
+    certified = Fraction(min(g_low, g_high), den)
+    top, bottom = n_s + 2 * n_prev, 2 * n_prev
+    apex = Fraction(top, bottom) if n_prev else None
     if apex is None:
         branch = "degenerate-linear-increasing"
         notes = f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
-    elif e_low <= apex <= e_high:
+    elif e_low * bottom <= top <= e_high * bottom:
         branch = "apex-interior"
         notes = (
             f"apex {format_rational(apex)} inside [{e_low}, {e_high}]; "
-            f"G({e_low}) = {format_rational(g_low)}, G({e_high}) = {format_rational(g_high)}"
+            f"G({e_low}) = {format_rational(Fraction(g_low, den))}, "
+            f"G({e_high}) = {format_rational(Fraction(g_high, den))}"
         )
-    elif apex > e_high:
+    elif top > e_high * bottom:
         branch = "increasing"
         notes = f"apex {format_rational(apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
     else:

@@ -11,7 +11,13 @@ evaluated as one integer numerator over the common denominator d! b^d,
 
     v_{a/b} = N / (d! b^d),   N = sum_{n=0}^{floor(a/b)} (-1)^n C(d,n) (a-nb)^d,
 
-so a single ``Fraction`` is built per volume.  On a grid {k/b} all
+so a single ``Fraction`` is built per volume.  One private helper,
+``_slab_ratio``, holds the dimension checks, the clamps and the size cap
+for every pointwise volume: it returns the pair (N, d! b^d), or (0, 1)
+and (1, 1) where s <= 0 or s >= d, so a clamped volume forms neither
+b^d nor a power.  The clamps are shortcuts only: the sum is already 0
+for a <= 0, and, with its terms capped at n <= d, it is d! b^d for
+a >= d*b, the d-th difference of x^d.  On a grid {k/b} all
 numerators share that denominator, so volumes on one grid compare as
 integers.  One table of powers P_j = j^d, j <= h = floor(d*b/2), gives
 the lower half of that grid: N_k is P_k plus the shifted terms
@@ -41,29 +47,55 @@ def vol_slab(d: int, s: Rational) -> Fraction:
 
     Total in s: returns 0 for s <= 0 and 1 for s >= d, so shifted
     evaluations like v_{s-t} with s < t are well defined.  Raises
-    ValueError for d above ``_MAX_DIM``.
+    ValueError for d above ``_MAX_DIM`` and, for 0 < s < d, for an s
+    too long to evaluate (``_MAX_SLAB_BITS``).
+    """
+    s = Fraction(s)
+    return Fraction(*_slab_ratio(d, s.numerator, s.denominator))
+
+
+# Cost cap on one evaluated slab volume, 0 < s < d: d times the bit length of
+# max(a, b) for s = a/b, the size of b^d and of every power (a - n*b)^d.
+# The worst admitted calls, d = 512 and s just below 511 (512 terms), took
+# 0.4 s (vol_slab) and 0.5-1.0 s (certify_interval, volume_lower_bound with r).
+# Uncapped, `vol --dim 512` worked 2.0 s at 173 056 bits and 75 s at 1.7
+# million (s = 511.0...01 with 100 and 1000 digits) before failing to print.
+_MAX_SLAB_BITS = 2**16
+
+
+def _slab_ratio(d: int, a: int, b: int) -> tuple[int, int]:
+    """(N, D) with v_{a/b} = N / D, for b >= 1 and any integer a.
+
+    D = d! b^d where 0 < a/b < d; a clamped volume comes as (0, 1) or
+    (1, 1), before b^d is formed.  Raises ValueError for d outside
+    [1, ``_MAX_DIM``] and, before any power, when the sum's
+    d * bit length of max(a, b) exceeds ``_MAX_SLAB_BITS``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > _MAX_DIM:
         raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
-    s = Fraction(s)
-    if s <= 0:
-        return Fraction(0)
-    if s >= d:
-        return Fraction(1)
-    b = s.denominator
-    return Fraction(_slab_numerator(d, s.numerator, b), factorial(d) * b**d)
+    if a <= 0:
+        return 0, 1
+    if a >= d * b:
+        return 1, 1
+    bits = d * max(a, b).bit_length()
+    if bits > _MAX_SLAB_BITS:
+        raise ValueError(
+            f"dimension * bit length of max(numerator, denominator) of s must be <= {_MAX_SLAB_BITS}, got {bits}"
+        )
+    return _slab_numerator(d, a, b), factorial(d) * b**d
 
 
 def _slab_numerator(d: int, a: int, b: int) -> int:
-    """Integer N with v_{a/b} = N / (d! b^d), for b >= 1 and 0 <= a <= d*b.
+    """Integer N with v_{a/b} = N / (d! b^d), for b >= 1 and any integer a.
 
     a/b need not be in lowest terms, so the volumes on a grid {k/b} all
-    come over the one denominator d! b^d.
+    come over the one denominator d! b^d.  The terms stop at n = d, so
+    a >= d*b gives d! b^d after d + 1 terms.
     """
     total = 0
-    for n in range(a // b + 1):
+    for n in range(min(a // b, d) + 1):
         term = comb(d, n) * (a - n * b) ** d
         total += -term if n % 2 else term
     return total

@@ -1,11 +1,13 @@
 import random
+import re
 from fractions import Fraction
 from math import ceil, factorial, isqrt
 
 import pytest
 
-from hkcert import bounds
+from hkcert import bounds, slab
 from hkcert.bounds import (
+    IntervalCertRow,
     _is_odd_prime,
     certify_interval,
     fixed_dimension_bound,
@@ -14,6 +16,7 @@ from hkcert.bounds import (
     radical_recursion_bound,
     volume_lower_bound,
 )
+from hkcert.rationals import format_rational
 from hkcert.series import conjecture_threshold
 from hkcert.slab import vol_slab
 from test_slab import termwise_vol_slab
@@ -53,6 +56,45 @@ def grid_then_halving(d, e, r, grid_resolution):
                 if bound > best_bound:
                     best_s, best_bound = candidate, bound
     return best_s, best_bound
+
+
+def fraction_certify_interval(d, e_low, e_high, s):
+    """Oracle: ``certify_interval`` as it was before it compared integer numerators.
+
+    The same input checks in the same order, then two ``vol_slab``
+    volumes and every endpoint value, the apex and the comparisons as
+    ``Fraction`` arithmetic.
+    """
+    for name, value in (("e_low", e_low), ("e_high", e_high)):
+        if (value := Fraction(value)).denominator != 1:
+            raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
+    if e_low > e_high:
+        raise ValueError("e_low must be <= e_high")
+    if e_low < 1:
+        raise ValueError("e_low must be >= 1 (multiplicities are positive)")
+    s = Fraction(s)
+    if s < 0:
+        raise ValueError("slice parameter must be >= 0")
+    v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
+    g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
+    certified = min(g_low, g_high)
+    apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
+    if apex is None:
+        branch = "degenerate-linear-increasing"
+        notes = f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
+    elif e_low <= apex <= e_high:
+        branch = "apex-interior"
+        notes = (
+            f"apex {format_rational(apex)} inside [{e_low}, {e_high}]; "
+            f"G({e_low}) = {format_rational(g_low)}, G({e_high}) = {format_rational(g_high)}"
+        )
+    elif apex > e_high:
+        branch = "increasing"
+        notes = f"apex {format_rational(apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
+    else:
+        branch = "decreasing"
+        notes = f"apex {format_rational(apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
+    return IntervalCertRow(apex=apex, certified_bound=certified, branch=branch, notes=notes)
 
 
 def quadratic_g(d, e, s):
@@ -234,6 +276,18 @@ class TestOptimizeSlice:
         assert volumes == [0, -1]
         assert len(points) <= 32
         assert all(b == 256 * 40 for _, _, b in points)
+
+    def test_keeps_first_maximum_on_a_tie(self):
+        # For d = 2 on [1, 2] the bound is a parabola with apex (2+r)/(1+r);
+        # r = 511 puts it at 513/512, midway between the fine points
+        # 769/768 and 770/768 of res = 3, so the two tie.  The halvings
+        # reach 770/768 first, and a later equal score must not replace it.
+        # (A tie between grid points cannot change s: the bound is unimodal,
+        # so tied grid maxima are neighbours, and the first halving from
+        # either one moves to the point midway between them.)
+        left, right = (volume_lower_bound(2, 1, Fraction(j, 768), r=511) for j in (769, 770))
+        assert left == right
+        assert optimize_slice(2, 1, 511, 3) == grid_then_halving(2, 1, 511, 3) == (Fraction(770, 768), right)
 
     def test_rejects_grid_beyond_cost_cap(self, monkeypatch):
         # The cap is checked before the grid exists: a kernel call would fail the test.
@@ -460,13 +514,66 @@ class TestCertifyInterval:
         assert row.apex is None
 
     def test_evaluates_two_volumes(self, monkeypatch):
-        # v_s and v_{s-1} serve both endpoints and the apex on every branch.
+        # N_s and N_{s-1} serve both endpoints and the apex on every branch:
+        # exactly two slab numerators, at s = a/b and at s - 1 = (a-b)/b, and no vol_slab.
         calls = []
-        monkeypatch.setattr(bounds, "vol_slab", lambda d, s: calls.append(s) or vol_slab(d, s))
-        for e_low, e_high, s in [(5, 9, Fraction(13, 5)), (296, 786, Fraction(13, 10)), (2, 5, 1), (8, 12, Fraction(13, 5))]:
+        real_ratio = bounds._slab_ratio
+        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
+        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
+        cases = [(5, 9, Fraction(13, 5), "apex-interior"), (296, 786, Fraction(13, 10), "increasing"),
+                 (2, 5, 1, "degenerate-linear-increasing"), (8, 12, Fraction(13, 5), "decreasing"),
+                 (3, 4, Fraction(13, 2), "decreasing"), (3, 4, 7, "decreasing"),
+                 (3, 4, Fraction(1, 3), "degenerate-linear-increasing")]
+        for e_low, e_high, s, branch in cases:
             calls.clear()
-            certify_interval(6, e_low, e_high, s)
-            assert calls == [s, s - 1]
+            row = certify_interval(6, e_low, e_high, s)
+            a, b = Fraction(s).numerator, Fraction(s).denominator
+            assert calls == [(6, a, b), (6, a - b, b)], s
+            assert row.branch == branch, s
+
+    def test_matches_fraction_oracle(self):
+        # Second path: the Fraction evaluation, all four fields, on every
+        # branch; s at integers, below 1, in [d, d + 1) and from d + 1 on.
+        rng = random.Random(20110527)
+        branches = dict.fromkeys(("decreasing", "degenerate-linear-increasing", "apex-interior", "increasing"), 0)
+        for d in range(1, 13):
+            slices = [Fraction(k) for k in range(d + 3)]
+            slices += [Fraction(rng.randint(1, b - 1), b) for b in (2, 3, 7, 10, 97)]
+            slices += [d + Fraction(rng.randint(0, b - 1), b) for b in (3, 10, 256)]
+            slices += [Fraction(rng.randint(b, (d + 1) * b), b) for b in (5, 10, 33, 1000)]
+            slices += [d + 1 + Fraction(rng.randint(0, 5 * b), b) for b in (1, 7)]
+            for s in slices:
+                for _ in range(4):
+                    e_low = rng.randint(1, rng.choice([4, 40, 4000]))
+                    e_high = e_low + rng.choice([0, 1, rng.randint(2, 40), rng.randint(2, 4000)])
+                    row = certify_interval(d, e_low, e_high, s)
+                    assert row == fraction_certify_interval(d, e_low, e_high, s), (d, e_low, e_high, s)
+                    branches[row.branch] += 1
+        assert branches == {
+            "decreasing": 618, "degenerate-linear-increasing": 344, "apex-interior": 82, "increasing": 84,
+        }
+
+    def test_rejects_as_fraction_oracle(self):
+        # The same checks, in the same order, with the same messages; the
+        # dimension is checked last, as vol_slab checked it.
+        for args in [(6, Fraction(5, 2), 1, -1), (6, 5, Fraction(17, 2), 2), (0, 9, 5, -1), (0, 0, 9, -1),
+                     (0, 5, 9, -1), (0, 5, 9, 2), (513, 5, 9, Fraction(1, 2)), (513, 5, 9, 600), (-1, 1, 1, 0)]:
+            with pytest.raises(ValueError) as expected:
+                fraction_certify_interval(*args)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                certify_interval(*args)
+
+    def test_long_slice_beyond_cap(self, monkeypatch):
+        # The slab cap applies where a sum is evaluated, before any power; a
+        # slice from d + 1 on needs none, and d <= s < d + 1 needs v_{s-1}.
+        tiny = Fraction(1, 10**4000)
+        with pytest.raises(ValueError, match="of s must be <= 65536, got 6808064$"):
+            certify_interval(512, 5, 9, 512 + tiny)
+        monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+        with pytest.raises(ValueError, match="of s must be <= 65536, got 70144$"):
+            certify_interval(512, 5, 9, 511 + Fraction(1, 2**128))
+        row = certify_interval(512, 5, 9, 600 + tiny)
+        assert row == (Fraction(3, 2), -54, "decreasing", "apex 3/2 left of [5, 9]; G decreasing; G(9) certifies")
 
     def test_certified_bound_is_min_over_every_integer(self):
         # Second path: G at every integer of [a, b] from the termwise volumes.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -245,6 +246,29 @@ def test_dimension_beyond_cap_exits_2(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: dimension must be <= 512, got {argv[2]}")
+
+
+LONG_SLICE = "511." + "0" * 999 + "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vol", "--dim", "512", "--s", LONG_SLICE],
+        ["vol", "--dim", "512", "--s", "1e-4300"],
+        ["bound", "--dim", "512", "--e", "6", "--r", "4", "--s", LONG_SLICE],
+        ["certify-interval", "--dim", "512", "--e-low", "5", "--e-high", "9", "--s", LONG_SLICE, "--target", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[argv.index('--s') + 1][:6]}",
+)
+def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
+    # Uncapped, the first of these worked 75 s and then failed to print.
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dimension * bit length of max(numerator, denominator) of s must be <= 65536")
 
 
 def test_radical_rejects_power_beyond_cost_cap(capsys):

@@ -71,11 +71,21 @@ def past_generator_files(values: dict) -> list:
     ]
 
 
+def past_slice(values: dict) -> list:
+    # s = 10**-k, written 1e-k, parses while k <= _MAX_EXPONENT: for d <= 4 no
+    # such s is long enough to pass the slab cap.
+    d = int(values["--dim"])
+    cap = slab._MAX_SLAB_BITS
+    k = bisect.bisect_left(range(cap), True, key=lambda k: d * (10**k).bit_length() > cap)
+    return [f"1e{rationals._MAX_EXPONENT + 1}"] + ([f"1e-{k}"] if k <= rationals._MAX_EXPONENT else [])
+
+
 DIM = Flag(small_int(1, 8), lambda values: [str(slab._MAX_DIM + 1)])
 RATIONAL = Flag(
     st.one_of(st.fractions(0, 10, max_denominator=12).map(str), st.decimals(0, 10, places=2).map(str)),
     lambda values: [f"1e{rationals._MAX_EXPONENT + 1}"],
 )
+SLICE = Flag(RATIONAL.valid, past_slice)
 VALUATIONS = Flag(
     st.lists(st.fractions(0, 3, max_denominator=6).map(str), min_size=1, max_size=4).map(",".join),
     lambda values: [",".join(f"1/{i}" for i in range(1, bounds._MAX_VALUATIONS + 2))],
@@ -93,10 +103,10 @@ FROBENIUS_POWERS = Flag(st.sets(st.integers(1, 8), min_size=1, max_size=4).map(l
 
 # Argument sets by command; "bound --t" and the like name one of a command's flag modes.
 COMMANDS = {
-    "vol": {"--dim": DIM, "--s": RATIONAL},
+    "vol": {"--dim": DIM, "--s": SLICE},
     "md": {"--max": Flag(small_int(1, 40), lambda values: [str(cli._MAX_MD_ORDER + 1)])},
-    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": RATIONAL, "--target": RATIONAL},
-    "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": RATIONAL},
+    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": SLICE, "--target": RATIONAL},
+    "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": SLICE},
     "bound --optimize": {
         "--dim": Flag(small_int(1, 8), past_grid_dim),
         "--e": RATIONAL,
@@ -109,7 +119,7 @@ COMMANDS = {
         "--dim": DIM,
         "--e-low": Flag(small_int(1, 30)),
         "--e-high": Flag(small_int(30, 60)),
-        "--s": RATIONAL,
+        "--s": SLICE,
         "--target": RATIONAL,
     },
     "verify-tables": {

@@ -100,6 +100,45 @@ def test_vol_slab_admits_dimension_at_cap(monkeypatch):
     assert vol_slab(512, Fraction(1, 2)) == Fraction(1, 2**512)
 
 
+def test_vol_slab_rejects_long_slice_beyond_cap(monkeypatch):
+    # Checked before any power or d! is formed; the bit length of s is that of
+    # the larger of its numerator and denominator.
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+    monkeypatch.setattr(slab, "factorial", lambda *a: pytest.fail("factorial computed"))
+    assert slab._MAX_SLAB_BITS == 2**16
+    for d, s, bits in [(512, Fraction(2**128 + 1, 2**120), 512 * 129), (512, Fraction(1, 2**128), 512 * 129),
+                       (1, Fraction(1, 2**65536), 65537), (3, 2 + Fraction(1, 2**21845), 3 * 21847)]:
+        with pytest.raises(ValueError, match=f"of s must be <= 65536, got {bits}$"):
+            vol_slab(d, s)
+
+
+def test_vol_slab_admits_long_slice_at_cap(monkeypatch):
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 1)
+    monkeypatch.setattr(slab, "factorial", lambda d: 1)
+    for d, s in [(512, Fraction(2**127 + 1, 2**119)), (512, Fraction(1, 2**127)), (1, Fraction(1, 2**65535))]:
+        assert d * max(s.numerator, s.denominator).bit_length() == 2**16
+        assert vol_slab(d, s) == Fraction(1, s.denominator**d)
+
+
+def test_clamped_long_slice_stays_free(monkeypatch):
+    # s <= 0 and s >= d need no sum, so no cap: neither a power nor b^d is formed.
+    monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+    monkeypatch.setattr(slab, "factorial", lambda *a: pytest.fail("factorial computed"))
+    tiny = Fraction(1, 10**4000)
+    assert vol_slab(512, 600 + tiny) == vol_slab(512, 512 + tiny) == vol_slab(1, 1 + tiny) == 1
+    assert vol_slab(512, -tiny) == vol_slab(512, 0) == 0
+
+
+def test_slab_numerator_terms_stop_at_d():
+    # From s = d on the sum is d! b^d, the d-th difference of x^d, and its
+    # terms stop at n = d; at s <= 0 it is 0.
+    for d in range(1, 9):
+        for b in (1, 3, 10):
+            for a in range(d * b, d * b + 3 * b):
+                assert _slab_numerator(d, a, b) == factorial(d) * b**d, (d, a, b)
+            assert _slab_numerator(d, -b, b) == _slab_numerator(d, 0, b) == 0
+
+
 def test_integer_kernel_matches_termwise_oracle():
     rng = random.Random(20110)
     cases = []
