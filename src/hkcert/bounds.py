@@ -21,8 +21,8 @@ t_i = 1 in the uniform case with generator count r).  On top of it sit:
 * the closed form of the recursion across degree-n radical ring
   extensions, and the bounds it gives that depend only on the dimension.
 
-Every function returns the exact value it computes; comparing a bound
-with a target is left to the caller that reports the verdict.
+Every function returns exact values, never text; comparing a bound with
+a target and writing it out are left to the caller that reports them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .rationals import Rational, format_rational
-from .slab import _MAX_DIM, _grid_numerators, _slab_numerator, _slab_ratio, vol_slab
+from .rationals import Rational
+from .slab import _MAX_DIM, _MAX_SLAB_BITS, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
     "IntervalCertRow",
@@ -52,6 +52,13 @@ __all__ = [
 # worked 5.65 s and then failed at the int-to-str limit.
 _MAX_VALUATIONS = 1000
 
+# Cost cap on the summed ``_slab_bits`` sizes of the volumes one volume_lower_bound
+# call evaluates.  It admits the uniform r form with both volumes at the per-volume
+# cap, the costliest admitted call: 0.6 s at d = 512, s = 511 + 1/3^75 (four volumes
+# of a quarter each took 0.44 s).  Uncapped, five valuations at d = 512 and
+# s = 511 + 1/3^68 took 1.5 s, and up to 1000 are admitted.
+_MAX_VOLUME_BITS = 2 * _MAX_SLAB_BITS
+
 
 def volume_lower_bound(
     d: int,
@@ -66,7 +73,9 @@ def volume_lower_bound(
     Volumes at negative index are 0 by definition.  Equal valuations are
     grouped, so the sum is taken as ``sum_t count(t) * v_{s-t}`` with one
     volume per distinct t: the uniform form costs two volumes for any r.
-    Raises ValueError for more than ``_MAX_VALUATIONS`` distinct t.
+    Raises ValueError, before any volume is evaluated, for more than
+    ``_MAX_VALUATIONS`` distinct t and when the sizes of the volumes with
+    0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
     """
     e, s = Fraction(e), Fraction(s)
     if d < 1:
@@ -81,7 +90,7 @@ def volume_lower_bound(
         if r < 0:
             raise ValueError("generator count must be >= 0")
         if (r := Fraction(r)).denominator != 1:
-            raise ValueError(f"generator count must be an integer, got {format_rational(r)}")
+            raise ValueError(f"generator count must be an integer, got {r}")
         counts = {Fraction(1): int(r)} if r else {}
     else:
         counts = Counter(Fraction(t) for t in valuations)
@@ -89,6 +98,10 @@ def volume_lower_bound(
             raise ValueError("valuations must be positive")
         if len(counts) > _MAX_VALUATIONS:
             raise ValueError(f"at most {_MAX_VALUATIONS} distinct valuations, got {len(counts)}")
+    if len(counts) > 1:  # two volumes, each within _MAX_SLAB_BITS, are within the sum's cap
+        bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
+        if bits > _MAX_VOLUME_BITS:
+            raise ValueError(f"summed slab sizes (dimension * bit length) must be <= {_MAX_VOLUME_BITS}, got {bits}")
     total = vol_slab(d, s)
     for t, count in counts.items():
         total -= count * vol_slab(d, s - t)
@@ -109,20 +122,21 @@ _MAX_GRID_WORK = 10**9
 def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
     """Best-found slice parameter for the uniform volume bound.
 
-    Scans the grid {k/grid_resolution : 0 <= k <= d*grid_resolution},
-    then refines around the best point by 8 rounds of step halving.
-    Every evaluation is exact, so the returned bound is always valid;
-    only the optimality of s is best-effort.
+    Scans the grid {k/grid_resolution : 0 <= k <= d*grid_resolution}, then
+    8 halving rounds on the lattice {j/D}, D = 256 * grid_resolution: each
+    compares the two points (j - step)/D and (j + step)/D, step = 128, 64,
+    ..., 1, next to the best point j/D so far, and moves only to a strictly
+    better one.  Every evaluation is exact, so the returned bound is always
+    valid, but the rounds prove nothing about optimality: on 400 seeded
+    inputs (d 2-8, r 1-16, resolution 2-60), changing any one of the steps
+    128, ..., 2 by one changed no result; only the last round reaches an odd j.
 
-    Every candidate, grid point or halving, is j/D with D = 256 * grid_resolution,
-    and its bound is e * (N_j - r * N_{j-D}) / (d! D^d), where
-    v_{j/D} = N_j / (d! D^d) and N_j = 0 for j < 0.  The one denominator
-    and the checked e >= 1 > 0 make comparing these integer scores exact,
-    and the strict ``>`` keeps the first maximum.  The grid numerators come
-    at once from ``_grid_numerators`` (powers up to d*grid_resolution/2,
-    the rest by the slab symmetry); a grid score scales to D by
-    ``<< 8*d``.  The 16 halving candidates are single points off the grid
-    and use ``_slab_numerator``.
+    A candidate j/D scores N_j - r * N_{j-D}, where v_{j/D} = N_j / (d! D^d)
+    and N_j = 0 for j < 0: with one denominator and the checked e >= 1 > 0,
+    comparing scores is exact, and the strict ``>`` keeps the first maximum.
+    The grid numerators come at once from ``_grid_numerators`` (powers up
+    to d*grid_resolution/2, the rest by the slab symmetry), scaled to D by
+    ``<< 8*d``; each halving point is one ``_slab_numerator`` pair.
 
     Raises ValueError, before any grid is built, when d * grid_resolution
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
@@ -204,36 +218,35 @@ def quadric_ehk(p: int, d: int) -> Fraction:
 
 
 class IntervalCertRow(NamedTuple):
-    """Certified lower bound for G(e) over all integers e in [e_low, e_high]."""
+    """G(e) at both ends of [e_low, e_high], its apex (None: v_{s-1} = 0) and the apex's place."""
 
     apex: Optional[Fraction]
-    certified_bound: Fraction
+    g_low: Fraction
+    g_high: Fraction
     branch: str
-    notes: str
+
+    @property
+    def certified_bound(self) -> Fraction:
+        """A lower bound of G at every integer of the interval: G is concave, its e^2 term -v_{s-1} <= 0."""
+        return min(self.g_low, self.g_high)
 
 
 def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCertRow:
-    """Lower bound of G(e) over the integers e in [e_low, e_high].
+    """G(e_low), G(e_high) and the apex of G(e) = e (v_s - (e-2) v_{s-1}).
 
-    G(e) = e (v_s - (e-2) v_{s-1}) has leading coefficient -v_{s-1} <= 0,
-    so it is concave and its minimum over the interval is
-    min(G(e_low), G(e_high)) wherever the apex lies: that is the certified
-    bound.  The branch says which endpoint is the minimum and why: the apex
-    (v_s + 2 v_{s-1}) / (2 v_{s-1}) lies left of the interval (G decreasing,
-    G(e_high)), right of it (G increasing, G(e_low)) or inside it (either),
-    or v_{s-1} = 0 and G is a line of slope v_s >= 0 (G(e_low)).
+    The branch places the apex (v_s + 2 v_{s-1}) / (2 v_{s-1}) of the concave
+    G against [e_low, e_high]: left of it (G decreasing, G(e_high) is the
+    minimum), right of it (G increasing, G(e_low)) or inside it (either); or
+    v_{s-1} = 0 and G is a line of slope v_s >= 0 (G(e_low)).
 
     With s = a/b, v_s = N_s / D and v_{s-1} = N_{s-1} / D share the
     denominator D = d! b^d (D = 1 for s >= d + 1, where both are 1), from
-    one ``_slab_ratio`` call each.  The endpoints compare as the integers
-    e (N_s - (e-2) N_{s-1}), and the apex is placed by comparing
-    e * 2 N_{s-1} with N_s + 2 N_{s-1}.  A ``Fraction`` is built only for
-    the returned bound and apex and for the two G values that the
-    apex-interior note prints.
+    one ``_slab_ratio`` call each.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
+    the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
         if (value := Fraction(value)).denominator != 1:
-            raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
+            raise ValueError(f"{name} must be an integer, got {value}")
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
@@ -246,27 +259,15 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     if den < den_prev:  # d <= s < d + 1: v_s = 1 came as (1, 1)
         n_s = den = den_prev
     e_low, e_high = int(e_low), int(e_high)
-    g_low, g_high = (e * (n_s - (e - 2) * n_prev) for e in (e_low, e_high))
-    certified = Fraction(min(g_low, g_high), den)
+    g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
-    apex = Fraction(top, bottom) if n_prev else None
-    if apex is None:
+    if not bottom:
         branch = "degenerate-linear-increasing"
-        notes = f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
     elif e_low * bottom <= top <= e_high * bottom:
         branch = "apex-interior"
-        notes = (
-            f"apex {format_rational(apex)} inside [{e_low}, {e_high}]; "
-            f"G({e_low}) = {format_rational(Fraction(g_low, den))}, "
-            f"G({e_high}) = {format_rational(Fraction(g_high, den))}"
-        )
-    elif top > e_high * bottom:
-        branch = "increasing"
-        notes = f"apex {format_rational(apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
     else:
-        branch = "decreasing"
-        notes = f"apex {format_rational(apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
-    return IntervalCertRow(apex=apex, certified_bound=certified, branch=branch, notes=notes)
+        branch = "increasing" if top > e_high * bottom else "decreasing"
+    return IntervalCertRow(Fraction(top, bottom) if bottom else None, g_low, g_high, branch)
 
 
 # Cost cap on radical_recursion_bound: its power has about
@@ -301,7 +302,7 @@ def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tupl
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if e.denominator != 1:
-        raise ValueError(f"multiplicity must be an integer, got {format_rational(e)}")
+        raise ValueError(f"multiplicity must be an integer, got {e}")
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if not 3 <= k <= e - 2:
@@ -344,7 +345,7 @@ def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple
     if d > _MAX_DIM:
         raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
     if e.denominator != 1:
-        raise ValueError(f"multiplicity must be an integer, got {format_rational(e)}")
+        raise ValueError(f"multiplicity must be an integer, got {e}")
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if e >= factorial(d) + 1:

@@ -29,7 +29,7 @@ from .monomial import ehk_estimate, parse_generators
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
 from .series import conjecture_threshold, zigzag_coeffs
 from .slab import vol_slab
-from .tables import verify_tables
+from .tables import _interval_notes, verify_tables
 
 
 # The largest order whose line prints under Python's default 4300-digit
@@ -235,7 +235,7 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
         f"apex: {'-' if row.apex is None else _fmt(row.apex)}",
         f"branch: {row.branch}",
         f"certified-bound: {_fmt(row.certified_bound)}",
-        f"notes: {row.notes}",
+        f"notes: {_interval_notes(row, args.e_low, args.e_high)}",
         *target_lines,
     ), code
 

@@ -12,15 +12,15 @@ evaluated as one integer numerator over the common denominator d! b^d,
     v_{a/b} = N / (d! b^d),   N = sum_{n=0}^{floor(a/b)} (-1)^n C(d,n) (a-nb)^d,
 
 so a single ``Fraction`` is built per volume.  One private helper,
-``_slab_ratio``, holds the dimension checks, the clamps and the size cap
-for every pointwise volume: it returns the pair (N, d! b^d), or (0, 1)
-and (1, 1) where s <= 0 or s >= d, so a clamped volume forms neither
-b^d nor a power.  The clamps are shortcuts only: the sum is already 0
-for a <= 0, and, with its terms capped at n <= d, it is d! b^d for
-a >= d*b, the d-th difference of x^d.  On a grid {k/b} all
-numerators share that denominator, so volumes on one grid compare as
-integers.  One table of powers P_j = j^d, j <= h = floor(d*b/2), gives
-the lower half of that grid: N_k is P_k plus the shifted terms
+``_slab_ratio``, holds the clamps for every pointwise volume: it returns
+the pair (N, d! b^d), or (0, 1) and (1, 1) where s <= 0 or s >= d, so a
+clamped volume forms neither b^d nor a power; its checks, the dimension
+range and the size cap, are ``_slab_bits``.  The clamps are shortcuts
+only: the sum is already 0 for a <= 0, and, with its terms capped at
+n <= d, it is d! b^d for a >= d*b, the d-th difference of x^d.  On a
+grid {k/b} all numerators share that denominator, so volumes on one grid
+compare as integers.  One table of powers P_j = j^d, j <= h = floor(d*b/2),
+gives the lower half of that grid: N_k is P_k plus the shifted terms
 (-1)^m C(d,m) P_{k-mb} for 1 <= m <= k/b, so floor(d/2) weighted shifted
 adds fill N_0, ..., N_h.  The distribution is symmetric about d/2,
 v_{d-s} = 1 - v_s, so the upper half is N_{d*b-k} = d! b^d - N_k.
@@ -67,24 +67,30 @@ def _slab_ratio(d: int, a: int, b: int) -> tuple[int, int]:
     """(N, D) with v_{a/b} = N / D, for b >= 1 and any integer a.
 
     D = d! b^d where 0 < a/b < d; a clamped volume comes as (0, 1) or
-    (1, 1), before b^d is formed.  Raises ValueError for d outside
-    [1, ``_MAX_DIM``] and, before any power, when the sum's
-    d * bit length of max(a, b) exceeds ``_MAX_SLAB_BITS``.
+    (1, 1), before b^d is formed.  Checked first by ``_slab_bits``.
+    """
+    if not _slab_bits(d, a, b):
+        return (0, 1) if a <= 0 else (1, 1)
+    return _slab_numerator(d, a, b), factorial(d) * b**d
+
+
+def _slab_bits(d: int, a: int, b: int) -> int:
+    """d * bit length of max(a, b), the size of the sum for v_{a/b}; 0 where v_{a/b} is clamped.
+
+    Raises ValueError for d outside [1, ``_MAX_DIM``] and above ``_MAX_SLAB_BITS``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > _MAX_DIM:
         raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
-    if a <= 0:
-        return 0, 1
-    if a >= d * b:
-        return 1, 1
+    if a <= 0 or a >= d * b:
+        return 0
     bits = d * max(a, b).bit_length()
     if bits > _MAX_SLAB_BITS:
         raise ValueError(
             f"dimension * bit length of max(numerator, denominator) of s must be <= {_MAX_SLAB_BITS}, got {bits}"
         )
-    return _slab_numerator(d, a, b), factorial(d) * b**d
+    return bits
 
 
 def _slab_numerator(d: int, a: int, b: int) -> int:

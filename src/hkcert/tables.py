@@ -27,7 +27,7 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .bounds import certify_interval, volume_lower_bound
+from .bounds import IntervalCertRow, certify_interval, volume_lower_bound
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
@@ -93,6 +93,17 @@ DIM6_ROWS: tuple[TableRow, ...] = (
 )
 
 
+def _interval_notes(cert: IntervalCertRow, lo: int, hi: int) -> str:
+    """Which end of [lo, hi] certifies and why; a ``Fraction`` formats as ``format_rational`` writes it."""
+    if cert.branch == "degenerate-linear-increasing":
+        return f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({lo}) certifies"
+    if cert.branch == "apex-interior":
+        return f"apex {cert.apex} inside [{lo}, {hi}]; G({lo}) = {cert.g_low}, G({hi}) = {cert.g_high}"
+    if cert.branch == "increasing":
+        return f"apex {cert.apex} right of [{lo}, {hi}]; G increasing; G({lo}) certifies"
+    return f"apex {cert.apex} left of [{lo}, {hi}]; G decreasing; G({hi}) certifies"
+
+
 def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -> ReportRow:
     """Recompute one row's certificate and compare it with its target and the threshold."""
     target = threshold if row.target is None else row.target
@@ -109,12 +120,13 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         cert = certify_interval(d, row.e_low, row.e_high, row.s)
         bound = cert.certified_bound
         inputs = f"d={d} a={row.e_low} b={row.e_high} s={format_rational(row.s)}"
-        why = f"{cert.branch}: {cert.notes}"
         if cert.branch == "increasing":  # spelled out with the apex's decimal value
             why = (
                 f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex, DISPLAY_DIGITS)} "
                 f"> {row.e_high}, so G increases on the interval and G({row.e_low}) certifies"
             )
+        else:
+            why = f"{cert.branch}: {_interval_notes(cert, row.e_low, row.e_high)}"
     verdict = f"exceeds conjectured threshold {threshold_text}: {'yes' if bound > threshold else 'no'}"
     return ReportRow(
         name=row.name,

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from math import ceil, factorial, isqrt
 
@@ -62,8 +63,8 @@ def fraction_certify_interval(d, e_low, e_high, s):
     """Oracle: ``certify_interval`` as it was before it compared integer numerators.
 
     The same input checks in the same order, then two ``vol_slab``
-    volumes and every endpoint value, the apex and the comparisons as
-    ``Fraction`` arithmetic.
+    volumes, G at both ends, the apex and the comparisons as ``Fraction``
+    arithmetic.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
         if (value := Fraction(value)).denominator != 1:
@@ -77,24 +78,30 @@ def fraction_certify_interval(d, e_low, e_high, s):
         raise ValueError("slice parameter must be >= 0")
     v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
     g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
-    certified = min(g_low, g_high)
     apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
     if apex is None:
         branch = "degenerate-linear-increasing"
-        notes = f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
     elif e_low <= apex <= e_high:
         branch = "apex-interior"
-        notes = (
-            f"apex {format_rational(apex)} inside [{e_low}, {e_high}]; "
-            f"G({e_low}) = {format_rational(g_low)}, G({e_high}) = {format_rational(g_high)}"
-        )
     elif apex > e_high:
         branch = "increasing"
-        notes = f"apex {format_rational(apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
     else:
         branch = "decreasing"
-        notes = f"apex {format_rational(apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
-    return IntervalCertRow(apex=apex, certified_bound=certified, branch=branch, notes=notes)
+    return IntervalCertRow(apex, g_low, g_high, branch)
+
+
+def fraction_interval_notes(row, e_low, e_high):
+    """Reference prose of the ``notes:`` line for an oracle row, as ``certify_interval`` once wrote it."""
+    if row.branch == "degenerate-linear-increasing":
+        return f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({e_low}) certifies"
+    if row.branch == "apex-interior":
+        return (
+            f"apex {format_rational(row.apex)} inside [{e_low}, {e_high}]; "
+            f"G({e_low}) = {format_rational(row.g_low)}, G({e_high}) = {format_rational(row.g_high)}"
+        )
+    if row.branch == "increasing":
+        return f"apex {format_rational(row.apex)} right of [{e_low}, {e_high}]; G increasing; G({e_low}) certifies"
+    return f"apex {format_rational(row.apex)} left of [{e_low}, {e_high}]; G decreasing; G({e_high}) certifies"
 
 
 def quadratic_g(d, e, s):
@@ -230,6 +237,26 @@ class TestVolumeLowerBound:
         monkeypatch.setattr(bounds, "vol_slab", lambda *a: Fraction(0))
         valuations = [Fraction(1, k) for k in range(2, 1002)]
         assert volume_lower_bound(8, 5, 4, valuations=valuations) == 0
+
+    def test_admits_summed_volume_sizes_at_cap(self, monkeypatch):
+        # v_s and v_{s-1} each at the per-volume cap fill the summed cap; a
+        # clamped volume (here v_0, from t = s) costs nothing.
+        assert bounds._MAX_VOLUME_BITS == 2 * slab._MAX_SLAB_BITS == 2**17
+        s = 511 + Fraction(1, 3**75)
+        assert 512 * s.numerator.bit_length() == slab._MAX_SLAB_BITS
+        monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 0)
+        assert volume_lower_bound(512, 6, s, r=4) == 0
+        assert volume_lower_bound(512, 6, s, valuations=[1, 1, s]) == 0
+
+    def test_rejects_summed_volume_sizes_beyond_cap(self, monkeypatch):
+        # One more evaluated volume, v_1 of size 512, is the first sum past
+        # the cap at d = 512; uncapped, this call works about 0.6 s.
+        s = 511 + Fraction(1, 3**75)
+        monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be <= 131072, got 131584$"):
+            volume_lower_bound(512, 6, s, valuations=[1, s - 1])
+        assert time.perf_counter() - start < 1
 
 
 class TestOptimizeSlice:
@@ -573,7 +600,16 @@ class TestCertifyInterval:
         with pytest.raises(ValueError, match="of s must be <= 65536, got 70144$"):
             certify_interval(512, 5, 9, 511 + Fraction(1, 2**128))
         row = certify_interval(512, 5, 9, 600 + tiny)
-        assert row == (Fraction(3, 2), -54, "decreasing", "apex 3/2 left of [5, 9]; G decreasing; G(9) certifies")
+        assert row == (Fraction(3, 2), -10, -54, "decreasing")
+        assert row.certified_bound == -54
+
+    def test_returns_values_it_could_not_print(self):
+        # A 64 x 301-bit slice gives an apex of more than 4300 digits.  The
+        # row holds values only, so nothing in the library converts it to text.
+        s = Fraction(2**300 + 1, 2**299)
+        row = certify_interval(64, 5, 9, s)
+        assert row == fraction_certify_interval(64, 5, 9, s)
+        assert row.apex.denominator.bit_length() > (10**4300).bit_length()
 
     def test_certified_bound_is_min_over_every_integer(self):
         # Second path: G at every integer of [a, b] from the termwise volumes.

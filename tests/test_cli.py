@@ -271,6 +271,18 @@ def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
     assert captured.err.startswith("error: dimension * bit length of max(numerator, denominator) of s must be <= 65536")
 
 
+def test_certify_interval_unprintable_apex_exits_2_fast(capsys):
+    # The library returns this row; its apex has more than 4300 digits, so
+    # the notes cannot be written and nothing is printed.
+    s = format_rational(Fraction(2**300 + 1, 2**299))
+    start = time.perf_counter()
+    assert main(["certify-interval", "--dim", "64", "--e-low", "5", "--e-high", "9", "--s", s, "--target", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_radical_rejects_power_beyond_cost_cap(capsys):
     # Just past the cap (about 1 s of work if the cap were lost).
     assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "2500001"]) == 2

@@ -80,6 +80,26 @@ def past_slice(values: dict) -> list:
     return [f"1e{rationals._MAX_EXPONENT + 1}"] + ([f"1e-{k}"] if k <= rationals._MAX_EXPONENT else [])
 
 
+def past_valuations(values: dict) -> list:
+    # One valuation more than the distinct-valuation cap, and, for s > 0, the
+    # shortest list t_i = s - s*i/2^k, i = 1, 2, ..., whose evaluated volumes
+    # (v_s and each v_{s*i/2^k}, about dim * k bits) sum past the size cap.
+    too_many = ",".join(f"1/{i}" for i in range(1, bounds._MAX_VALUATIONS + 2))
+    d, s = int(values["--dim"]), rationals.parse_rational(values["--s"])
+    if s == 0:
+        return [too_many]
+
+    def size(x):
+        return d * max(x.numerator, x.denominator).bit_length() if 0 < x < d else 0
+
+    k, bits, valuations = 4096 // d, size(s), []
+    while bits <= bounds._MAX_VOLUME_BITS:
+        x = s * (len(valuations) + 1) / 2**k
+        bits += size(x)
+        valuations.append(str(s - x))
+    return [too_many, ",".join(valuations)]
+
+
 DIM = Flag(small_int(1, 8), lambda values: [str(slab._MAX_DIM + 1)])
 RATIONAL = Flag(
     st.one_of(st.fractions(0, 10, max_denominator=12).map(str), st.decimals(0, 10, places=2).map(str)),
@@ -88,7 +108,7 @@ RATIONAL = Flag(
 SLICE = Flag(RATIONAL.valid, past_slice)
 VALUATIONS = Flag(
     st.lists(st.fractions(0, 3, max_denominator=6).map(str), min_size=1, max_size=4).map(",".join),
-    lambda values: [",".join(f"1/{i}" for i in range(1, bounds._MAX_VALUATIONS + 2))],
+    past_valuations,
 )
 MULTIPLICITY = Flag(small_int(6, 12), RATIONAL.past)
 GENERATOR_FILE = Flag(

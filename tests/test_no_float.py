@@ -1,8 +1,12 @@
-"""Tripwires for two source invariants.
+"""Tripwires for three source invariants.
 
 No float on any computational path: parses every module of the package
 and fails on a float literal, any use of the name ``float``, or a
 floating-point ``math`` function.
+
+Values out of the bound engine: ``bounds.py`` imports neither formatter
+of ``rationals``, so it returns values and leaves every text to the CLI
+and the tables.
 
 Independent references: ``bench/oracles.py``, which the tests and the
 benchmark both check ``hkcert`` against, imports only the standard library.
@@ -16,6 +20,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hkcert"
 ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+FORMATTERS = {"format_rational", "decimal_render"}
 MODULES = sorted(PACKAGE.glob("*.py"))
 FLOAT_MATH = {"sqrt", "log", "exp", "pow", "fsum"}
 
@@ -87,4 +92,33 @@ def test_import_tripwire_catches_each_form():
         "line 2: import hkcert.slab",
         "line 3: import .",
         "line 4: import hypothesis.strategies",
+    ]
+
+
+def formatter_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(f"line {node.lineno}: import {a.name}" for a in node.names if a.name in FORMATTERS)
+        elif isinstance(node, ast.Attribute) and node.attr in FORMATTERS:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+def test_bounds_imports_no_formatter():
+    bounds = PACKAGE / "bounds.py"
+    assert formatter_uses(ast.parse(bounds.read_text(), str(bounds))) == []
+
+
+def test_formatter_tripwire_catches_each_form():
+    source = "\n".join([
+        "from .rationals import Rational, format_rational",
+        "from hkcert.rationals import decimal_render as render",
+        "from . import rationals",
+        "text = rationals.format_rational(x)",
+    ])
+    assert formatter_uses(ast.parse(source)) == [
+        "line 1: import format_rational",
+        "line 2: import decimal_render",
+        "line 4: .format_rational",
     ]

@@ -70,7 +70,7 @@ def test_version_matches_pyproject():
 _ROW = hkcert.ReportRow("r", "d=5", Fraction(6, 5), Fraction(1))
 _ENTRY = hkcert.ColengthEntry(q=2, colength=12, normalized=Fraction(3))
 RECORDS = [
-    (hkcert.IntervalCertRow(None, Fraction(1), "degenerate-linear-increasing", ""), "apex"),
+    (hkcert.IntervalCertRow(None, Fraction(1), Fraction(2), "degenerate-linear-increasing"), "apex"),
     (_ENTRY, "colength"),
     (hkcert.ColengthSequence((_ENTRY,)), "entries"),
     (hkcert.MonomialIdeal(2, [(2, 0), (0, 2)]), "generators"),
@@ -92,4 +92,8 @@ def test_record_defaults():
     assert row.note == ""
     # The paper's quoted values live in tests/test_acceptance.py, not on the rows.
     assert TableRow._fields == ("kind", "e_low", "e_high", "s", "target", "note")
+    # An interval row holds G at both ends; its certified bound is derived.
+    cert = hkcert.IntervalCertRow(None, Fraction(3), Fraction(2), "degenerate-linear-increasing")
+    assert hkcert.IntervalCertRow._fields == ("apex", "g_low", "g_high", "branch")
+    assert cert.certified_bound == 2
     assert _ROW.notes == ""
