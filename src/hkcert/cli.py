@@ -32,12 +32,8 @@ from .slab import vol_slab
 from .tables import _interval_notes, verify_tables
 
 
-# The largest order whose line prints under Python's default 4300-digit
-# int-to-str limit: 1 + m_1562 has a part of more than 4300 digits.
-_MAX_MD_ORDER = 1561
-
 # An integer above 2**_MAX_PRINT_BITS has more than 4300 digits, so it does
-# not print under the same limit.
+# not print under Python's default int-to-str limit.
 _MAX_PRINT_BITS = (10**4300).bit_length()
 
 
@@ -147,8 +143,6 @@ def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
-    if args.max_order > _MAX_MD_ORDER:
-        raise ValueError(f"--max must be <= {_MAX_MD_ORDER}")
     lines = []
     for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
         threshold = 1 + m

@@ -21,6 +21,14 @@ from math import factorial
 __all__ = ["conjecture_threshold", "zigzag_coeffs"]
 
 
+# Cost cap on the series order: the largest order whose threshold 1 + m_d
+# prints under Python's default 4300-digit int-to-str limit (1 + m_1562 has
+# a part of more than 4300 digits).  Order 1561 took 0.9 s and order 3000
+# 5.5-7.5 s (Python 3.11, 2-core shared machine): the triangle's order^2
+# additions of ints of up to order * log2(order) bits grow about like order^3.
+_MAX_ORDER = 1561
+
+
 def zigzag_numbers(count: int) -> list[int]:
     """Euler zigzag numbers E_0..E_count via the boustrophedon recurrence.
 
@@ -41,9 +49,15 @@ def zigzag_numbers(count: int) -> list[int]:
 
 
 def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
-    """The tuple (m_1, ..., m_order), each m_d = E_d / d!."""
+    """The tuple (m_1, ..., m_order), each m_d = E_d / d!.
+
+    Raises ValueError, before the triangle is built, for an order above
+    ``_MAX_ORDER``.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > _MAX_ORDER:
+        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")
     zig = zigzag_numbers(order)
     return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
 

@@ -2,7 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import ceil, factorial, isqrt
+from math import ceil, comb, factorial, isqrt
 
 import pytest
 
@@ -57,6 +57,17 @@ def grid_then_halving(d, e, r, grid_resolution):
                 if bound > best_bound:
                     best_s, best_bound = candidate, bound
     return best_s, best_bound
+
+
+def fine_lattice_scores(d, r, b):
+    """Oracle: ``N_j - r * N_{j-b}`` for j = 0, ..., d*b, where v_{j/b} = N_j / (d! b^d) and N_j = 0 for j < 0.
+
+    Each N_j is the inclusion-exclusion sum over one table of powers k^d,
+    with no clamp and no symmetry.
+    """
+    powers = [k**d for k in range(d * b + 1)]
+    n = [sum((-1) ** m * comb(d, m) * powers[j - m * b] for m in range(min(j // b, d) + 1)) for j in range(d * b + 1)]
+    return [n[j] - r * (n[j - b] if j >= b else 0) for j in range(d * b + 1)]
 
 
 def fraction_certify_interval(d, e_low, e_high, s):
@@ -198,6 +209,27 @@ class TestVolumeLowerBound:
         for d, e, s, r in [(5, 35, Fraction(7, 5), 134), (6, 12, Fraction(23, 10), 10), (3, Fraction(7, 2), 2, 1)]:
             assert volume_lower_bound(d, e, s, r=r) == ungrouped_bound(d, e, s, [1] * r)
 
+    def test_uniform_form_is_one_numerator_pair(self, monkeypatch):
+        # The r form takes N_s and N_{s-1} over one denominator, as
+        # certify_interval does: one _slab_ratio call at s = a/b and one at
+        # s - 1 = (a-b)/b, and no vol_slab or valuation grouping.  r = 0
+        # evaluates v_s alone, so a long s - 1 cannot fail the size cap.
+        calls = []
+        real_ratio = bounds._slab_ratio
+        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
+        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
+        monkeypatch.setattr(bounds, "Counter", lambda *a: pytest.fail("valuations grouped"))
+        for s, r in ((Fraction(7, 5), 134), (Fraction(1, 3), 2), (Fraction(11, 2), 3), (Fraction(8), 1)):
+            calls.clear()
+            assert volume_lower_bound(5, 35, s, r=r) == ungrouped_bound(5, 35, s, [1] * r)
+            assert calls == [(5, s.numerator, s.denominator), (5, s.numerator - s.denominator, s.denominator)]
+        calls.clear()
+        long_s = 2 + Fraction(1, 3**20700)  # v_s = 1; v_{s-1} is past _MAX_SLAB_BITS
+        assert volume_lower_bound(2, 5, long_s, r=0) == 5
+        assert calls == [(2, long_s.numerator, long_s.denominator)]
+        with pytest.raises(ValueError, match="must be <= 65536, got 65618$"):
+            volume_lower_bound(2, 5, long_s, r=1)
+
     def test_weakly_decreasing_in_generator_count(self):
         for d, e, s in [(5, 7, Fraction(21, 10)), (6, 10, Fraction(23, 10)), (3, 4, Fraction(3, 2))]:
             bounds = [volume_lower_bound(d, e, s, r=r) for r in range(6)]
@@ -287,20 +319,23 @@ class TestOptimizeSlice:
             optimize_slice(3, 5, Fraction(3, 2), 10)
 
     def test_integer_path_after_input_checks(self, monkeypatch):
-        # The one volume_lower_bound call checks the inputs at s = 0; every
+        # The one volume_lower_bound call checks the inputs at s = 0 with the
+        # pair v_0, v_{-1} (two _slab_ratio calls, no vol_slab); every
         # candidate after it is compared as an integer slab numerator.  The
         # 241 grid numerators come from one _grid_numerators call, so only
-        # the 16 halving candidates (two numerators each at most) are
-        # single-point _slab_numerator calls.
-        checks, volumes, points = [], [], []
-        monkeypatch.setattr(bounds, "vol_slab", lambda d, s: volumes.append(s) or vol_slab(d, s))
+        # the 16 halving candidates (two numerators each) are single-point
+        # _slab_numerator calls.
+        checks, ratios, points = [], [], []
+        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
+        real_ratio = bounds._slab_ratio
+        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: ratios.append(a) or real_ratio(*a))
         real_bound = bounds.volume_lower_bound
         monkeypatch.setattr(bounds, "volume_lower_bound", lambda *a, **k: checks.append(a) or real_bound(*a, **k))
         real_numerator = bounds._slab_numerator
         monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: points.append(a) or real_numerator(*a))
         assert optimize_slice(6, 20, 5, 40) == grid_then_halving(6, 20, 5, 40)
         assert checks == [(6, 20, 0)]
-        assert volumes == [0, -1]
+        assert ratios == [(6, 0, 1), (6, -1, 1)]
         assert len(points) <= 32
         assert all(b == 256 * 40 for _, _, b in points)
 
@@ -315,6 +350,32 @@ class TestOptimizeSlice:
         left, right = (volume_lower_bound(2, 1, Fraction(j, 768), r=511) for j in (769, 770))
         assert left == right
         assert optimize_slice(2, 1, 511, 3) == grid_then_halving(2, 1, 511, 3) == (Fraction(770, 768), right)
+
+    def test_returns_the_fine_lattice_maximiser(self):
+        # The bound rises and then falls in s (the Irwin-Hall density is
+        # log-concave), so the grid's first maximum and the 8 halvings return
+        # the maximiser over every point j/D, D = 256 * res, 0 <= j <= d*D;
+        # of two tied neighbours, the even j.  The first 8 cases are every
+        # tie of d 1-6, res 2-12, r in {0, ..., 39, 127, 255, 511, 1023}
+        # (4 return the second point); on the next 2, step 2 -> 3 in the
+        # halvings misses the maximum.
+        cases = [(2, 2, 1023), (2, 3, 511), (2, 5, 511), (2, 6, 1023), (2, 7, 511), (2, 9, 511), (2, 10, 1023),
+                 (2, 11, 511), (3, 8, 511), (3, 9, 127)]
+        rng = random.Random(256)
+        cases += [(rng.randint(1, 6), rng.randint(2, 12), rng.choice([*range(40), 127, 255, 511, 1023]))
+                  for _ in range(60)]
+        ties = 0
+        for d, res, r in cases:
+            fine = 256 * res
+            scores = fine_lattice_scores(d, r, fine)
+            best = max(scores)
+            argmax = [j for j, score in enumerate(scores) if score == best]
+            assert len(argmax) == 1 or (len(argmax) == 2 and argmax[1] == argmax[0] + 1), (d, res, r)
+            ties += len(argmax) == 2
+            want = argmax[0] if len(argmax) == 1 else next(j for j in argmax if j % 2 == 0)
+            e = Fraction(d + r + 1, 3)
+            assert optimize_slice(d, e, r, res) == (Fraction(want, fine), e * Fraction(best, factorial(d) * fine**d))
+        assert ties == 8
 
     def test_rejects_grid_beyond_cost_cap(self, monkeypatch):
         # The cap is checked before the grid exists: a kernel call would fail the test.

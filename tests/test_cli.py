@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hkcert import bounds, cli, monomial, rationals, slab
+from hkcert import bounds, cli, monomial, rationals, series, slab
 from hkcert.cli import main
 from hkcert.rationals import format_rational
-from hkcert.series import zigzag_coeffs
+from hkcert.series import zigzag_numbers
 from hkcert.tables import verify_tables
 from test_bounds import LEAST_STRONG_PSEUDOPRIMES
 
@@ -83,18 +83,20 @@ def test_md_large_order_is_fast():
 
 @pytest.mark.parametrize("order", ["1562", "1000000000"])
 def test_md_rejects_order_beyond_cap(order, capsys, monkeypatch):
-    # Should the cap ever be lost, fail instead of computing the coefficients.
-    monkeypatch.setattr(cli, "zigzag_coeffs", lambda *a: pytest.fail("coefficients computed"))
+    # The library's cap: should it ever be lost, fail instead of building the triangle.
+    monkeypatch.setattr(series, "zigzag_numbers", lambda *a: pytest.fail("triangle built"))
     assert main(["md", "--max", order]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --max must be <= 1561")
+    assert captured.err == f"error: order must be <= 1561, got {order}\n"
 
 
 def test_md_cap_is_the_last_order_that_prints():
     # Under Python's default int-to-str limit, the threshold 1 + m_d of the
     # largest allowed order still formats, and that of the next order does not.
-    *_, last, beyond = zigzag_coeffs(cli._MAX_MD_ORDER + 1)
+    *_, e_last, e_beyond = zigzag_numbers(series._MAX_ORDER + 1)
+    last = Fraction(e_last, factorial(series._MAX_ORDER))
+    beyond = Fraction(e_beyond, factorial(series._MAX_ORDER + 1))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -129,6 +131,22 @@ def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
             assert captured.err.startswith("error: ")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--dim", "3", "--e", "2", "--t", "1,x", "--s", "1"], "argument --t: "),
+    (["bound", "--dim", "3", "--e", "2", "--t", "1,", "--s", "1"], "argument --t: "),
+    (["monomial", "--file", "sq.ideal", "--q", "1,x"], "argument --q: expected comma-separated integers, got '1,x'"),
+    (["monomial", "--file", "sq.ideal", "--q", "2,1/2"], "argument --q: expected comma-separated integers, got '2,1/2'"),
+])
+def test_bad_list_arguments_are_usage_errors(argv, message, capsys):
+    # argparse reports the list parsers' ArgumentTypeError and exits 2 before any command runs.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bound_with_target(capsys):

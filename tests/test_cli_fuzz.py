@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert import bounds, cli, monomial, rationals, slab
+from hkcert import bounds, cli, monomial, rationals, series, slab
 from hkcert.cli import main
 
 JUNK = st.sampled_from(["0", "-1", "-5/3", "9" * 60, "x", "", "1/0", "nan", "1,2"])
@@ -124,7 +124,7 @@ FROBENIUS_POWERS = Flag(st.sets(st.integers(1, 8), min_size=1, max_size=4).map(l
 # Argument sets by command; "bound --t" and the like name one of a command's flag modes.
 COMMANDS = {
     "vol": {"--dim": DIM, "--s": SLICE},
-    "md": {"--max": Flag(small_int(1, 40), lambda values: [str(cli._MAX_MD_ORDER + 1)])},
+    "md": {"--max": Flag(small_int(1, 40), lambda values: [str(series._MAX_ORDER + 1)])},
     "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": SLICE, "--target": RATIONAL},
     "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": SLICE},
     "bound --optimize": {

@@ -145,6 +145,11 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ())
 
+    def test_rejects_fewer_than_one_variable(self):
+        for num_vars in (0, -1):
+            with pytest.raises(ValueError, match="^need at least one variable$"):
+                MonomialIdeal(num_vars, ((1,),))
+
     def test_minimalizes_generators(self):
         ideal = MonomialIdeal(2, ((3, 0), (1, 0), (0, 2), (2, 2), (0, 2)))
         assert ideal.generators == ((0, 2), (1, 0))
@@ -394,6 +399,12 @@ class TestMixedColength:
         plane = MonomialIdeal(2, ((1, 0), (0, 1)))
         with pytest.raises(ValueError):
             mixed_colength(plane, -1, 2)
+
+    def test_rejects_q_below_one(self):
+        plane = MonomialIdeal(2, ((1, 0), (0, 1)))
+        for q in (0, -2):
+            with pytest.raises(ValueError, match="^q must be >= 1$"):
+                mixed_colength(plane, 1, q)
 
     def test_floor_convention(self):
         # floor(s*q) jumps only at multiples of 1/q.

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hkcert import series
 from hkcert.cli import main
 from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational
 from hkcert.series import conjecture_threshold, zigzag_coeffs, zigzag_numbers
@@ -126,6 +127,16 @@ def test_series_coefficients_validation():
     with pytest.raises(ValueError):
         conjecture_threshold(0)
     assert len(zigzag_coeffs(3)) == 3
+
+
+def test_rejects_order_beyond_cap_before_the_triangle(monkeypatch):
+    # The cap is the library's: the first order past it raises before any
+    # row of the Seidel triangle exists, for the coefficients and the threshold.
+    assert series._MAX_ORDER == 1561
+    monkeypatch.setattr(series, "zigzag_numbers", lambda *a: pytest.fail("triangle built"))
+    for call in (zigzag_coeffs, conjecture_threshold):
+        with pytest.raises(ValueError, match="^order must be <= 1561, got 1562$"):
+            call(series._MAX_ORDER + 1)
 
 
 def test_md_prints_the_series_division_values(capsys):
