@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .rationals import Rational
+from .rationals import Rational, _exact
 from .slab import _MAX_DIM, _MAX_SLAB_BITS, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
@@ -82,7 +82,7 @@ def volume_lower_bound(
     more than ``_MAX_VALUATIONS`` distinct t and when the sizes of the
     volumes with 0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
     """
-    e, s = Fraction(e), Fraction(s)
+    e, s = _exact("e", e), _exact("s", s)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if e < 1:
@@ -92,15 +92,15 @@ def volume_lower_bound(
     if (r is None) == (valuations is None):
         raise ValueError("exactly one of r / valuations is required")
     if valuations is None:
-        if r < 0:
+        if (r := _exact("r", r)) < 0:
             raise ValueError("generator count must be >= 0")
-        if (r := Fraction(r)).denominator != 1:
+        if r.denominator != 1:
             raise ValueError(f"generator count must be an integer, got {r}")
         if not r:  # v_{s-1} is not needed, so its size is not checked
             return e * Fraction(*_slab_ratio(d, s.numerator, s.denominator))
         n_s, n_prev, den = _uniform_ratio(d, s)
         return e * Fraction(n_s - int(r) * n_prev, den)
-    counts = Counter(Fraction(t) for t in valuations)
+    counts = Counter(_exact("valuations", t) for t in valuations)
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
     if len(counts) > _MAX_VALUATIONS:
@@ -159,8 +159,10 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     comparing scores is exact, and the strict ``>`` keeps the first maximum.
     The grid numerators come at once from ``_grid_numerators`` (powers up
     to d*grid_resolution/2, the rest by the slab symmetry), scaled to D by
-    ``<< 8*d``; each halving point is one ``_slab_numerator`` pair, whose
-    N_{j-D} is 0 for j <= D.
+    ``<< 8*d``.  Each halving point is one ``_slab_numerator(d, j, D, r)``
+    call, the folded sum of (-1)^n (C(d, n) + r C(d, n-1)) (j - nD)^d over
+    n <= min(floor(j/D), d + 1): one power per term, not one for each of
+    N_j and N_{j-D}.
 
     Raises ValueError, before any grid is built, when d * grid_resolution
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
@@ -187,7 +189,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     for step in (128, 64, 32, 16, 8, 4, 2, 1):
         for j in (best_j - step, best_j + step):
             if 0 <= j <= d * fine:
-                score = _slab_numerator(d, j, fine) - r * _slab_numerator(d, j - fine, fine)
+                score = _slab_numerator(d, j, fine, r)
                 if score > best_score:
                     best_j, best_score = j, score
     return Fraction(best_j, fine), Fraction(e) * Fraction(best_score, factorial(d) * fine**d)
@@ -231,7 +233,9 @@ def quadric_ehk(p: int, d: int) -> Fraction:
         d = 5:  (17 p^2 + 12) / (15 p^2 + 10)
         d = 6:  (781 p^4 + 656 p^2 + 315) / (720 p^4 + 570 p^2 + 270)
     """
-    if not _is_odd_prime(p):
+    if (p := _exact("p", p)).denominator != 1:
+        raise ValueError(f"p must be an integer, got {p}")
+    if not _is_odd_prime(p := int(p)):
         raise ValueError(f"p must be an odd prime, got {p}")
     if d == 5:
         return Fraction(17 * p**2 + 12, 15 * p**2 + 10)
@@ -268,13 +272,13 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
-        if (value := Fraction(value)).denominator != 1:
+        if (value := _exact(name, value)).denominator != 1:
             raise ValueError(f"{name} must be an integer, got {value}")
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
         raise ValueError("e_low must be >= 1 (multiplicities are positive)")
-    s = Fraction(s)
+    s = _exact("s", s)
     if s < 0:
         raise ValueError("slice parameter must be >= 0")
     n_s, n_prev, den = _uniform_ratio(d, s)
@@ -318,7 +322,7 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power."""
-    e = Fraction(e)
+    e = _exact("e", e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if e.denominator != 1:
@@ -359,7 +363,7 @@ def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple
     """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
-    e = Fraction(e)
+    e = _exact("e", e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if d > _MAX_DIM:

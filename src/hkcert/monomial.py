@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import NamedTuple, Sequence
 
-from .rationals import Rational
+from .rationals import Rational, _exact
 
 __all__ = [
     "ColengthEntry",
@@ -192,7 +192,7 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
         raise ValueError("q must be >= 1")
     if not ideal.is_parameter_ideal():
         raise ValueError("mixed_colength requires a pure-power (parameter) ideal")
-    s = Fraction(s)
+    s = _exact("s", s)
     if s < 0:
         raise ValueError("s must be >= 0")
     cut = floor(s * q)

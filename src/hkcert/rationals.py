@@ -36,6 +36,19 @@ def parse_rational(text: str) -> Fraction:
     raise ValueError(f"decimal exponent must be at most {_MAX_EXPONENT} in absolute value, got {text!r}")
 
 
+def _exact(name: str, value: object) -> Fraction:
+    """``value`` as a ``Fraction``, where it is an int or a ``Fraction``.
+
+    Raises ValueError naming the parameter ``name`` for any other type: a
+    binary float would enter as its binary value, not the decimal it
+    prints as, and a string would be parsed, so neither is converted
+    silently (``parse_rational`` reads text).
+    """
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise ValueError(f"{name} must be int or Fraction, got {type(value).__name__}: {value!r}")
+
+
 def format_rational(x: Rational) -> str:
     """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers."""
     if x.denominator == 1:

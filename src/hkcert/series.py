@@ -5,9 +5,10 @@ alternating permutations of d letters (the Euler zigzag numbers), and
 1 + m_d is the conjectured universal lower bound for the Hilbert-Kunz
 multiplicity of a non-regular ring of dimension d.
 
-The coefficients come from one integer path, ``zigzag_coeffs``: the
+The coefficients come from one integer path, ``zigzag_numbers``: the
 boustrophedon (Seidel triangle) recurrence for E_d, followed by a
-division by d!, returned as the plain tuple (m_1, ..., m_order).  The
+division by d!; ``zigzag_coeffs`` returns the plain tuple
+(m_1, ..., m_order) and ``conjecture_threshold`` divides only E_d.  The
 test suite keeps an independent second path, the truncated exact
 power-series division tan = sin/cos and sec = 1/cos, and checks the two
 against each other.
@@ -54,10 +55,7 @@ def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
     Raises ValueError, before the triangle is built, for an order above
     ``_MAX_ORDER``.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > _MAX_ORDER:
-        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")
+    _check_order(order)
     zig = zigzag_numbers(order)
     return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
 
@@ -65,9 +63,20 @@ def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
 def conjecture_threshold(d: int) -> Fraction:
     """The conjectured Hilbert-Kunz lower bound 1 + m_d for dimension d.
 
-    Computed on the integer boustrophedon path (``zigzag_coeffs``); the
-    test suite checks it against exact power-series division.
+    Computed on the integer boustrophedon path as 1 + E_d / d!, one
+    ``Fraction`` from the last zigzag number, under the order checks of
+    ``zigzag_coeffs``; the test suite checks it against exact power-series
+    division.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return 1 + zigzag_coeffs(d)[-1]
+    _check_order(d)
+    return 1 + Fraction(zigzag_numbers(d)[-1], factorial(d))
+
+
+def _check_order(order: int) -> None:
+    """The order range of both entry points, checked before any triangle or factorial."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > _MAX_ORDER:
+        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")

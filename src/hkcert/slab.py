@@ -24,6 +24,15 @@ gives the lower half of that grid: N_k is P_k plus the shifted terms
 (-1)^m C(d,m) P_{k-mb} for 1 <= m <= k/b, so floor(d/2) weighted shifted
 adds fill N_0, ..., N_h.  The distribution is symmetric about d/2,
 v_{d-s} = 1 - v_s, so the upper half is N_{d*b-k} = d! b^d - N_k.
+
+The uniform volume bound v_s - r v_{s-1} has the numerator N_a - r N_{a-b}
+over the same denominator.  With m = n - 1 in the shifted sum both sums
+run over the same powers, so ``_slab_numerator(d, a, b, r)`` takes the
+difference as one sum, one power per term,
+
+    N_a - r N_{a-b} = sum_{n=0}^{min(floor(a/b), d+1)} (-1)^n (C(d,n) + r C(d,n-1)) (a-nb)^d,
+
+with C(d, -1) = C(d, d+1) = 0; r = 0 gives N_a itself, term by term.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .rationals import Rational
+from .rationals import Rational, _exact
 
 __all__ = ["vol_slab"]
 
@@ -48,9 +57,10 @@ def vol_slab(d: int, s: Rational) -> Fraction:
     Total in s: returns 0 for s <= 0 and 1 for s >= d, so shifted
     evaluations like v_{s-t} with s < t are well defined.  Raises
     ValueError for d above ``_MAX_DIM`` and, for 0 < s < d, for an s
-    too long to evaluate (``_MAX_SLAB_BITS``).
+    too long to evaluate (``_MAX_SLAB_BITS``), and for an s that is
+    not an int or a ``Fraction``.
     """
-    s = Fraction(s)
+    s = _exact("s", s)
     return Fraction(*_slab_ratio(d, s.numerator, s.denominator))
 
 
@@ -93,17 +103,22 @@ def _slab_bits(d: int, a: int, b: int) -> int:
     return bits
 
 
-def _slab_numerator(d: int, a: int, b: int) -> int:
-    """Integer N with v_{a/b} = N / (d! b^d), for b >= 1 and any integer a.
+def _slab_numerator(d: int, a: int, b: int, r: int = 0) -> int:
+    """N_a - r * N_{a-b}, where v_{a/b} = N_a / (d! b^d), for b >= 1, any integer a and r >= 0.
 
     a/b need not be in lowest terms, so the volumes on a grid {k/b} all
-    come over the one denominator d! b^d.  The terms stop at n = d, so
-    a >= d*b gives d! b^d after d + 1 terms.
+    come over the one denominator d! b^d.  Term n weighs the one power
+    (a - n*b)^d by C(d, n) + r * C(d, n-1), the fold in the module
+    docstring; N is 0 at a negative index.  The terms stop at n = d + 1,
+    or at n = d for r = 0, so the pointwise sum computes no binomial
+    beyond its own: a >= d*b gives d! b^d after d + 1 terms.
     """
-    total = 0
-    for n in range(min(a // b, d) + 1):
-        term = comb(d, n) * (a - n * b) ** d
+    total, previous = 0, 0  # previous: C(d, n-1), 0 at n = 0
+    for n in range(min(a // b, d + 1 if r else d) + 1):
+        c = comb(d, n)
+        term = (c + r * previous) * (a - n * b) ** d
         total += -term if n % 2 else term
+        previous = c
     return total
 
 

@@ -323,21 +323,24 @@ class TestOptimizeSlice:
         # pair v_0, v_{-1} (two _slab_ratio calls, no vol_slab); every
         # candidate after it is compared as an integer slab numerator.  The
         # 241 grid numerators come from one _grid_numerators call, so only
-        # the 16 halving candidates (two numerators each) are single-point
-        # _slab_numerator calls.
-        checks, ratios, points = [], [], []
+        # the 16 halving candidates are single-point calls: one folded
+        # _slab_numerator(d, j, D, r) each, N_j - r * N_{j-D} in one sum.
+        checks, ratios, grids, points = [], [], [], []
         monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
         real_ratio = bounds._slab_ratio
         monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: ratios.append(a) or real_ratio(*a))
         real_bound = bounds.volume_lower_bound
         monkeypatch.setattr(bounds, "volume_lower_bound", lambda *a, **k: checks.append(a) or real_bound(*a, **k))
+        real_grid = bounds._grid_numerators
+        monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: grids.append(a) or real_grid(*a))
         real_numerator = bounds._slab_numerator
         monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: points.append(a) or real_numerator(*a))
         assert optimize_slice(6, 20, 5, 40) == grid_then_halving(6, 20, 5, 40)
         assert checks == [(6, 20, 0)]
         assert ratios == [(6, 0, 1), (6, -1, 1)]
-        assert len(points) <= 32
-        assert all(b == 256 * 40 for _, _, b in points)
+        assert grids == [(6, 40)]
+        assert 0 < len(points) <= 16
+        assert all(a[2:] == (256 * 40, 5) for a in points)
 
     def test_keeps_first_maximum_on_a_tie(self):
         # For d = 2 on [1, 2] the bound is a parabola with apex (2+r)/(1+r);
@@ -397,10 +400,16 @@ class TestOptimizeSlice:
 
     def test_admits_grid_at_both_cost_caps(self, monkeypatch):
         # d * res = 10**6 exactly (work 10**6), then d**3 * res = 10**9 exactly.
+        # From the grid maximum at 0 the halvings try j = 128, 64, ..., 1; the
+        # stub must be what they call, one folded kernel call each, or they
+        # would evaluate real sums at d = 100.
+        points = []
         monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: [0])
-        monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: 0)
+        monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: points.append(a) or 0)
         for d, res in ((1, 10**6), (100, 1000)):
+            points.clear()
             assert optimize_slice(d, 5, 3, res) == (0, 0)
+            assert points == [(d, step, 256 * res, 3) for step in (128, 64, 32, 16, 8, 4, 2, 1)]
 
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)

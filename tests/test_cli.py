@@ -258,6 +258,7 @@ def test_optimize_rejects_work_beyond_cost_cap(dim, resolution, capsys, monkeypa
 def test_dimension_beyond_cap_exits_2(argv, capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of computing the volumes or d!.
     monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
+    monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: pytest.fail("halving point computed"))
     monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
     monkeypatch.setattr(bounds, "factorial", lambda *a: pytest.fail("factorial computed"))
     assert main(argv) == 2

@@ -427,6 +427,18 @@ class TestEhkEstimate:
         seq = ehk_estimate(MonomialIdeal(2, ((3, 0), (0, 2))), [2, 5])
         assert [entry.normalized for entry in seq.entries] == [Fraction(6)] * 2
 
+    def test_one_staircase_sweep_for_any_q_list(self, monkeypatch):
+        # The normalized sequence is constant, so lambda(R/I) is counted once
+        # however many q are asked for.
+        calls = []
+        real_sweep = monomial._staircase_colength
+        monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: calls.append(a) or real_sweep(*a))
+        for q_list in ([2], [2, 3, 4, 8], list(range(1, 200))):
+            calls.clear()
+            seq = ehk_estimate(SQUARE, q_list)
+            assert len(calls) == 1
+            assert [entry.colength for entry in seq.entries] == [3 * q**2 for q in q_list]
+
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             ehk_estimate(SQUARE, [])

@@ -1,10 +1,21 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hkcert import rationals as rationals_module
+from hkcert import MonomialIdeal, rationals as rationals_module
+from hkcert.bounds import (
+    certify_interval,
+    fixed_dimension_bound,
+    optimize_slice,
+    quadric_ehk,
+    radical_recursion_bound,
+    volume_lower_bound,
+)
+from hkcert.monomial import mixed_colength
+from hkcert.slab import vol_slab
 from hkcert.rationals import (
     decimal_render,
     format_rational,
@@ -79,3 +90,37 @@ def test_parse_rational_caps_decimal_exponent(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_rational(text)
 
+
+
+# The rational and integer parameters that go through rationals._exact, as
+# (call, parameter, an exact value it accepts): the call puts the value x in
+# the parameter's place.
+PARAMETERS = [
+    pytest.param(lambda x: vol_slab(3, x), "s", Fraction(1, 10), id="vol_slab-s"),
+    pytest.param(lambda x: volume_lower_bound(5, x, 2, r=3), "e", 5, id="volume_lower_bound-e"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, x, r=3), "s", Fraction(7, 5), id="volume_lower_bound-s"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, 2, r=x), "r", 3, id="volume_lower_bound-r"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, 2, valuations=[1, x]), "valuations", Fraction(1, 2),
+                 id="volume_lower_bound-valuations"),
+    pytest.param(lambda x: optimize_slice(5, x, 3, 10), "e", 5, id="optimize_slice-e"),
+    pytest.param(lambda x: certify_interval(6, x, 15, Fraction(23, 10)), "e_low", 10, id="certify_interval-e_low"),
+    pytest.param(lambda x: certify_interval(6, 10, x, Fraction(23, 10)), "e_high", 15, id="certify_interval-e_high"),
+    pytest.param(lambda x: certify_interval(6, 10, 15, x), "s", Fraction(23, 10), id="certify_interval-s"),
+    pytest.param(lambda x: mixed_colength(MonomialIdeal(2, [(2, 0), (0, 3)]), x, 4), "s", Fraction(3, 2),
+                 id="mixed_colength-s"),
+    pytest.param(lambda x: radical_recursion_bound(3, x, 4, 2, 3), "e", 6, id="radical_recursion_bound-e"),
+    pytest.param(lambda x: fixed_dimension_bound(3, x, "general"), "e", 6, id="fixed_dimension_bound-e"),
+    pytest.param(lambda x: quadric_ehk(x, 5), "p", 7, id="quadric_ehk-p"),
+]
+
+
+@pytest.mark.parametrize("call, name, exact", PARAMETERS)
+def test_rational_inputs_are_exact_or_rejected(call, name, exact):
+    # A binary float would enter as its binary value and a string would be
+    # parsed; both are refused by name, whatever their value.
+    call(exact)
+    call(Fraction(exact))
+    for value in (float(exact), str(exact), Decimal(str(float(exact))), complex(exact)):
+        message = f"^{name} must be int or Fraction, got {type(value).__name__}: {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)

@@ -129,11 +129,23 @@ def test_series_coefficients_validation():
     assert len(zigzag_coeffs(3)) == 3
 
 
+def test_conjecture_threshold_is_one_plus_last_coefficient():
+    # conjecture_threshold divides only E_d by d!; zigzag_coeffs(d) is a
+    # prefix of zigzag_coeffs(300), so one tuple serves every d.
+    coeffs = zigzag_coeffs(300)
+    for d in (1, 2, 150, 300):
+        assert zigzag_coeffs(d)[-1] == coeffs[d - 1]
+    for d in range(1, 301):
+        assert conjecture_threshold(d) == 1 + coeffs[d - 1], d
+
+
 def test_rejects_order_beyond_cap_before_the_triangle(monkeypatch):
     # The cap is the library's: the first order past it raises before any
-    # row of the Seidel triangle exists, for the coefficients and the threshold.
+    # row of the Seidel triangle or any factorial exists, for the
+    # coefficients and the threshold.
     assert series._MAX_ORDER == 1561
     monkeypatch.setattr(series, "zigzag_numbers", lambda *a: pytest.fail("triangle built"))
+    monkeypatch.setattr(series, "factorial", lambda *a: pytest.fail("factorial computed"))
     for call in (zigzag_coeffs, conjecture_threshold):
         with pytest.raises(ValueError, match="^order must be <= 1561, got 1562$"):
             call(series._MAX_ORDER + 1)

@@ -139,6 +139,38 @@ def test_slab_numerator_terms_stop_at_d():
             assert _slab_numerator(d, -b, b) == _slab_numerator(d, 0, b) == 0
 
 
+def test_folded_kernel_equals_numerator_difference():
+    # _slab_numerator(d, j, D, r) folds N_j - r * N_{j-D} into one sum over
+    # the shared powers (j - nD)^d; it must equal the two-numerator difference
+    # on [-D, d*D], the optimizer's range, its edges and breakpoints among
+    # the points, and past it, where the term n = d + 1 enters.
+    rng = random.Random(23)
+    for d in range(1, 13):
+        for r in [*range(41), 511, 1023]:
+            big = 256 * rng.randint(2, 100)
+            js = [-big, -1, 0, 1, d * big - 1, d * big, (d + 1) * big, (d + 2) * big + 1]
+            js += [m * big + k for m in range(1, d) for k in (-1, 0, 1)]
+            js += [rng.randint(-big, d * big) for _ in range(8)]
+            for j in js:
+                want = _slab_numerator(d, j, big) - r * _slab_numerator(d, j - big, big)
+                assert _slab_numerator(d, j, big, r) == want, (d, j, big, r)
+
+
+def test_pointwise_kernel_computes_no_extra_binomial(monkeypatch):
+    # r = 0 stops at n = d, as the unfolded sum did: one binomial per term.
+    # Only r > 0 reaches the term n = d + 1, whose C(d, d+1) is 0.
+    calls = []
+    monkeypatch.setattr(slab, "comb", lambda *a: calls.append(a) or comb(*a))
+    for d in (1, 4, 9):
+        for a in (3, 17, d * 5, (d + 3) * 5):
+            calls.clear()
+            slab._slab_numerator(d, a, 5)
+            assert calls == [(d, n) for n in range(min(a // 5, d) + 1)], (d, a)
+        calls.clear()
+        slab._slab_numerator(d, (d + 3) * 5, 5, 7)
+        assert calls == [(d, n) for n in range(d + 2)]
+
+
 def test_integer_kernel_matches_termwise_oracle():
     rng = random.Random(20110)
     cases = []

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from hkcert import bounds, slab
 from hkcert.bounds import volume_lower_bound
 from hkcert.rationals import format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
@@ -91,6 +92,21 @@ def test_report_bytes_are_pinned(dim):
     text_sha, csv_sha = REPORT_SHA256[dim]
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("dim, ratios", [(5, 10), (6, 12)])
+def test_volume_count_is_pinned(dim, ratios, monkeypatch):
+    # The cost model, no timer: each volume or interval row evaluates the
+    # pair v_s, v_{s-1} as two _slab_ratio calls (5 volume rows at d = 5,
+    # 6 interval rows at d = 6), and no row goes through vol_slab.
+    calls = []
+    real_ratio = bounds._slab_ratio
+    monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
+    for module in (bounds, slab):
+        monkeypatch.setattr(module, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
+    verify_tables(dim)
+    assert len(calls) == ratios
+    assert all(d == dim for d, _, _ in calls)
 
 
 def _finite_rows(dim):
