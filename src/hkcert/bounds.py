@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .rationals import Rational, _exact
+from .rationals import Rational, _exact, _integer
 from .slab import _MAX_DIM, _MAX_SLAB_BITS, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
@@ -216,6 +216,7 @@ def _is_odd_prime(p: int) -> bool:
         x = pow(base, odd, p)
         if x == 1 or x == p - 1:
             continue
+        # No more squarings: a^(p-1) = -1 (mod p) fails for odd p > 1, as each prime q | p would need 2^(twos+1) | q - 1.
         for _ in range(twos - 1):
             x = x * x % p
             if x == p - 1:
@@ -233,9 +234,7 @@ def quadric_ehk(p: int, d: int) -> Fraction:
         d = 5:  (17 p^2 + 12) / (15 p^2 + 10)
         d = 6:  (781 p^4 + 656 p^2 + 315) / (720 p^4 + 570 p^2 + 270)
     """
-    if (p := _exact("p", p)).denominator != 1:
-        raise ValueError(f"p must be an integer, got {p}")
-    if not _is_odd_prime(p := int(p)):
+    if not _is_odd_prime(p := _integer("p", p)):
         raise ValueError(f"p must be an odd prime, got {p}")
     if d == 5:
         return Fraction(17 * p**2 + 12, 15 * p**2 + 10)
@@ -323,6 +322,7 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power."""
     e = _exact("e", e)
+    k, n, iterations = _integer("k", k), _integer("n", n), _integer("iterations", iterations)
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if e.denominator != 1:

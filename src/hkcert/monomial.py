@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import NamedTuple, Sequence
 
-from .rationals import Rational, _exact
+from .rationals import Rational, _exact, _integer
 
 __all__ = [
     "ColengthEntry",
@@ -140,7 +140,7 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     prefix), and one prefix-minimum pass per axis of length >= 2 makes T:
     O(rows * passes), whatever q and the generator count.
     """
-    if q < 1:
+    if (q := _integer("q", q)) < 1:
         raise ValueError("q must be >= 1")
     box = ideal.pure_power_exponents()
     rows = prod(box[:-1])
@@ -188,7 +188,7 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
 
         sum_j (-1)^j C(n, j) C(m - j*q + n, n)   over j with m - j*q >= 0.
     """
-    if q < 1:
+    if (q := _integer("q", q)) < 1:
         raise ValueError("q must be >= 1")
     if not ideal.is_parameter_ideal():
         raise ValueError("mixed_colength requires a pure-power (parameter) ideal")
@@ -230,7 +230,7 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
     The sequence is constant: lambda(R/I^[q]) / q^n = lambda(R/I) for
     every q (see ``frobenius_colength``), so lambda(R/I) is counted once.
     """
-    qs = list(q_list)
+    qs = [_integer("q", q) for q in q_list]
     if not qs:
         raise ValueError("q_list must be non-empty")
     if any(b <= a for a, b in zip(qs, qs[1:])) or qs[0] < 1:

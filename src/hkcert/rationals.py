@@ -49,6 +49,20 @@ def _exact(name: str, value: object) -> Fraction:
     raise ValueError(f"{name} must be int or Fraction, got {type(value).__name__}: {value!r}")
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, where it is an int or a ``Fraction`` of denominator 1.
+
+    Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
+    does, and for a ``Fraction`` that is not an integer.
+    """
+    if type(value) is int:  # the common case, without building a Fraction
+        return value
+    value = _exact(name, value)
+    if value.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return value.numerator
+
+
 def format_rational(x: Rational) -> str:
     """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers."""
     if x.denominator == 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
 
@@ -51,14 +51,43 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
     return row.name, row.inputs, format_rational(row.exact_bound), row.decimal, format_rational(row.target), verdict, row.notes
 
 
-class CertificationReport(NamedTuple):
+_PASS = _COLUMNS.index("pass")
+
+
+class _CertificationReportFields(NamedTuple):
     tool_version: str
     command: str
     rows: tuple[ReportRow, ...]
+    cells: tuple[tuple[str, ...], ...]
+
+
+class CertificationReport(_CertificationReportFields):
+    """A report's rows, and their cells, each row's ``_cells`` computed once.
+
+    ``cells`` is derived from ``rows`` when the report is built and is
+    never an argument, so the two cannot disagree: ``to_text``,
+    ``to_csv`` and ``overall_pass`` only read it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tool_version: str, command: str, rows: Sequence[ReportRow]) -> CertificationReport:
+        rows = tuple(rows)
+        return super().__new__(cls, tool_version, command, rows, tuple(map(_cells, rows)))
+
+    @classmethod
+    def _make(cls, iterable) -> CertificationReport:  # the constructor's three values; cells is re-derived
+        return cls(*iterable)
+
+    def _replace(self, /, **changes) -> CertificationReport:  # cells= is a TypeError, as in the constructor
+        return type(self)(**{"tool_version": self.tool_version, "command": self.command, "rows": self.rows, **changes})
+
+    def __getnewargs__(self) -> tuple[str, str, tuple[ReportRow, ...]]:  # copy and pickle
+        return self.tool_version, self.command, self.rows
 
     @property
     def overall_pass(self) -> bool:
-        return all(row.passed for row in self.rows)
+        return all(cells[_PASS] == "true" for cells in self.cells)
 
     def to_text(self) -> str:
         lines = [
@@ -67,8 +96,7 @@ class CertificationReport(NamedTuple):
             f"command: {self.command}",
             f"rows: {len(self.rows)}",
         ]
-        for row in self.rows:
-            name, *cells = _cells(row)
+        for name, *cells in self.cells:
             lines.append(f"row: {name}")
             lines += [f"  {column}: {cell or '-'}" for column, cell in zip(_COLUMNS[1:], cells)]
         lines.append(f"overall-pass: {'true' if self.overall_pass else 'false'}")
@@ -78,5 +106,5 @@ class CertificationReport(NamedTuple):
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(column.replace("-", "_") for column in _COLUMNS)
-        writer.writerows(_cells(row) for row in self.rows)
+        writer.writerows(self.cells)
         return buffer.getvalue()

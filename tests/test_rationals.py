@@ -14,7 +14,7 @@ from hkcert.bounds import (
     radical_recursion_bound,
     volume_lower_bound,
 )
-from hkcert.monomial import mixed_colength
+from hkcert.monomial import ehk_estimate, frobenius_colength, mixed_colength
 from hkcert.slab import vol_slab
 from hkcert.rationals import (
     decimal_render,
@@ -92,6 +92,33 @@ def test_parse_rational_caps_decimal_exponent(monkeypatch):
 
 
 
+_IDEAL = MonomialIdeal(2, [(2, 0), (0, 3)])
+
+# The integer parameters, which go through rationals._integer, as (call,
+# parameter, an integer it accepts): the call puts the value x in the
+# parameter's place.
+INTEGER_PARAMETERS = [
+    pytest.param(lambda x: radical_recursion_bound(3, 6, x, 2, 3), "k", 4, id="radical_recursion_bound-k"),
+    pytest.param(lambda x: radical_recursion_bound(3, 6, 4, x, 3), "n", 2, id="radical_recursion_bound-n"),
+    pytest.param(lambda x: radical_recursion_bound(3, 6, 4, 2, x), "iterations", 3,
+                 id="radical_recursion_bound-iterations"),
+    pytest.param(lambda x: frobenius_colength(_IDEAL, x), "q", 2, id="frobenius_colength-q"),
+    pytest.param(lambda x: mixed_colength(_IDEAL, Fraction(3, 2), x), "q", 4, id="mixed_colength-q"),
+    pytest.param(lambda x: ehk_estimate(_IDEAL, [1, x]), "q", 2, id="ehk_estimate-q"),
+    pytest.param(lambda x: quadric_ehk(x, 5), "p", 7, id="quadric_ehk-p"),
+]
+
+
+@pytest.mark.parametrize("call, name, exact", INTEGER_PARAMETERS)
+def test_integer_inputs_are_integers_or_rejected(call, name, exact):
+    # An integral Fraction counts as its int; any other Fraction is refused by
+    # name, where it used to reach the arithmetic (a float q counted 24.0 and
+    # n = 5/2 raised AttributeError).
+    assert call(Fraction(exact)) == call(exact)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {2 * exact + 1}/2$"):
+        call(Fraction(2 * exact + 1, 2))
+
+
 # The rational and integer parameters that go through rationals._exact, as
 # (call, parameter, an exact value it accepts): the call puts the value x in
 # the parameter's place.
@@ -106,11 +133,10 @@ PARAMETERS = [
     pytest.param(lambda x: certify_interval(6, x, 15, Fraction(23, 10)), "e_low", 10, id="certify_interval-e_low"),
     pytest.param(lambda x: certify_interval(6, 10, x, Fraction(23, 10)), "e_high", 15, id="certify_interval-e_high"),
     pytest.param(lambda x: certify_interval(6, 10, 15, x), "s", Fraction(23, 10), id="certify_interval-s"),
-    pytest.param(lambda x: mixed_colength(MonomialIdeal(2, [(2, 0), (0, 3)]), x, 4), "s", Fraction(3, 2),
-                 id="mixed_colength-s"),
+    pytest.param(lambda x: mixed_colength(_IDEAL, x, 4), "s", Fraction(3, 2), id="mixed_colength-s"),
     pytest.param(lambda x: radical_recursion_bound(3, x, 4, 2, 3), "e", 6, id="radical_recursion_bound-e"),
     pytest.param(lambda x: fixed_dimension_bound(3, x, "general"), "e", 6, id="fixed_dimension_bound-e"),
-    pytest.param(lambda x: quadric_ehk(x, 5), "p", 7, id="quadric_ehk-p"),
+    *INTEGER_PARAMETERS,
 ]
 
 

@@ -1,14 +1,18 @@
+import copy
 import csv
 import hashlib
 import io
+import pickle
+from datetime import timedelta
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hkcert import bounds, slab
+from hkcert import bounds, report as report_module, slab
 from hkcert.bounds import volume_lower_bound
-from hkcert.rationals import format_rational, parse_rational
+from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
 from hkcert.series import conjecture_threshold
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS, verify_tables
@@ -211,3 +215,87 @@ def test_verdict_is_derived_from_the_exact_values():
     assert [(row["name"], row["pass"]) for row in rows] == [("exact", "true"), ("short", "false")]
     passing = CertificationReport(tool_version="0", command="test", rows=(exact,))
     assert passing.to_text().endswith("overall-pass: true\n")
+
+
+# Second path: the per-call renderer the report used before it kept its
+# cells, which formats every row again for each of to_text and to_csv and
+# compares each row's Fractions again for overall_pass.
+_OLD_COLUMNS = ("name", "inputs", "exact-bound", "decimal", "target", "pass", "notes")
+
+
+def _old_cells(row):
+    verdict = "true" if row.exact_bound >= row.target else "false"
+    decimal = decimal_render(row.exact_bound, DISPLAY_DIGITS)
+    return row.name, row.inputs, format_rational(row.exact_bound), decimal, format_rational(row.target), verdict, row.notes
+
+
+def _old_overall_pass(rows):
+    return all(row.exact_bound >= row.target for row in rows)
+
+
+def _old_to_text(tool_version, command, rows):
+    lines = ["report-version: 1", f"tool-version: {tool_version}", f"command: {command}", f"rows: {len(rows)}"]
+    for row in rows:
+        name, *cells = _old_cells(row)
+        lines.append(f"row: {name}")
+        lines += [f"  {column}: {cell or '-'}" for column, cell in zip(_OLD_COLUMNS[1:], cells)]
+    lines.append(f"overall-pass: {'true' if _old_overall_pass(rows) else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def _old_to_csv(rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(column.replace("-", "_") for column in _OLD_COLUMNS)
+    writer.writerows(_old_cells(row) for row in rows)
+    return buffer.getvalue()
+
+
+_BIG = 2**300
+_fractions = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+_text = st.text(st.sampled_from('ab1 ,"\n\r-;=:'), max_size=12)
+_rows = st.lists(st.builds(ReportRow, _text, _text, _fractions, _fractions, _text), max_size=6)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=1))
+@given(rows=_rows, tool_version=_text, command=_text)
+def test_renderers_match_the_per_call_renderer(rows, tool_version, command):
+    report = CertificationReport(tool_version, command, rows)
+    assert report.to_text() == _old_to_text(tool_version, command, rows)
+    assert report.to_csv() == _old_to_csv(rows)
+    assert report.overall_pass is _old_overall_pass(rows)
+
+
+def test_each_row_is_rendered_once(monkeypatch):
+    # verify_tables(6) and all three readers: one _cells call and at most one
+    # verdict per row (7 rows).  The per-call renderer made 14 and 28.
+    cells_calls, passed_calls = [], []
+    real_cells, real_passed = report_module._cells, ReportRow.passed
+    monkeypatch.setattr(report_module, "_cells", lambda row: cells_calls.append(row) or real_cells(row))
+    monkeypatch.setattr(ReportRow, "passed", property(lambda row: passed_calls.append(row) or real_passed.fget(row)))
+    report = verify_tables(6)
+    report.to_text(), report.to_csv(), report.overall_pass
+    assert len(report.rows) == 7
+    assert cells_calls == list(report.rows)
+    assert len(passed_calls) <= 7
+
+
+def test_cells_are_derived_from_rows():
+    passing = ReportRow("y", "-", Fraction(2), Fraction(1))
+    failing = ReportRow("x", "-", Fraction(1), Fraction(2))
+    report = CertificationReport("0", "test", [passing])
+    assert report.rows == (passing,)
+    assert report.cells == (("y", "-", "2", "2.0000", "1", "true", ""),)
+    replaced = report._replace(rows=(passing, failing))
+    assert replaced.cells[1] == ("x", "-", "1", "1.0000", "2", "false", "")
+    assert not replaced.overall_pass
+    assert CertificationReport._make(("0", "test", (failing,))).cells == (replaced.cells[1],)
+    assert copy.deepcopy(replaced) == replaced == pickle.loads(pickle.dumps(replaced))
+    with pytest.raises(TypeError):
+        CertificationReport("0", "test", (passing,), cells=())
+    with pytest.raises(TypeError):
+        report._replace(cells=())
