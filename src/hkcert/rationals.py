@@ -55,8 +55,6 @@ def _integer(name: str, value: object) -> int:
     Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
     does, and for a ``Fraction`` that is not an integer.
     """
-    if type(value) is int:  # the common case, without building a Fraction
-        return value
     value = _exact(name, value)
     if value.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {value}")
