@@ -82,7 +82,7 @@ def volume_lower_bound(
     more than ``_MAX_VALUATIONS`` distinct t and when the sizes of the
     volumes with 0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
     """
-    e, s = _exact("e", e), _exact("s", s)
+    d, e, s = _integer("d", d), _exact("e", e), _exact("s", s)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if e < 1:
@@ -168,6 +168,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
     ``_MAX_GRID_WORK``.
     """
+    d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution)
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     if d * grid_resolution > _MAX_GRID_STEPS:
@@ -234,7 +235,8 @@ def quadric_ehk(p: int, d: int) -> Fraction:
         d = 5:  (17 p^2 + 12) / (15 p^2 + 10)
         d = 6:  (781 p^4 + 656 p^2 + 315) / (720 p^4 + 570 p^2 + 270)
     """
-    if not _is_odd_prime(p := _integer("p", p)):
+    p, d = _integer("p", p), _integer("d", d)
+    if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if d == 5:
         return Fraction(17 * p**2 + 12, 15 * p**2 + 10)
@@ -270,9 +272,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     ``_uniform_ratio``.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
-    for name, value in (("e_low", e_low), ("e_high", e_high)):
-        if (value := _exact(name, value)).denominator != 1:
-            raise ValueError(f"{name} must be an integer, got {value}")
+    d, e_low, e_high = _integer("d", d), _integer("e_low", e_low), _integer("e_high", e_high)
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
@@ -281,7 +281,6 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     if s < 0:
         raise ValueError("slice parameter must be >= 0")
     n_s, n_prev, den = _uniform_ratio(d, s)
-    e_low, e_high = int(e_low), int(e_high)
     g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
     if not bottom:
@@ -321,7 +320,7 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power."""
-    e = _exact("e", e)
+    d, e = _integer("d", d), _exact("e", e)
     k, n, iterations = _integer("k", k), _integer("n", n), _integer("iterations", iterations)
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -363,7 +362,7 @@ def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple
     """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
-    e = _exact("e", e)
+    d, e = _integer("d", d), _exact("e", e)
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if d > _MAX_DIM:

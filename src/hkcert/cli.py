@@ -10,26 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
 
 from . import __version__
-from .bounds import (
-    _fixed_dimension_recursion,
-    _radical_terms,
-    certify_interval,
-    fixed_dimension_bound,
-    optimize_slice,
-    quadric_ehk,
-    radical_recursion_bound,
-    volume_lower_bound,
-)
-from .monomial import ehk_estimate, parse_generators
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
-from .series import conjecture_threshold, zigzag_coeffs
-from .slab import vol_slab
-from .tables import _interval_notes, verify_tables
 
 
 # An integer above 2**_MAX_PRINT_BITS has more than 4300 digits, so it does
@@ -62,24 +47,45 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hkcert",
-        description="Exact-rational lower bounds for Hilbert-Kunz multiplicities.",
-    )
-    parser.add_argument("--version", action="version", version=f"hkcert {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _text(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
-    p = sub.add_parser("vol", help="exact hypercube slab volume v_s")
+
+def _target_lines(bound: Fraction, target: Fraction | None) -> tuple[list[str], int]:
+    if target is None:
+        return [], 0
+    passed = bound >= target
+    return [f"target: {format_rational(target)} -> {'PASS' if passed else 'FAIL'}"], 0 if passed else 1
+
+
+def _add_vol(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_vol)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--s", type=_rational, required=True)
 
-    p = sub.add_parser("md", help="series coefficients m_d and thresholds 1 + m_d")
+
+def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
+    from .slab import vol_slab
+
+    return _text(_fmt(vol_slab(args.dim, args.s))), 0
+
+
+def _add_md(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_md)
     p.add_argument("--max", type=int, required=True, dest="max_order")
 
-    p = sub.add_parser("bound", help="volume lower bound e (v_s - sum v_{s-t_i})")
+
+def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
+    from .series import zigzag_coeffs
+
+    lines = []
+    for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
+        threshold = 1 + m
+        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DISPLAY_DIGITS)}")
+    return _text(*lines), 0
+
+
+def _add_bound(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_bound)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--e", type=_rational, required=True)
@@ -92,65 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=100, help="grid resolution for --optimize")
     p.add_argument("--target", type=_rational, help="pass/fail threshold for the bound")
 
-    p = sub.add_parser("verify-tables", help="recompute a bundled certification table")
-    p.set_defaults(handler=_cmd_verify_tables)
-    p.add_argument("--dim", type=int, choices=(5, 6), required=True)
-    p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
-
-    p = sub.add_parser("quadric", help="closed-form e_HK of the quadric hypersurface")
-    p.set_defaults(handler=_cmd_quadric)
-    p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-    p.add_argument("--d", type=int, choices=(5, 6), required=True)
-
-    p = sub.add_parser("radical", help="radical-extension lower bounds")
-    p.set_defaults(handler=_cmd_radical)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--e", type=_rational, default=Fraction(6))
-    p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
-    p.add_argument("--k", type=int, help="embedding codimension (recursion mode)")
-    p.add_argument("--n", type=int, help="root degree (recursion mode)")
-    p.add_argument("--iterations", type=int, help="recursion depth (recursion mode)")
-
-    p = sub.add_parser("monomial", help="Frobenius colengths of a monomial ideal")
-    p.set_defaults(handler=_cmd_monomial)
-    p.add_argument("--file", type=Path, required=True, help="one generator per line, space-separated exponents")
-    p.add_argument("--q", type=_int_list, required=True, help="comma-separated Frobenius powers")
-
-    p = sub.add_parser("certify-interval", help="certify G(e) >= target over an integer interval")
-    p.set_defaults(handler=_cmd_certify_interval)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--e-low", type=int, required=True)
-    p.add_argument("--e-high", type=int, required=True)
-    p.add_argument("--s", type=_rational, required=True)
-    p.add_argument("--target", type=_rational, required=True)
-
-    return parser
-
-
-def _text(*lines: str) -> str:
-    return "".join(f"{line}\n" for line in lines)
-
-
-def _target_lines(bound: Fraction, target: Optional[Fraction]) -> tuple[list[str], int]:
-    if target is None:
-        return [], 0
-    passed = bound >= target
-    return [f"target: {format_rational(target)} -> {'PASS' if passed else 'FAIL'}"], 0 if passed else 1
-
-
-def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
-    return _text(_fmt(vol_slab(args.dim, args.s))), 0
-
-
-def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
-    lines = []
-    for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
-        threshold = 1 + m
-        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DISPLAY_DIGITS)}")
-    return _text(*lines), 0
-
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
+    from .bounds import optimize_slice, volume_lower_bound
+
     lines = []
     if args.optimize:
         if args.t is not None:
@@ -164,14 +115,33 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
     return _text(*lines, *target_lines), code
 
 
+def _add_verify_tables(p: argparse.ArgumentParser) -> None:
+    from pathlib import Path
+
+    p.set_defaults(handler=_cmd_verify_tables)
+    p.add_argument("--dim", type=int, choices=(5, 6), required=True)
+    p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
+
+
 def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
+    from .tables import verify_tables
+
     report = verify_tables(args.dim)
     if args.csv is not None:
         args.csv.write_text(report.to_csv())
     return report.to_text(), 0 if report.overall_pass else 1
 
 
+def _add_quadric(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(handler=_cmd_quadric)
+    p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
+    p.add_argument("--d", type=int, choices=(5, 6), required=True)
+
+
 def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
+    from .bounds import quadric_ehk
+    from .series import conjecture_threshold
+
     value = quadric_ehk(args.p, args.d)
     threshold = conjecture_threshold(args.d)
     exceeds = value > threshold
@@ -185,12 +155,26 @@ def _printable_radical(d: int, e: Fraction | int, k: int, n: int, iterations: in
     With base = a/b in lowest terms, the bound's denominator is at least
     b**iterations / numerator(start) > 2**bits.
     """
+    from .bounds import _radical_terms
+
     base, start = _radical_terms(d, e, k, n, iterations)
     bits = iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
     return bits <= _MAX_PRINT_BITS
 
 
+def _add_radical(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(handler=_cmd_radical)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--e", type=_rational, default=Fraction(6))
+    p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
+    p.add_argument("--k", type=int, help="embedding codimension (recursion mode)")
+    p.add_argument("--n", type=int, help="root degree (recursion mode)")
+    p.add_argument("--iterations", type=int, help="recursion depth (recursion mode)")
+
+
 def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
+    from .bounds import _fixed_dimension_recursion, fixed_dimension_bound, radical_recursion_bound
+
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
         if any(flag is not None for flag in recursion_flags):
@@ -208,7 +192,17 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
     return _text(f"bound: {_fmt(bound)}"), 0
 
 
+def _add_monomial(p: argparse.ArgumentParser) -> None:
+    from pathlib import Path
+
+    p.set_defaults(handler=_cmd_monomial)
+    p.add_argument("--file", type=Path, required=True, help="one generator per line, space-separated exponents")
+    p.add_argument("--q", type=_int_list, required=True, help="comma-separated Frobenius powers")
+
+
 def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
+    from .monomial import ehk_estimate, parse_generators
+
     ideal = parse_generators(args.file.read_text())
     sequence = ehk_estimate(ideal, args.q)
     lines = [
@@ -220,7 +214,19 @@ def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
     return _text(*lines), 0
 
 
+def _add_certify_interval(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(handler=_cmd_certify_interval)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--e-low", type=int, required=True)
+    p.add_argument("--e-high", type=int, required=True)
+    p.add_argument("--s", type=_rational, required=True)
+    p.add_argument("--target", type=_rational, required=True)
+
+
 def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
+    from .bounds import certify_interval
+    from .tables import _interval_notes
+
     row = certify_interval(args.dim, args.e_low, args.e_high, args.s)
     target_lines, code = _target_lines(row.certified_bound, args.target)
     return _text(
@@ -234,8 +240,47 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     ), code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+# The subcommands, in help order: name -> (help, argument adder).  Each adder
+# also sets its command's handler, and each handler imports the modules it
+# needs when it runs, so a process pays only for the subcommand it runs.
+_COMMANDS = {
+    "vol": ("exact hypercube slab volume v_s", _add_vol),
+    "md": ("series coefficients m_d and thresholds 1 + m_d", _add_md),
+    "bound": ("volume lower bound e (v_s - sum v_{s-t_i})", _add_bound),
+    "verify-tables": ("recompute a bundled certification table", _add_verify_tables),
+    "quadric": ("closed-form e_HK of the quadric hypersurface", _add_quadric),
+    "radical": ("radical-extension lower bounds", _add_radical),
+    "monomial": ("Frobenius colengths of a monomial ideal", _add_monomial),
+    "certify-interval": ("certify G(e) >= target over an integer interval", _add_certify_interval),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only ``command``'s.
+
+    The usage line names every subcommand either way (the one-subparser
+    build gives the list as its metavar), so both builds print the same
+    bytes for ``command``'s arguments.  The full build sets no metavar:
+    argparse would name the argument by it in the errors only that build
+    raises, such as ``argument command: invalid choice``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hkcert",
+        description="Exact-rational lower bounds for Hilbert-Kunz multiplicities.",
+    )
+    parser.add_argument("--version", action="version", version=f"hkcert {__version__}")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         out, code = args.handler(args)
     except (ValueError, OSError) as exc:

@@ -9,9 +9,8 @@ bound is still a valid lower bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 
 __all__ = ["decimal_render", "format_rational", "parse_rational"]
 
@@ -37,7 +36,25 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _exact(name: str, value: object) -> Fraction:
-    """``value`` as a ``Fraction``, where it is an int or a ``Fraction``.
+    """``value`` as a ``Fraction``, where it is an int or a ``Fraction``; else ``_rational_input``'s ValueError."""
+    return Fraction(_rational_input(name, value))
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, where it is an int or a ``Fraction`` of denominator 1.
+
+    Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
+    does, and for a ``Fraction`` that is not an integer.  Both types carry
+    ``numerator`` and ``denominator``, so no ``Fraction`` is built.
+    """
+    value = _rational_input(name, value)
+    if value.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return value.numerator
+
+
+def _rational_input(name: str, value: object) -> Rational:
+    """``value`` itself, where it is an int or a ``Fraction``.
 
     Raises ValueError naming the parameter ``name`` for any other type: a
     binary float would enter as its binary value, not the decimal it
@@ -45,20 +62,8 @@ def _exact(name: str, value: object) -> Fraction:
     silently (``parse_rational`` reads text).
     """
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     raise ValueError(f"{name} must be int or Fraction, got {type(value).__name__}: {value!r}")
-
-
-def _integer(name: str, value: object) -> int:
-    """``value`` as an int, where it is an int or a ``Fraction`` of denominator 1.
-
-    Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
-    does, and for a ``Fraction`` that is not an integer.
-    """
-    value = _exact(name, value)
-    if value.denominator != 1:
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return value.numerator
 
 
 def format_rational(x: Rational) -> str:

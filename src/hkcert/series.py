@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .rationals import _integer
+
 __all__ = ["conjecture_threshold", "zigzag_coeffs"]
 
 
@@ -55,6 +57,7 @@ def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
     Raises ValueError, before the triangle is built, for an order above
     ``_MAX_ORDER``.
     """
+    order = _integer("order", order)
     _check_order(order)
     zig = zigzag_numbers(order)
     return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
@@ -68,7 +71,7 @@ def conjecture_threshold(d: int) -> Fraction:
     ``zigzag_coeffs``; the test suite checks it against exact power-series
     division.
     """
-    if d < 1:
+    if (d := _integer("d", d)) < 1:
         raise ValueError("dimension must be >= 1")
     _check_order(d)
     return 1 + Fraction(zigzag_numbers(d)[-1], factorial(d))

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .rationals import Rational, _exact
+from .rationals import Rational, _exact, _integer
 
 __all__ = ["vol_slab"]
 
@@ -60,7 +60,7 @@ def vol_slab(d: int, s: Rational) -> Fraction:
     too long to evaluate (``_MAX_SLAB_BITS``), and for an s that is
     not an int or a ``Fraction``.
     """
-    s = _exact("s", s)
+    d, s = _integer("d", d), _exact("s", s)
     return Fraction(*_slab_ratio(d, s.numerator, s.denominator))
 
 

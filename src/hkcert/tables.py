@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import IntervalCertRow, certify_interval, volume_lower_bound
-from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
+from .rationals import DISPLAY_DIGITS, _integer, decimal_render, format_rational
 from .report import CertificationReport, ReportRow
 from .series import conjecture_threshold
 
@@ -139,7 +139,7 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
 
 def verify_tables(dim: int) -> CertificationReport:
     """Recompute and certify every row of the bundled table for ``dim``."""
-    rows = {5: DIM5_ROWS, 6: DIM6_ROWS}.get(dim)
+    rows = {5: DIM5_ROWS, 6: DIM6_ROWS}.get(dim := _integer("dim", dim))
     if rows is None:
         raise ValueError(f"tables exist for dimensions 5 and 6, got {dim}")
     threshold = conjecture_threshold(dim)

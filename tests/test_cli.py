@@ -39,8 +39,9 @@ def run_cli(*args, timeout=None):
 def test_cli_import_skips_dataclasses_and_inspect():
     # Every hkcert process pays for its imports.  dataclasses (which loads inspect,
     # ast and dis) is among the dearest, and no code path needs either module.
-    # -S keeps site's own imports out of the picture.
-    probe = "import sys, hkcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S keeps site's own imports out of the picture.  The package loads its
+    # submodules on first use, so the probe uses a name to load all of them.
+    probe = "import sys, hkcert.cli; hkcert.vol_slab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -319,8 +320,9 @@ def test_radical_prints_deepest_printable_depth(capsys):
 
 @pytest.mark.parametrize("iterations", ["10000", "2000000"])
 def test_radical_rejects_depth_beyond_print_limit(iterations, capsys, monkeypatch):
-    # Should the check be lost, fail instead of building the power.
-    monkeypatch.setattr(cli, "radical_recursion_bound", lambda *a: pytest.fail("power built"))
+    # Should the check be lost, fail instead of building the power.  The handler
+    # imports radical_recursion_bound from bounds when it runs.
+    monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("power built"))
     assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", iterations]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

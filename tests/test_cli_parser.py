@@ -1,0 +1,127 @@
+"""Each ``hkcert`` process builds only its subcommand's parser and imports only its modules.
+
+``cli.main`` builds the top-level parser with one subparser when its first
+argument names a subcommand, and with all of them otherwise.  The tests
+here hold the two builds to the same bytes, and pin which ``hkcert``
+modules each subcommand loads in a fresh interpreter.
+"""
+
+import ast
+import subprocess
+import sys
+
+import pytest
+
+import workloads
+from hkcert import cli
+from test_cli import child_env
+
+COMMANDS = list(cli._COMMANDS)
+
+# One valid argv per subcommand; below it, argvs with an invalid value, choice,
+# list or flag combination, at least one per subcommand.
+VALID = {
+    "vol": ["vol", "--dim", "6", "--s", "3/2"],
+    "md": ["md", "--max", "6"],
+    "bound": ["bound", "--dim", "5", "--e", "5", "--r", "3", "--s", "7/5"],
+    "verify-tables": ["verify-tables", "--dim", "5"],
+    "quadric": ["quadric", "--p", "7", "--d", "5"],
+    "radical": ["radical", "--dim", "4", "--case", "general"],
+    "monomial": ["monomial", "--file", "ideal.txt", "--q", "1,2"],
+    "certify-interval": ["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9", "--s", "13/5",
+                         "--target", "1.107"],
+}
+INVALID = [
+    ["vol", "--dim", "x", "--s", "1"],
+    ["vol", "--dim", "3", "--s", "half"],
+    ["md", "--max", "x"],
+    ["bound", "--dim", "5", "--e", "x", "--r", "3", "--s", "1"],
+    ["bound", "--dim", "5", "--e", "5", "--t", "1,x", "--s", "1"],
+    ["bound", "--dim", "5", "--e", "5", "--r", "3", "--t", "1", "--s", "1"],
+    ["verify-tables", "--dim", "7"],
+    ["quadric", "--p", "x", "--d", "5"],
+    ["quadric", "--p", "7", "--d", "4"],
+    ["radical", "--dim", "4", "--case", "bogus"],
+    ["radical", "--dim", "4", "--k", "x"],
+    ["monomial", "--file", "ideal.txt", "--q", "a"],
+    ["certify-interval", "--dim", "6", "--e-low", "x", "--e-high", "9", "--s", "2", "--target", "1"],
+]
+ARGVS = [
+    *([name, flag] for name in COMMANDS for flag in ("-h", "--help")),
+    *([name] for name in COMMANDS),  # missing required arguments
+    *([*argv, "extra"] for argv in VALID.values()),  # unrecognized argument, reported by the top level
+    *INVALID,
+    *(list(argv) for argv in workloads._USAGE_ERRORS),
+]
+
+
+def test_every_subcommand_has_cases():
+    assert sorted(VALID) == sorted(COMMANDS)
+    assert {argv[0] for argv in INVALID} == set(COMMANDS)
+
+
+def outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_one_subparser_prints_what_all_print(argv, capsys, monkeypatch):
+    one = outcome(argv, capsys)
+    full_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_build())
+    assert outcome(argv, capsys) == one
+    assert one[0] == (0 if argv[-1] in ("-h", "--help") else 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--version"], ["bogus"], *VALID.values()], ids=" ".join)
+def test_main_builds_only_the_named_subparser(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ideal.txt").write_text("2 0\n0 3\n")
+    built = []
+    for name, (help_text, add_arguments) in list(cli._COMMANDS.items()):
+        def spy(parser, name=name, add_arguments=add_arguments):
+            built.append(name)
+            add_arguments(parser)
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, spy))
+    outcome(argv, capsys)
+    assert built == ([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
+
+
+# The hkcert modules each subcommand loads, past hkcert and hkcert.cli.
+LOADS = {
+    "vol": {"rationals", "slab"},
+    "md": {"rationals", "series"},
+    "bound": {"rationals", "slab", "bounds"},
+    "verify-tables": {"rationals", "slab", "bounds", "series", "report", "tables"},
+    "quadric": {"rationals", "slab", "bounds", "series"},
+    "radical": {"rationals", "slab", "bounds"},
+    "monomial": {"rationals", "monomial"},
+    "certify-interval": {"rationals", "slab", "bounds", "series", "report", "tables"},
+}
+# Imports that only some subcommands need; -S keeps site's own imports out.
+HEAVY = ("csv", "typing", "pathlib")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_subcommand_loads_only_its_modules(name, tmp_path):
+    (tmp_path / "ideal.txt").write_text("2 0\n0 3\n")
+    probe = (
+        "import sys\n"
+        "from hkcert.cli import main\n"
+        f"code = main({VALID[name]!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'hkcert')\n"
+        f"print(repr((code, loaded, [m for m in {HEAVY!r} if m in sys.modules])))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env(), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    code, loaded, heavy = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted({"hkcert", "hkcert.cli"} | {f"hkcert.{module}" for module in LOADS[name]})
+    if name == "vol":
+        assert heavy == []

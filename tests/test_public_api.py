@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 import hkcert
 from hkcert import bounds, monomial, rationals, report, series, slab, tables
 from hkcert.tables import TableRow
+from test_cli import child_env
 
 PUBLIC_NAMES = [
     "CertificationReport",
@@ -55,6 +57,35 @@ def test_package_names_are_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(hkcert, name) is getattr(module, name), name
+
+
+def test_package_loads_its_modules_on_first_use():
+    # A CLI process imports only its subcommand's modules; the first use of any
+    # package name but __version__, dir() among them, loads all seven and binds
+    # their names.
+    probe = (
+        "import sys, hkcert\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hkcert.'))\n"
+        "print(hkcert.__version__, loaded())\n"
+        "names = dir(hkcert)\n"
+        "print(hkcert.vol_slab.__module__, loaded())\n"
+        "print(sorted(set(hkcert.__all__) - set(vars(hkcert))), sorted(set(hkcert.__all__) - set(names)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    modules = sorted(f"hkcert.{name}" for name in ("bounds", "monomial", "rationals", "report", "series", "slab",
+                                                    "tables"))
+    assert result.stdout.splitlines() == [
+        f"{hkcert.__version__} []",
+        f"hkcert.slab {modules}",
+        "[] []",
+    ]
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hkcert.no_such_name
+    assert "no_such_name" not in dir(hkcert)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

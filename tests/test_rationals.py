@@ -15,7 +15,9 @@ from hkcert.bounds import (
     volume_lower_bound,
 )
 from hkcert.monomial import ehk_estimate, frobenius_colength, mixed_colength
+from hkcert.series import conjecture_threshold, zigzag_coeffs
 from hkcert.slab import vol_slab
+from hkcert.tables import verify_tables
 from hkcert.rationals import (
     decimal_render,
     format_rational,
@@ -106,22 +108,34 @@ INTEGER_PARAMETERS = [
     pytest.param(lambda x: mixed_colength(_IDEAL, Fraction(3, 2), x), "q", 4, id="mixed_colength-q"),
     pytest.param(lambda x: ehk_estimate(_IDEAL, [1, x]), "q", 2, id="ehk_estimate-q"),
     pytest.param(lambda x: quadric_ehk(x, 5), "p", 7, id="quadric_ehk-p"),
+    pytest.param(lambda x: quadric_ehk(7, x), "d", 5, id="quadric_ehk-d"),
+    pytest.param(lambda x: vol_slab(x, Fraction(1, 2)), "d", 3, id="vol_slab-d"),
+    pytest.param(lambda x: volume_lower_bound(x, 5, Fraction(7, 5), r=3), "d", 5, id="volume_lower_bound-d"),
+    pytest.param(lambda x: optimize_slice(x, 5, 3, 10), "d", 5, id="optimize_slice-d"),
+    pytest.param(lambda x: optimize_slice(5, 5, 3, x), "grid_resolution", 10, id="optimize_slice-grid_resolution"),
+    pytest.param(lambda x: certify_interval(x, 5, 9, Fraction(13, 5)), "d", 6, id="certify_interval-d"),
+    pytest.param(lambda x: conjecture_threshold(x), "d", 6, id="conjecture_threshold-d"),
+    pytest.param(lambda x: zigzag_coeffs(x), "order", 6, id="zigzag_coeffs-order"),
+    pytest.param(lambda x: fixed_dimension_bound(x, 6, "general"), "d", 6, id="fixed_dimension_bound-d"),
+    pytest.param(lambda x: radical_recursion_bound(x, 6, 3, 2, 3), "d", 3, id="radical_recursion_bound-d"),
+    pytest.param(lambda x: verify_tables(x), "dim", 5, id="verify_tables-dim"),
 ]
 
 
 @pytest.mark.parametrize("call, name, exact", INTEGER_PARAMETERS)
 def test_integer_inputs_are_integers_or_rejected(call, name, exact):
     # An integral Fraction counts as its int; any other Fraction is refused by
-    # name, where it used to reach the arithmetic (a float q counted 24.0 and
-    # n = 5/2 raised AttributeError).
+    # name, where it used to reach the arithmetic (a float q counted 24.0,
+    # n = 5/2 raised AttributeError and a float d raised TypeError from inside
+    # the kernels).
     assert call(Fraction(exact)) == call(exact)
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {2 * exact + 1}/2$"):
         call(Fraction(2 * exact + 1, 2))
 
 
-# The rational and integer parameters that go through rationals._exact, as
-# (call, parameter, an exact value it accepts): the call puts the value x in
-# the parameter's place.
+# The rational and integer parameters that go through rationals._exact or
+# _integer, as (call, parameter, an exact value it accepts): the call puts the
+# value x in the parameter's place.
 PARAMETERS = [
     pytest.param(lambda x: vol_slab(3, x), "s", Fraction(1, 10), id="vol_slab-s"),
     pytest.param(lambda x: volume_lower_bound(5, x, 2, r=3), "e", 5, id="volume_lower_bound-e"),
