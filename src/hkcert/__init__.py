@@ -2,7 +2,8 @@
 
 The submodules load on first access to any name but ``__version__``
 (a module ``__getattr__``, PEP 562), so a CLI process imports only the
-modules its subcommand needs.
+modules its subcommand needs; a submodule's own name, as in
+``from hkcert import slab``, loads that submodule alone.
 """
 
 __version__ = "0.1.0"
@@ -26,6 +27,10 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
     if "__all__" not in globals():
         _load()
         if name in globals():

@@ -82,6 +82,34 @@ def volume_lower_bound(
     more than ``_MAX_VALUATIONS`` distinct t and when the sizes of the
     volumes with 0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
     """
+    d, e, s, r = _bound_inputs(d, e, s, r, valuations)
+    if valuations is None:
+        if not r:  # v_{s-1} is not needed, so its size is not checked
+            return e * Fraction(*_slab_ratio(d, s.numerator, s.denominator))
+        n_s, n_prev, den = _uniform_ratio(d, s)
+        return e * Fraction(n_s - r * n_prev, den)
+    counts = Counter(_exact("valuations", t) for t in valuations)
+    if any(t <= 0 for t in counts):
+        raise ValueError("valuations must be positive")
+    if len(counts) > _MAX_VALUATIONS:
+        raise ValueError(f"at most {_MAX_VALUATIONS} distinct valuations, got {len(counts)}")
+    bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
+    if bits > _MAX_VOLUME_BITS:
+        raise ValueError(f"summed slab sizes (dimension * bit length) must be <= {_MAX_VOLUME_BITS}, got {bits}")
+    total = vol_slab(d, s)
+    for t, count in counts.items():
+        total -= count * vol_slab(d, s - t)
+    return e * total
+
+
+def _bound_inputs(
+    d: int, e: Rational, s: Rational, r: Optional[int], valuations: Optional[Sequence[Rational]]
+) -> tuple[int, Fraction, Fraction, Optional[int]]:
+    """The checked (d, e, s, r) of ``volume_lower_bound``, r an int, or None with valuations.
+
+    With r, d above ``_MAX_DIM`` raises here as the first volume would, so
+    ``optimize_slice`` checks its inputs without evaluating one.
+    """
     d, e, s = _integer("d", d), _exact("e", e), _exact("s", s)
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -96,22 +124,10 @@ def volume_lower_bound(
             raise ValueError("generator count must be >= 0")
         if r.denominator != 1:
             raise ValueError(f"generator count must be an integer, got {r}")
-        if not r:  # v_{s-1} is not needed, so its size is not checked
-            return e * Fraction(*_slab_ratio(d, s.numerator, s.denominator))
-        n_s, n_prev, den = _uniform_ratio(d, s)
-        return e * Fraction(n_s - int(r) * n_prev, den)
-    counts = Counter(_exact("valuations", t) for t in valuations)
-    if any(t <= 0 for t in counts):
-        raise ValueError("valuations must be positive")
-    if len(counts) > _MAX_VALUATIONS:
-        raise ValueError(f"at most {_MAX_VALUATIONS} distinct valuations, got {len(counts)}")
-    bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
-    if bits > _MAX_VOLUME_BITS:
-        raise ValueError(f"summed slab sizes (dimension * bit length) must be <= {_MAX_VOLUME_BITS}, got {bits}")
-    total = vol_slab(d, s)
-    for t, count in counts.items():
-        total -= count * vol_slab(d, s - t)
-    return e * total
+        if d > _MAX_DIM:
+            raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
+        r = r.numerator
+    return d, e, s, r
 
 
 def _uniform_ratio(d: int, s: Fraction) -> tuple[int, int, int]:
@@ -176,8 +192,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     work = d**3 * grid_resolution
     if work > _MAX_GRID_WORK:
         raise ValueError(f"dimension**3 * grid_resolution must be <= {_MAX_GRID_WORK}, got {work}")
-    volume_lower_bound(d, e, 0, r=r)  # input checks only
-    r = int(r)
+    _, e, _, r = _bound_inputs(d, e, 0, r, None)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
     for k in range(1, len(numerators)):
@@ -193,7 +208,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
                 score = _slab_numerator(d, j, fine, r)
                 if score > best_score:
                     best_j, best_score = j, score
-    return Fraction(best_j, fine), Fraction(e) * Fraction(best_score, factorial(d) * fine**d)
+    return Fraction(best_j, fine), e * Fraction(best_score, factorial(d) * fine**d)
 
 
 # Miller-Rabin with the first 12 prime bases is deterministic below

@@ -2,15 +2,13 @@
 
 A report is a flat structured-text document: fixed header fields, one
 block of fixed-order fields per row, and a trailing overall verdict.
-The same rows can be exported as CSV.  Reports contain no timestamps or
-other environment-dependent data, so identical invocations produce
-byte-identical output.
+The same rows can be exported as CSV, a cell quoted by RFC 4180's rule.
+Reports contain no timestamps or other environment-dependent data, so
+identical invocations produce byte-identical output, on every Python.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -52,6 +50,14 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
 
 
 _PASS = _COLUMNS.index("pass")
+_CSV_HEADER = ",".join(column.replace("-", "_") for column in _COLUMNS) + "\n"
+
+
+def _csv_field(cell: str) -> str:
+    """``cell`` as one CSV field: quoted, each inner quote doubled, where it holds a comma, a quote, CR or LF."""
+    if '"' in cell or "," in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 class _CertificationReportFields(NamedTuple):
@@ -103,8 +109,4 @@ class CertificationReport(_CertificationReportFields):
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(column.replace("-", "_") for column in _COLUMNS)
-        writer.writerows(self.cells)
-        return buffer.getvalue()
+        return _CSV_HEADER + "".join(",".join(map(_csv_field, cells)) + "\n" for cells in self.cells)

@@ -319,9 +319,9 @@ class TestOptimizeSlice:
             optimize_slice(3, 5, Fraction(3, 2), 10)
 
     def test_integer_path_after_input_checks(self, monkeypatch):
-        # The one volume_lower_bound call checks the inputs at s = 0 with the
-        # pair v_0, v_{-1} (two _slab_ratio calls, no vol_slab); every
-        # candidate after it is compared as an integer slab numerator.  The
+        # The inputs are checked as volume_lower_bound checks them, but with
+        # no volume_lower_bound call and no volume (no _slab_ratio or
+        # vol_slab); every candidate is compared as an integer slab numerator.  The
         # 241 grid numerators come from one _grid_numerators call, so only
         # the 16 halving candidates are single-point calls: one folded
         # _slab_numerator(d, j, D, r) each, N_j - r * N_{j-D} in one sum.
@@ -336,8 +336,8 @@ class TestOptimizeSlice:
         real_numerator = bounds._slab_numerator
         monkeypatch.setattr(bounds, "_slab_numerator", lambda *a: points.append(a) or real_numerator(*a))
         assert optimize_slice(6, 20, 5, 40) == grid_then_halving(6, 20, 5, 40)
-        assert checks == [(6, 20, 0)]
-        assert ratios == [(6, 0, 1), (6, -1, 1)]
+        assert checks == []
+        assert ratios == []
         assert grids == [(6, 40)]
         assert 0 < len(points) <= 16
         assert all(a[2:] == (256 * 40, 5) for a in points)

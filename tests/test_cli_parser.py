@@ -123,5 +123,6 @@ def test_subcommand_loads_only_its_modules(name, tmp_path):
     code, loaded, heavy = ast.literal_eval(result.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == sorted({"hkcert", "hkcert.cli"} | {f"hkcert.{module}" for module in LOADS[name]})
+    assert "csv" not in heavy
     if name == "vol":
         assert heavy == []

@@ -82,6 +82,20 @@ def test_package_loads_its_modules_on_first_use():
     ]
 
 
+def _loaded_after(statement):
+    probe = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'hkcert'))\n"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("name", [*hkcert._MODULES, "cli"])
+def test_from_import_loads_only_that_module(name):
+    # The import system probes the package for the name first, which must not
+    # load the other submodules.
+    assert _loaded_after(f"from hkcert import {name}") == _loaded_after(f"import hkcert.{name}")
+
+
 def test_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hkcert.no_such_name

@@ -243,12 +243,24 @@ def _old_to_text(tool_version, command, rows):
     return "\n".join(lines) + "\n"
 
 
-def _old_to_csv(rows):
+def _csv_line(cells):
+    # Each row through its own csv.writer: with "\r\n" as the terminator every
+    # Python quotes a cell holding CR or LF (3.10-3.12 quote only the
+    # terminator's characters), and only the terminator is swapped for "\n".
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(column.replace("-", "_") for column in _OLD_COLUMNS)
-    writer.writerows(_old_cells(row) for row in rows)
-    return buffer.getvalue()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    line = buffer.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2] + "\n"
+
+
+def _old_to_csv(rows):
+    header = _csv_line(column.replace("-", "_") for column in _OLD_COLUMNS)
+    return header + "".join(_csv_line(_old_cells(row)) for row in rows)
+
+
+def _read_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 _BIG = 2**300
@@ -266,8 +278,21 @@ _rows = st.lists(st.builds(ReportRow, _text, _text, _fractions, _fractions, _tex
 def test_renderers_match_the_per_call_renderer(rows, tool_version, command):
     report = CertificationReport(tool_version, command, rows)
     assert report.to_text() == _old_to_text(tool_version, command, rows)
-    assert report.to_csv() == _old_to_csv(rows)
+    text = report.to_csv()
+    assert text == _old_to_csv(rows)
+    assert _read_csv(text) == [[column.replace("-", "_") for column in _OLD_COLUMNS], *map(list, report.cells)]
     assert report.overall_pass is _old_overall_pass(rows)
+
+
+def test_a_carriage_return_is_quoted():
+    # csv.writer(lineterminator="\n") leaves this cell bare on Python 3.10-3.12,
+    # and csv.reader then splits the row in two.
+    report = CertificationReport("0", "test", [ReportRow("a\rb", '1,"2"', Fraction(1), Fraction(1), "x\ny")])
+    text = report.to_csv()
+    assert text.startswith("name,inputs,exact_bound,decimal,target,pass,notes\n")
+    assert text.endswith('\n"a\rb","1,""2""",1,1.0000,1,true,"x\ny"\n')
+    assert text == _old_to_csv(report.rows)
+    assert _read_csv(text)[1:] == [["a\rb", '1,"2"', "1", "1.0000", "1", "true", "x\ny"]]
 
 
 def test_each_row_is_rendered_once(monkeypatch):
