@@ -13,13 +13,8 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, rationals
 from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
-
-
-# An integer above 2**_MAX_PRINT_BITS has more than 4300 digits, so it does
-# not print under Python's default int-to-str limit.
-_MAX_PRINT_BITS = (10**4300).bit_length()
 
 
 def _fmt(x: Fraction) -> str:
@@ -153,13 +148,14 @@ def _printable_radical(d: int, e: Fraction | int, k: int, n: int, iterations: in
     """Whether ``radical_recursion_bound`` with these arguments prints, checked before the power.
 
     With base = a/b in lowest terms, the bound's denominator is at least
-    b**iterations / numerator(start) > 2**bits.
+    b**iterations / numerator(start) > 2**bits, past the print budget when
+    bits is above the bit length of 10**rationals._MAX_DIGITS.
     """
     from .bounds import _radical_terms
 
     base, start = _radical_terms(d, e, k, n, iterations)
     bits = iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
-    return bits <= _MAX_PRINT_BITS
+    return bits <= (10**rationals._MAX_DIGITS).bit_length()
 
 
 def _add_radical(p: argparse.ArgumentParser) -> None:
@@ -181,11 +177,11 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
         recursion = _fixed_dimension_recursion(args.dim, args.e, args.case)
         if recursion is not None and not _printable_radical(*recursion):
-            raise ValueError(f"--dim {args.dim} gives a bound of more than 4300 digits")
+            raise ValueError(f"--dim {args.dim} gives a bound of more than {rationals._MAX_DIGITS} digits")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
         if not _printable_radical(args.dim, args.e, args.k, args.n, args.iterations):
-            raise ValueError(f"--iterations {args.iterations} gives a bound of more than 4300 digits")
+            raise ValueError(f"--iterations {args.iterations} gives a bound of more than {rationals._MAX_DIGITS} digits")
         bound = radical_recursion_bound(args.dim, args.e, args.k, args.n, args.iterations)
     else:
         raise ValueError("give either --case, or all of --k --n --iterations")
@@ -207,10 +203,11 @@ def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
     sequence = ehk_estimate(ideal, args.q)
     lines = [
         f"variables: {ideal.num_vars}",
-        "generators: " + " / ".join(" ".join(str(c) for c in g) for g in ideal.generators),
+        "generators: " + " / ".join(" ".join(map(format_rational, g)) for g in ideal.generators),
     ]
     for entry in sequence.entries:
-        lines.append(f"q={entry.q}\tcolength={entry.colength}\tnormalized={_fmt(entry.normalized)}")
+        q, colength = format_rational(entry.q), format_rational(entry.colength)
+        lines.append(f"q={q}\tcolength={colength}\tnormalized={_fmt(entry.normalized)}")
     return _text(*lines), 0
 
 
@@ -230,7 +227,7 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     row = certify_interval(args.dim, args.e_low, args.e_high, args.s)
     target_lines, code = _target_lines(row.certified_bound, args.target)
     return _text(
-        f"interval: [{args.e_low}, {args.e_high}]",
+        f"interval: [{format_rational(args.e_low)}, {format_rational(args.e_high)}]",
         f"s: {format_rational(args.s)}",
         f"apex: {'-' if row.apex is None else _fmt(row.apex)}",
         f"branch: {row.branch}",

@@ -15,24 +15,25 @@ Rational = Fraction | int
 __all__ = ["decimal_render", "format_rational", "parse_rational"]
 
 
-# Largest |decimal exponent| that parse_rational accepts.  Python's int-to-str
-# limit already stops mantissas of more than 4300 digits; exponents have no
-# such limit: `vol --dim 3 --s 1e10000000` ran 12.7 s.
-_MAX_EXPONENT = 4300
+# The print budget: the most digits a printed numerator or denominator may
+# have, Python's default int-to-str limit, checked by format_rational under
+# any interpreter setting.  It also caps |decimal exponent| in parse_rational:
+# `vol --dim 3 --s 1e10000000` ran 12.7 s.
+_MAX_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, integer, or decimal literals exactly ("3.32" -> 83/25).
 
-    Raises ValueError for a decimal exponent beyond ``_MAX_EXPONENT``
+    Raises ValueError for a decimal exponent beyond ``_MAX_DIGITS``
     in absolute value, before building the power of ten.
     """
     try:
-        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_DIGITS:
             return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-    raise ValueError(f"decimal exponent must be at most {_MAX_EXPONENT} in absolute value, got {text!r}")
+    raise ValueError(f"decimal exponent must be at most {_MAX_DIGITS} in absolute value, got {text!r}")
 
 
 def _exact(name: str, value: object) -> Fraction:
@@ -67,10 +68,16 @@ def _rational_input(name: str, value: object) -> Rational:
 
 
 def format_rational(x: Rational) -> str:
-    """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers.
+
+    Raises ValueError where the numerator or the denominator has more than
+    ``_MAX_DIGITS`` digits.  A part of at most 3 * _MAX_DIGITS bits is below
+    8**_MAX_DIGITS, so only a longer one is compared with 10**_MAX_DIGITS.
+    """
+    n, d = x.numerator, x.denominator
+    if (n.bit_length() > 3 * _MAX_DIGITS or d.bit_length() > 3 * _MAX_DIGITS) and max(abs(n), d) >= 10**_MAX_DIGITS:
+        raise ValueError(f"a number of more than {_MAX_DIGITS} digits is past the print budget")
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # Decimal places of every truncated display: CLI lines, report columns and notes.

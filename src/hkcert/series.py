@@ -25,10 +25,10 @@ __all__ = ["conjecture_threshold", "zigzag_coeffs"]
 
 
 # Cost cap on the series order: the largest order whose threshold 1 + m_d
-# prints under Python's default 4300-digit int-to-str limit (1 + m_1562 has
-# a part of more than 4300 digits).  Order 1561 took 0.9 s and order 3000
-# 5.5-7.5 s (Python 3.11, 2-core shared machine): the triangle's order^2
-# additions of ints of up to order * log2(order) bits grow about like order^3.
+# fits the print budget, rationals._MAX_DIGITS (1 + m_1562 has a part of
+# more digits).  Order 1561 took 0.9 s and order 3000 5.5-7.5 s (Python 3.11,
+# 2-core shared machine): the triangle's order^2 additions of ints of up to
+# order * log2(order) bits grow about like order^3.
 _MAX_ORDER = 1561
 
 

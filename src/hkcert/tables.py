@@ -94,14 +94,16 @@ DIM6_ROWS: tuple[TableRow, ...] = (
 
 
 def _interval_notes(cert: IntervalCertRow, lo: int, hi: int) -> str:
-    """Which end of [lo, hi] certifies and why; a ``Fraction`` formats as ``format_rational`` writes it."""
+    """Which end of [lo, hi] certifies and why; each ``Fraction`` is written by ``format_rational``."""
     if cert.branch == "degenerate-linear-increasing":
         return f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({lo}) certifies"
+    apex = format_rational(cert.apex)
     if cert.branch == "apex-interior":
-        return f"apex {cert.apex} inside [{lo}, {hi}]; G({lo}) = {cert.g_low}, G({hi}) = {cert.g_high}"
+        g_low, g_high = format_rational(cert.g_low), format_rational(cert.g_high)
+        return f"apex {apex} inside [{lo}, {hi}]; G({lo}) = {g_low}, G({hi}) = {g_high}"
     if cert.branch == "increasing":
-        return f"apex {cert.apex} right of [{lo}, {hi}]; G increasing; G({lo}) certifies"
-    return f"apex {cert.apex} left of [{lo}, {hi}]; G decreasing; G({hi}) certifies"
+        return f"apex {apex} right of [{lo}, {hi}]; G increasing; G({lo}) certifies"
+    return f"apex {apex} left of [{lo}, {hi}]; G decreasing; G({hi}) certifies"
 
 
 def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -> ReportRow:

@@ -17,6 +17,7 @@ from test_bounds import LEAST_STRONG_PSEUDOPRIMES
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+BUDGET_ERROR = "error: a number of more than 4300 digits is past the print budget\n"
 
 
 def child_env():
@@ -93,45 +94,66 @@ def test_md_rejects_order_beyond_cap(order, capsys, monkeypatch):
 
 
 def test_md_cap_is_the_last_order_that_prints():
-    # Under Python's default int-to-str limit, the threshold 1 + m_d of the
-    # largest allowed order still formats, and that of the next order does not.
+    # Within the print budget, the threshold 1 + m_d of the largest allowed
+    # order still formats, and that of the next order does not.
     *_, e_last, e_beyond = zigzag_numbers(series._MAX_ORDER + 1)
     last = Fraction(e_last, factorial(series._MAX_ORDER))
     beyond = Fraction(e_beyond, factorial(series._MAX_ORDER + 1))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        format_rational(1 + last)
-        with pytest.raises(ValueError):
-            format_rational(1 + beyond)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    format_rational(1 + last)
+    with pytest.raises(ValueError, match="more than 4300 digits is past the print budget"):
+        format_rational(1 + beyond)
 
 
-def test_usage_errors_leave_stdout_empty(capsys, tmp_path):
-    # Under a 640-digit int-to-str limit, 1 + m_d first passes it at d = 314,
+def test_usage_errors_leave_stdout_empty(capsys, tmp_path, monkeypatch):
+    # Under a 640-digit print budget, 1 + m_d first passes it at d = 314,
     # the colength of (x^(10^400)) at q = 10^300 has 701 digits, and so does
     # a target of 10^700, while the lines before them render: every command
     # must fail before writing anything.
     path = tmp_path / "power.ideal"
     path.write_text(f"{10**400}\n")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert main(["md", "--max", "313"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 313
-        for argv in (
-            ["md", "--max", "320"],
-            ["monomial", "--file", str(path), "--q", f"1,{10**300}"],
-            ["bound", "--dim", "3", "--e", "2", "--r", "1", "--s", "1", "--target", "1e700"],
-            ["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9", "--s", "2.6", "--target", "1e700"],
-        ):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-    finally:
-        sys.set_int_max_str_digits(limit)
+    monkeypatch.setattr(rationals, "_MAX_DIGITS", 640)
+    assert main(["md", "--max", "313"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 313
+    for argv in (
+        ["md", "--max", "320"],
+        ["monomial", "--file", str(path), "--q", f"1,{10**300}"],
+        ["bound", "--dim", "3", "--e", "2", "--r", "1", "--s", "1", "--target", str(10**700)],
+        ["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9", "--s", "2.6", "--target", str(10**700)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == BUDGET_ERROR.replace("4300", "640")
+
+
+S_301_BITS = f"{2**300 + 1}/{2**299}"
+
+
+@pytest.mark.parametrize("setting", [None, "0", "100000"])
+def test_print_budget_does_not_depend_on_the_interpreter(setting):
+    # Python's own int-to-str limit, PYTHONINTMAXSTRDIGITS, changes neither
+    # stdout nor the exit code: each result below has a part of more than
+    # 4300 digits, and a target of 4300 digits still prints.
+    env = child_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if setting is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = setting
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "hkcert", *args], capture_output=True, text=True, env=env)
+
+    for argv in (
+        ["vol", "--dim", "64", "--s", S_301_BITS],
+        ["bound", "--dim", "64", "--e", "6", "--r", "4", "--s", S_301_BITS],
+        ["certify-interval", "--dim", "64", "--e-low", "5", "--e-high", "9", "--s", S_301_BITS, "--target", "1"],
+        ["radical", "--dim", "6", "--e", "6", "--k", "4", "--n", "2", "--iterations", "7000"],
+        ["bound", "--dim", "3", "--e", "2", "--r", "1", "--s", "1", "--target", "1e4300"],
+    ):
+        result = run(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", BUDGET_ERROR), argv
+    result = run("bound", "--dim", "3", "--e", "2", "--r", "1", "--s", "1", "--target", "1e4299")
+    assert result.returncode == 1
+    assert result.stdout == f"bound: 1/3 ≈ 0.3333\ntarget: {10**4299} -> FAIL\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -292,15 +314,15 @@ def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
 
 
 def test_certify_interval_unprintable_apex_exits_2_fast(capsys):
-    # The library returns this row; its apex has more than 4300 digits, so
-    # the notes cannot be written and nothing is printed.
-    s = format_rational(Fraction(2**300 + 1, 2**299))
+    # The library returns this row; its apex has more than 4300 digits, past
+    # the print budget, so nothing is printed.
     start = time.perf_counter()
-    assert main(["certify-interval", "--dim", "64", "--e-low", "5", "--e-high", "9", "--s", s, "--target", "1"]) == 2
+    assert main(["certify-interval", "--dim", "64", "--e-low", "5", "--e-high", "9", "--s", S_301_BITS,
+                 "--target", "1"]) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == BUDGET_ERROR
 
 
 def test_radical_rejects_power_beyond_cost_cap(capsys):
@@ -313,9 +335,11 @@ def test_radical_rejects_power_beyond_cost_cap(capsys):
 
 def test_radical_prints_deepest_printable_depth(capsys):
     # At e 6, n 2 the bound's denominator is 5**iterations: 6151 is the last
-    # depth under the 4300-digit limit, and 6152 fails only when printed.
+    # depth within the 4300-digit print budget, and 6152 fails only when printed.
     assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "6151"]) == 0
     assert capsys.readouterr().out.startswith("bound: ")
+    assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "6152"]) == 2
+    assert capsys.readouterr() == ("", BUDGET_ERROR)
 
 
 @pytest.mark.parametrize("iterations", ["10000", "2000000"])
@@ -334,13 +358,15 @@ def test_radical_print_limit_rejects_only_unprintable_bounds(dim, e, k, n, capsy
     # At the first depth the check rejects, the exact bound's denominator
     # already has more than 4300 digits.
     base, start = bounds._radical_terms(dim, e, k, n, 0)
-    depth = (cli._MAX_PRINT_BITS + start.numerator.bit_length()) // (base.denominator.bit_length() - 1) + 1
+    budget_bits = (10**rationals._MAX_DIGITS).bit_length()
+    depth = (budget_bits + start.numerator.bit_length()) // (base.denominator.bit_length() - 1) + 1
     args = ["radical", "--dim", str(dim), "--e", str(e), "--k", str(k), "--n", str(n)]
     assert main([*args, "--iterations", str(depth)]) == 2
     assert capsys.readouterr().out == ""
-    assert bounds.radical_recursion_bound(dim, e, k, n, depth).denominator >= 10**4300
+    assert bounds.radical_recursion_bound(dim, e, k, n, depth).denominator >= 10**rationals._MAX_DIGITS
+    # The depth before may still fail when printed, but not at the check.
     assert main([*args, "--iterations", str(depth - 1)]) in (0, 2)
-    assert "more than 4300 digits" not in capsys.readouterr().err
+    assert "gives a bound of" not in capsys.readouterr().err
 
 
 def test_radical_case_rejects_dimension_beyond_print_limit(capsys, monkeypatch):

@@ -1,10 +1,10 @@
 """Fuzz the CLI contract: every argv exits 0, 1 or 2 and raises nothing else.
 
 Each case is one command with small valid arguments, then at most one
-flag changed: set to the first value that a cost cap rejects given the
-other arguments, set to a zero, negative, huge or non-numeric token, or
-dropped.  A value exactly at a cap is admitted and can take about a
-second, so no case draws one.
+flag changed: set to the first value that a cost cap or the print budget
+rejects given the other arguments, set to a zero, negative, huge or
+non-numeric token, or dropped.  A value exactly at a cap is admitted and
+can take about a second, so no case draws one.
 """
 
 import bisect
@@ -72,12 +72,12 @@ def past_generator_files(values: dict) -> list:
 
 
 def past_slice(values: dict) -> list:
-    # s = 10**-k, written 1e-k, parses while k <= _MAX_EXPONENT: for d <= 4 no
+    # s = 10**-k, written 1e-k, parses while k <= _MAX_DIGITS: for d <= 4 no
     # such s is long enough to pass the slab cap.
     d = int(values["--dim"])
     cap = slab._MAX_SLAB_BITS
     k = bisect.bisect_left(range(cap), True, key=lambda k: d * (10**k).bit_length() > cap)
-    return [f"1e{rationals._MAX_EXPONENT + 1}"] + ([f"1e-{k}"] if k <= rationals._MAX_EXPONENT else [])
+    return [f"1e{rationals._MAX_DIGITS + 1}"] + ([f"1e-{k}"] if k <= rationals._MAX_DIGITS else [])
 
 
 def past_valuations(values: dict) -> list:
@@ -103,8 +103,12 @@ def past_valuations(values: dict) -> list:
 DIM = Flag(small_int(1, 8), lambda values: [str(slab._MAX_DIM + 1)])
 RATIONAL = Flag(
     st.one_of(st.fractions(0, 10, max_denominator=12).map(str), st.decimals(0, 10, places=2).map(str)),
-    lambda values: [f"1e{rationals._MAX_EXPONENT + 1}"],
+    lambda values: [f"1e{rationals._MAX_DIGITS + 1}"],
 )
+# Targets at the print budget: 1e4299 has 4300 digits and prints, 1e4300
+# parses but has one digit too many, and 1e4301 does not parse.
+INSIDE_BUDGET, PAST_BUDGET = f"1e{rationals._MAX_DIGITS - 1}", f"1e{rationals._MAX_DIGITS}"
+TARGET = Flag(st.one_of(RATIONAL.valid, st.just(INSIDE_BUDGET)), lambda values: [PAST_BUDGET, *RATIONAL.past(values)])
 SLICE = Flag(RATIONAL.valid, past_slice)
 VALUATIONS = Flag(
     st.lists(st.fractions(0, 3, max_denominator=6).map(str), min_size=1, max_size=4).map(",".join),
@@ -125,7 +129,7 @@ FROBENIUS_POWERS = Flag(st.sets(st.integers(1, 8), min_size=1, max_size=4).map(l
 COMMANDS = {
     "vol": {"--dim": DIM, "--s": SLICE},
     "md": {"--max": Flag(small_int(1, 40), lambda values: [str(series._MAX_ORDER + 1)])},
-    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": SLICE, "--target": RATIONAL},
+    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": SLICE, "--target": TARGET},
     "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": SLICE},
     "bound --optimize": {
         "--dim": Flag(small_int(1, 8), past_grid_dim),
@@ -133,14 +137,14 @@ COMMANDS = {
         "--r": Flag(small_int(0, 16)),
         "--optimize": Flag(st.none()),
         "--resolution": Flag(small_int(1, 100), past_grid_resolution),
-        "--target": RATIONAL,
+        "--target": TARGET,
     },
     "certify-interval": {
         "--dim": DIM,
         "--e-low": Flag(small_int(1, 30)),
         "--e-high": Flag(small_int(30, 60)),
         "--s": SLICE,
-        "--target": RATIONAL,
+        "--target": TARGET,
     },
     "verify-tables": {
         "--dim": Flag(st.sampled_from(["5", "6"])),
@@ -214,3 +218,28 @@ def test_every_argv_exits_0_1_or_2(case, scratch):
         assert out.getvalue() == "" and "error:" in err.getvalue(), argv
     else:
         assert err.getvalue() == "", argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=1))
+@given(mode=st.sampled_from(["bound", "certify-interval"]), data=st.data())
+def test_target_on_both_sides_of_the_print_budget(mode, data):
+    # The same valid arguments with the target just inside the budget and
+    # just past it: the first prints the target line and fails, the second
+    # exits 2 on the budget and prints nothing.  An error from another
+    # argument (bound's --e below 1) is the same for both targets.
+    values = {name: data.draw(flag.valid) for name, flag in COMMANDS[mode].items() if name != "--target"}
+    argv = [mode, *(token for pair in values.items() for token in pair), "--target"]
+    inside, past = run([*argv, INSIDE_BUDGET]), run([*argv, PAST_BUDGET])
+    if inside[0] == 2:
+        assert past == inside, argv
+    else:
+        assert inside[0] == 1 and inside[1].endswith(f"target: {10**(rationals._MAX_DIGITS - 1)} -> FAIL\n"), argv
+        budget = f"error: a number of more than {rationals._MAX_DIGITS} digits is past the print budget\n"
+        assert past == (2, "", budget), argv

@@ -93,6 +93,33 @@ def test_parse_rational_caps_decimal_exponent(monkeypatch):
             parse_rational(text)
 
 
+BUDGET = 10**4300  # B: the least integer of more than 4300 digits
+
+
+@pytest.mark.parametrize("x", [
+    BUDGET - 1, 1 - BUDGET, Fraction(1, BUDGET - 1), Fraction(BUDGET - 1, 3), 2**12900 - 1, 2**12900, Fraction(7, 2**14284),
+], ids=["B-1", "1-B", "1/(B-1)", "(B-1)/3", "2^12900-1", "2^12900", "7/2^14284"])
+def test_format_rational_prints_up_to_4300_digits(x):
+    # 2**12900 - 1, of 12900 bits, is the largest part that skips the
+    # comparison with 10**4300; 2**12900 and 2**14284 take it.
+    assert format_rational(x) == str(x)
+
+
+@pytest.mark.parametrize("x", [
+    BUDGET, -BUDGET, Fraction(1, BUDGET), Fraction(BUDGET + 1, 3), Fraction(-3, BUDGET + 1), 2**14285,
+], ids=["B", "-B", "1/B", "(B+1)/3", "-3/(B+1)", "2^14285"])
+def test_format_rational_rejects_more_than_4300_digits(x):
+    with pytest.raises(ValueError, match="^a number of more than 4300 digits is past the print budget$"):
+        format_rational(x)
+
+
+def test_format_rational_reads_the_budget_when_called(monkeypatch):
+    monkeypatch.setattr(rationals_module, "_MAX_DIGITS", 3)
+    assert format_rational(Fraction(-999, 998)) == "-999/998"
+    with pytest.raises(ValueError, match="^a number of more than 3 digits is past the print budget$"):
+        format_rational(Fraction(1, 1000))
+
+
 
 _IDEAL = MonomialIdeal(2, [(2, 0), (0, 3)])
 
