@@ -37,6 +37,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
+        rationals._check_digit_runs(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None

@@ -8,6 +8,7 @@ bound is still a valid lower bound.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction | int
@@ -20,14 +21,32 @@ __all__ = ["decimal_render", "format_rational", "parse_rational"]
 # any interpreter setting.  It also caps |decimal exponent| in parse_rational:
 # `vol --dim 3 --s 1e10000000` ran 12.7 s.
 _MAX_DIGITS = 4300
+# A run of more than _MAX_DIGITS digits as int() counts them: digits with
+# single underscores between.  The lookbehinds start a match only at the
+# head of a run, so a search reads each run once.  Written once, at import:
+# lowering _MAX_DIGITS afterwards lowers the print budget alone.
+_LONG_DIGIT_RUN = rf"(?<!\d)(?<!\d_)\d(?:_?\d){{{_MAX_DIGITS}}}"
+
+
+def _check_digit_runs(text: str) -> None:
+    """Raise ValueError where ``text`` holds a run of more than ``_MAX_DIGITS`` digits.
+
+    Called before ``int`` or ``Fraction`` reads the run, so a parse fails
+    the same way under any PYTHONINTMAXSTRDIGITS.  A shorter text holds no
+    such run, so the pattern is compiled only for a longer one.
+    """
+    if len(text) > _MAX_DIGITS and re.search(_LONG_DIGIT_RUN, text):
+        raise ValueError(f"a run of more than {_MAX_DIGITS} digits is past the input budget")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, integer, or decimal literals exactly ("3.32" -> 83/25).
 
-    Raises ValueError for a decimal exponent beyond ``_MAX_DIGITS``
-    in absolute value, before building the power of ten.
+    Raises ValueError for a run of more than ``_MAX_DIGITS`` digits, and for
+    a decimal exponent beyond ``_MAX_DIGITS`` in absolute value, before
+    building the power of ten.
     """
+    _check_digit_runs(text)
     try:
         if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_DIGITS:
             return Fraction(text.strip())

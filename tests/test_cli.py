@@ -156,6 +156,24 @@ def test_print_budget_does_not_depend_on_the_interpreter(setting):
     assert result.stdout == f"bound: 1/3 ≈ 0.3333\ntarget: {10**4299} -> FAIL\n"
 
 
+def test_digit_runs_do_not_depend_on_the_interpreter():
+    # One child under Python's default int-to-str limit and one with it off:
+    # a slice of 4401 digits is refused before it is parsed, with the same
+    # stderr, where the limit off once printed `1 ≈ 1.0000` and exited 0.
+    def run(setting):
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if setting is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = setting
+        argv = ["vol", "--dim", "1", "--s", "5" + "0" * 4400]
+        return subprocess.run([sys.executable, "-m", "hkcert", *argv], capture_output=True, text=True, env=env)
+
+    default, unlimited = run(None), run("0")
+    assert (default.returncode, default.stdout) == (unlimited.returncode, unlimited.stdout) == (2, "")
+    assert default.stderr == unlimited.stderr
+    assert default.stderr.endswith("hkcert vol: error: argument --s: a run of more than 4300 digits is past the input budget\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bound", "--dim", "3", "--e", "2", "--t", "1,x", "--s", "1"], "argument --t: "),
     (["bound", "--dim", "3", "--e", "2", "--t", "1,", "--s", "1"], "argument --t: "),

@@ -16,6 +16,7 @@ from hkcert.monomial import (
 )
 from hkcert.slab import vol_slab
 import oracles
+from workloads import COLENGTH_MIXED_CELLS
 
 
 def brute_colength(ideal: MonomialIdeal, q: int) -> int:
@@ -384,12 +385,15 @@ class TestMixedColength:
             assert abs(estimate - 6 * vol_slab(2, s)) <= Fraction(6 * 3 * 2, q)
 
     def test_matches_closed_form(self):
-        for cs in seeded_exponents({1: 4, 2: 5, 3: 4, 4: 2}):
+        # Seeded shapes at each q of ORACLE_QS, and the six mixed cells of the
+        # `colength` benchmark at their own q (8 to 32, up to 23 958 rows); every
+        # slice k/4 from cut <= 0 to past s = n.
+        cases = [(cs, q) for cs in seeded_exponents({1: 4, 2: 5, 3: 4, 4: 2}) for q in ORACLE_QS]
+        for cs, q in cases + list(COLENGTH_MIXED_CELLS):
             ideal = pure_power_ideal(cs)
-            for q in ORACLE_QS:
-                for k in range(4 * (len(cs) + 1) + 1):
-                    s = Fraction(k, 4)
-                    assert mixed_colength(ideal, s, q) == oracles.mixed_colength(cs, s, q), (ideal, s, q)
+            for k in range(4 * (len(cs) + 1) + 1):
+                s = Fraction(k, 4)
+                assert mixed_colength(ideal, s, q) == oracles.mixed_colength(list(cs), s, q), (ideal, s, q)
 
     def test_requires_parameter_ideal(self):
         with pytest.raises(ValueError):

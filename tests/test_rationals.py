@@ -1,11 +1,13 @@
+import argparse
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hkcert import MonomialIdeal, rationals as rationals_module
+from hkcert import MonomialIdeal, cli, rationals as rationals_module
 from hkcert.bounds import (
     certify_interval,
     fixed_dimension_bound,
@@ -14,7 +16,7 @@ from hkcert.bounds import (
     radical_recursion_bound,
     volume_lower_bound,
 )
-from hkcert.monomial import ehk_estimate, frobenius_colength, mixed_colength
+from hkcert.monomial import ehk_estimate, frobenius_colength, mixed_colength, parse_generators
 from hkcert.series import conjecture_threshold, zigzag_coeffs
 from hkcert.slab import vol_slab
 from hkcert.tables import verify_tables
@@ -91,6 +93,52 @@ def test_parse_rational_caps_decimal_exponent(monkeypatch):
         message = f"decimal exponent must be at most 4300 in absolute value, got '{text}'"
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_rational(text)
+
+
+RUN_ERROR = "^a run of more than 4300 digits is past the input budget$"
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 4300, "1_" * 4299 + "1", f"{'7' * 4300}/{'3' * 4300}", f"{'1' * 4300}.{'2' * 4300}e-{'0' * 4296}1", "12 x 34",
+], ids=["4300", "4300-underscored", "p/q", "decimal", "short"])
+def test_check_digit_runs_admits_runs_of_4300_digits(text):
+    rationals_module._check_digit_runs(text)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 4301, "1_" * 4300 + "1", f"1/{'3' * 4301}", f"1.{'0' * 4301}", f"1e-{'0' * 4301}", "\u0665" * 4301, f"x {'0' * 10**5} y",
+], ids=["4301", "4301-underscored", "denominator", "decimals", "exponent", "arabic-indic", "100000"])
+def test_check_digit_runs_rejects_longer_runs(text):
+    with pytest.raises(ValueError, match=RUN_ERROR):
+        rationals_module._check_digit_runs(text)
+
+
+@pytest.fixture(params=[4300, 0], ids=["default-limit", "no-limit"])
+def int_max_str_digits(request):
+    """Run the test under Python's default int-to-str limit and with the limit off."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+LONG_RUN = "5" + "0" * 4400
+
+
+@pytest.mark.parametrize("parse", [
+    pytest.param(lambda: parse_rational(LONG_RUN), id="parse_rational"),
+    pytest.param(lambda: parse_rational(f"1/{LONG_RUN}"), id="parse_rational-denominator"),
+    pytest.param(lambda: cli._int_list(f"2,{LONG_RUN}"), id="cli._int_list"),
+    pytest.param(lambda: parse_generators(f"# x\n{LONG_RUN} 0\n0 1\n"), id="parse_generators"),
+])
+def test_digit_runs_are_refused_under_any_int_limit(parse, int_max_str_digits, monkeypatch):
+    # Refused before int() or Fraction() reads the run, so the message is the
+    # same with Python's own limit on or off.
+    monkeypatch.setattr(rationals_module, "Fraction", lambda *a: pytest.fail("literal converted"))
+    with pytest.raises((ValueError, argparse.ArgumentTypeError), match="a run of more than 4300 digits is past the input budget$"):
+        parse()
 
 
 BUDGET = 10**4300  # B: the least integer of more than 4300 digits
