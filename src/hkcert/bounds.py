@@ -35,7 +35,7 @@ from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, _exact, _integer
-from .slab import _MAX_DIM, _MAX_SLAB_BITS, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
+from .slab import _MAX_SLAB_BITS, _dimension, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
     "IntervalCertRow",
@@ -107,12 +107,10 @@ def _bound_inputs(
 ) -> tuple[int, Fraction, Fraction, Optional[int]]:
     """The checked (d, e, s, r) of ``volume_lower_bound``, r an int, or None with valuations.
 
-    With r, d above ``_MAX_DIM`` raises here as the first volume would, so
-    ``optimize_slice`` checks its inputs without evaluating one.
+    The dimension range is checked here for both forms, so ``optimize_slice``
+    checks its inputs without evaluating a volume.
     """
-    d, e, s = _integer("d", d), _exact("e", e), _exact("s", s)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d, e, s = _dimension(d), _exact("e", e), _exact("s", s)
     if e < 1:
         raise ValueError("multiplicity must be >= 1")
     if s < 0:
@@ -120,13 +118,8 @@ def _bound_inputs(
     if (r is None) == (valuations is None):
         raise ValueError("exactly one of r / valuations is required")
     if valuations is None:
-        if (r := _exact("r", r)) < 0:
+        if (r := _integer("r", r)) < 0:
             raise ValueError("generator count must be >= 0")
-        if r.denominator != 1:
-            raise ValueError(f"generator count must be an integer, got {r}")
-        if d > _MAX_DIM:
-            raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
-        r = r.numerator
     return d, e, s, r
 
 
@@ -287,7 +280,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     ``_uniform_ratio``.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
-    d, e_low, e_high = _integer("d", d), _integer("e_low", e_low), _integer("e_high", e_high)
+    e_low, e_high = _integer("e_low", e_low), _integer("e_high", e_high)
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
     if e_low < 1:
@@ -295,7 +288,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     s = _exact("s", s)
     if s < 0:
         raise ValueError("slice parameter must be >= 0")
-    n_s, n_prev, den = _uniform_ratio(d, s)
+    n_s, n_prev, den = _uniform_ratio(_dimension(d), s)
     g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
     if not bottom:
@@ -335,12 +328,10 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power."""
-    d, e = _integer("d", d), _exact("e", e)
+    d, e = _integer("d", d), _integer("e", e)
     k, n, iterations = _integer("k", k), _integer("n", n), _integer("iterations", iterations)
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    if e.denominator != 1:
-        raise ValueError(f"multiplicity must be an integer, got {e}")
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if not 3 <= k <= e - 2:
@@ -349,12 +340,12 @@ def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tupl
         raise ValueError("root degree must be >= 2")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    power_bits = iterations * (e.numerator * n).bit_length()
+    power_bits = iterations * (e * n).bit_length()
     if power_bits > _MAX_POWER_BITS:
         raise ValueError(f"iterations * bit length of e*n must be <= {_MAX_POWER_BITS}, got {power_bits}")
     if k == e - 2:
-        return (e - 2) / (e * n - 2), e / 2 - 1
-    return (k + 1) / ((n - 1) * e + k + 1), Fraction(1, d)
+        return Fraction(e - 2, e * n - 2), Fraction(e, 2) - 1
+    return Fraction(k + 1, (n - 1) * e + k + 1), Fraction(1, d)
 
 
 def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
@@ -377,13 +368,7 @@ def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple
     """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
-    d, e = _integer("d", d), _exact("e", e)
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if d > _MAX_DIM:
-        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
-    if e.denominator != 1:
-        raise ValueError(f"multiplicity must be an integer, got {e}")
+    d, e = _dimension(d, 2), _integer("e", e)
     if e < 6:
         raise ValueError("multiplicity must be >= 6")
     if e >= factorial(d) + 1:

@@ -3,47 +3,43 @@
 Every command prints exact rationals alongside truncated decimals and
 exits 0 exactly when all requested comparisons pass.  Rational arguments
 accept both "p/q" and decimal literals; decimals parse exactly ("3.32"
-means 83/25).
+means 83/25).  Integer arguments accept what ``int`` does.  Every numeric
+argument is read by a ``rationals`` reader through ``_argument``, so a
+bad one, a run of more than 4300 digits included, exits 2 the same way
+under any interpreter setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import __version__, rationals
-from .rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
+from .rationals import DISPLAY_DIGITS, _parse_integer, decimal_render, format_rational, parse_rational
 
 
 def _fmt(x: Fraction) -> str:
     return f"{format_rational(x)} ≈ {decimal_render(x, DISPLAY_DIGITS)}"
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument(read: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that reads its text with ``read``; a ValueError becomes argparse's usage error (exit 2)."""
+
+    def convert(text: str) -> object:
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _rational_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        rationals._check_digit_runs(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+_int = _argument(_parse_integer)
+_rational = _argument(parse_rational)
+_int_list = _argument(lambda text: tuple(map(_parse_integer, text.split(","))))
+_rational_list = _argument(lambda text: tuple(map(parse_rational, text.split(","))))
 
 
 def _text(*lines: str) -> str:
@@ -59,7 +55,7 @@ def _target_lines(bound: Fraction, target: Fraction | None) -> tuple[list[str], 
 
 def _add_vol(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_vol)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--s", type=_rational, required=True)
 
 
@@ -71,7 +67,7 @@ def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
 
 def _add_md(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_md)
-    p.add_argument("--max", type=int, required=True, dest="max_order")
+    p.add_argument("--max", type=_int, required=True, dest="max_order")
 
 
 def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
@@ -86,15 +82,15 @@ def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
 
 def _add_bound(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_bound)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--e", type=_rational, required=True)
     gens = p.add_mutually_exclusive_group(required=True)
-    gens.add_argument("--r", type=int, help="uniform generator count (all valuations 1)")
+    gens.add_argument("--r", type=_int, help="uniform generator count (all valuations 1)")
     gens.add_argument("--t", type=_rational_list, help="comma-separated valuations t_1,..,t_r")
     slice_group = p.add_mutually_exclusive_group(required=True)
     slice_group.add_argument("--s", type=_rational, help="slice parameter")
     slice_group.add_argument("--optimize", action="store_true", help="search for the best slice")
-    p.add_argument("--resolution", type=int, default=100, help="grid resolution for --optimize")
+    p.add_argument("--resolution", type=_int, default=100, help="grid resolution for --optimize")
     p.add_argument("--target", type=_rational, help="pass/fail threshold for the bound")
 
 
@@ -118,7 +114,7 @@ def _add_verify_tables(p: argparse.ArgumentParser) -> None:
     from pathlib import Path
 
     p.set_defaults(handler=_cmd_verify_tables)
-    p.add_argument("--dim", type=int, choices=(5, 6), required=True)
+    p.add_argument("--dim", type=_int, choices=(5, 6), required=True)
     p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
 
 
@@ -133,8 +129,8 @@ def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
 
 def _add_quadric(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_quadric)
-    p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-    p.add_argument("--d", type=int, choices=(5, 6), required=True)
+    p.add_argument("--p", type=_int, required=True, help="odd prime characteristic")
+    p.add_argument("--d", type=_int, choices=(5, 6), required=True)
 
 
 def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
@@ -164,12 +160,12 @@ def _printable_radical(d: int, e: Fraction | int, k: int, n: int, iterations: in
 
 def _add_radical(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_radical)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--e", type=_rational, default=Fraction(6))
     p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
-    p.add_argument("--k", type=int, help="embedding codimension (recursion mode)")
-    p.add_argument("--n", type=int, help="root degree (recursion mode)")
-    p.add_argument("--iterations", type=int, help="recursion depth (recursion mode)")
+    p.add_argument("--k", type=_int, help="embedding codimension (recursion mode)")
+    p.add_argument("--n", type=_int, help="root degree (recursion mode)")
+    p.add_argument("--iterations", type=_int, help="recursion depth (recursion mode)")
 
 
 def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
@@ -217,9 +213,9 @@ def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
 
 def _add_certify_interval(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_certify_interval)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--e-low", type=int, required=True)
-    p.add_argument("--e-high", type=int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
+    p.add_argument("--e-low", type=_int, required=True)
+    p.add_argument("--e-high", type=_int, required=True)
     p.add_argument("--s", type=_rational, required=True)
     p.add_argument("--target", type=_rational, required=True)
 

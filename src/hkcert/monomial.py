@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import NamedTuple, Sequence
 
-from .rationals import Rational, _check_digit_runs, _exact, _integer
+from .rationals import Rational, _exact, _integer, _parse_integer
 
 __all__ = [
     "ColengthEntry",
@@ -252,9 +252,10 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
 def parse_generators(text: str) -> MonomialIdeal:
     """Parse the ideal file format: one generator per line, space-separated exponents.
 
-    Blank lines and lines starting with '#' are ignored.  A digit run of
-    more than ``rationals._MAX_DIGITS`` digits is refused before ``int``
-    reads it, whatever the interpreter's int-to-str limit.
+    Blank lines and lines starting with '#' are ignored.  Each exponent is
+    read by ``rationals._parse_integer``, so a digit run of more than
+    ``rationals._MAX_DIGITS`` digits is refused whatever the interpreter's
+    int-to-str limit.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,13 +263,9 @@ def parse_generators(text: str) -> MonomialIdeal:
         if not line or line.startswith("#"):
             continue
         try:
-            _check_digit_runs(line)
+            row = tuple(map(_parse_integer, line.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        try:
-            row = tuple(int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: expected space-separated integers, got {raw!r}") from exc
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"line {lineno}: generator {row} does not have {len(rows[0])} exponents")
         rows.append(row)

@@ -1,9 +1,14 @@
-"""Exact rational scalars and decimal rendering.
+"""Exact rational scalars, the readers of outside numbers, and decimal rendering.
 
 Every quantity in this package is a :class:`fractions.Fraction`; no
 floating point is used on any computational path.  Decimal output is
 truncated toward minus infinity, never rounded, so a rendered lower
 bound is still a valid lower bound.
+
+Text becomes a number only here: ``parse_rational`` reads rational
+literals and ``_parse_integer`` integer ones (CLI options, ideal-file
+exponents).  Both refuse a run of more than ``_MAX_DIGITS`` digits before
+parsing, so no PYTHONINTMAXSTRDIGITS setting changes what they accept.
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
     raise ValueError(f"decimal exponent must be at most {_MAX_DIGITS} in absolute value, got {text!r}")
+
+
+def _parse_integer(text: str) -> int:
+    """``int(text)`` after ``_check_digit_runs``; one ValueError for any text either refuses."""
+    _check_digit_runs(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer literal: {text!r}") from None
 
 
 def _exact(name: str, value: object) -> Fraction:

@@ -14,10 +14,11 @@ evaluated as one integer numerator over the common denominator d! b^d,
 so a single ``Fraction`` is built per volume.  One private helper,
 ``_slab_ratio``, holds the clamps for every pointwise volume: it returns
 the pair (N, d! b^d), or (0, 1) and (1, 1) where s <= 0 or s >= d, so a
-clamped volume forms neither b^d nor a power; its checks, the dimension
-range and the size cap, are ``_slab_bits``.  The clamps are shortcuts
-only: the sum is already 0 for a <= 0, and, with its terms capped at
-n <= d, it is d! b^d for a >= d*b, the d-th difference of x^d.  On a
+clamped volume forms neither b^d nor a power; its one check, the size
+cap, is ``_slab_bits``, after every caller has checked the dimension
+range with ``_dimension``.  The clamps are shortcuts only: the sum is
+already 0 for a <= 0, and, with its terms capped at n <= d, it is
+d! b^d for a >= d*b, the d-th difference of x^d.  On a
 grid {k/b} all numerators share that denominator, so volumes on one grid
 compare as integers.  One table of powers P_j = j^d, j <= h = floor(d*b/2),
 gives the lower half of that grid: N_k is P_k plus the shifted terms
@@ -60,8 +61,21 @@ def vol_slab(d: int, s: Rational) -> Fraction:
     too long to evaluate (``_MAX_SLAB_BITS``), and for an s that is
     not an int or a ``Fraction``.
     """
-    d, s = _integer("d", d), _exact("s", s)
+    d, s = _dimension(d), _exact("s", s)
     return Fraction(*_slab_ratio(d, s.numerator, s.denominator))
+
+
+def _dimension(d: object, least: int = 1) -> int:
+    """``d`` as an int in [least, ``_MAX_DIM``], else ValueError: the one dimension rule.
+
+    Every caller of ``_slab_ratio`` and ``_slab_bits`` checks its d here first.
+    """
+    d = _integer("d", d)
+    if d < least:
+        raise ValueError(f"dimension must be >= {least}")
+    if d > _MAX_DIM:
+        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
+    return d
 
 
 # Cost cap on one evaluated slab volume, 0 < s < d: d times the bit length of
@@ -87,12 +101,8 @@ def _slab_ratio(d: int, a: int, b: int) -> tuple[int, int]:
 def _slab_bits(d: int, a: int, b: int) -> int:
     """d * bit length of max(a, b), the size of the sum for v_{a/b}; 0 where v_{a/b} is clamped.
 
-    Raises ValueError for d outside [1, ``_MAX_DIM``] and above ``_MAX_SLAB_BITS``.
+    Raises ValueError above ``_MAX_SLAB_BITS``; d is checked by the caller (``_dimension``).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if d > _MAX_DIM:
-        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
     if a <= 0 or a >= d * b:
         return 0
     bits = d * max(a, b).bit_length()

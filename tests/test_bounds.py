@@ -253,7 +253,7 @@ class TestVolumeLowerBound:
 
     def test_rejects_non_integer_generator_count(self):
         # Truncating r = 3/2 to 1 would return the r = 1 bound 115/48.
-        with pytest.raises(ValueError, match="generator count must be an integer, got 3/2"):
+        with pytest.raises(ValueError, match="r must be an integer, got 3/2"):
             volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(3, 2))
         assert volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(1)) == Fraction(115, 48)
 
@@ -315,7 +315,7 @@ class TestOptimizeSlice:
             optimize_slice(5, 5, -1, 10)
         with pytest.raises(ValueError):
             optimize_slice(0, 5, 3, 10)
-        with pytest.raises(ValueError, match="generator count must be an integer, got 3/2"):
+        with pytest.raises(ValueError, match="r must be an integer, got 3/2"):
             optimize_slice(3, 5, Fraction(3, 2), 10)
 
     def test_integer_path_after_input_checks(self, monkeypatch):
@@ -758,7 +758,7 @@ class TestRadicalRecursion:
         for args, message in [
             ((1, 6, 4, 2, 1), "dimension must be >= 2"),
             ((3, 5, 3, 2, 1), "multiplicity must be >= 6"),
-            ((3, Fraction(13, 2), 3, 2, 1), "multiplicity must be an integer, got 13/2"),
+            ((3, Fraction(13, 2), 3, 2, 1), "e must be an integer, got 13/2"),
             ((3, 6, 2, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
             ((3, 6, 5, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
             ((3, 6, 3, 1, 1), "root degree must be >= 2"),
@@ -773,7 +773,7 @@ class TestRadicalRecursion:
         with pytest.raises(ValueError, match="iterations \\* bit length of e\\*n must be <= 10000000, got 10000004"):
             radical_recursion_bound(2, 6, 4, 2, 2_500_001)
         # fixed_dimension_bound's deepest recursion, at the dimension ceiling, stays inside.
-        d = bounds._MAX_DIM
+        d = slab._MAX_DIM
         assert d * (factorial(d) * (ceil(Fraction(d, 3)) + 1)).bit_length() <= bounds._MAX_POWER_BITS
 
     def test_admits_power_at_cost_cap(self):
@@ -794,7 +794,7 @@ class TestRadicalRecursion:
                             cases += 1
         assert cases == 40964
         # A multiplicity is an integer; a rational one is rejected.
-        with pytest.raises(ValueError, match="multiplicity must be an integer, got 17/2"):
+        with pytest.raises(ValueError, match="e must be an integer, got 17/2"):
             radical_recursion_bound(6, Fraction(17, 2), 4, 3, 3)
 
 
@@ -830,14 +830,14 @@ class TestFixedDimensionBound:
         with pytest.raises(ValueError, match="case must be 'minimal_gap' or 'general', got 'bogus'"):
             fixed_dimension_bound(2, 6, "bogus")
         for case in ("minimal_gap", "general"):
-            with pytest.raises(ValueError, match="multiplicity must be an integer, got 17/2"):
+            with pytest.raises(ValueError, match="e must be an integer, got 17/2"):
                 fixed_dimension_bound(6, Fraction(17, 2), case)
 
     def test_rejects_dimension_beyond_cap(self, monkeypatch):
         # Checked before d! or the recursion is computed.
         monkeypatch.setattr(bounds, "factorial", lambda *a: pytest.fail("factorial computed"))
         monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("recursion run"))
-        assert bounds._MAX_DIM == 512
+        assert slab._MAX_DIM == 512
         for d in (513, 10**8):
             for case in ("minimal_gap", "general"):
                 with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):

@@ -158,27 +158,36 @@ def test_print_budget_does_not_depend_on_the_interpreter(setting):
 
 def test_digit_runs_do_not_depend_on_the_interpreter():
     # One child under Python's default int-to-str limit and one with it off:
-    # a slice of 4401 digits is refused before it is parsed, with the same
-    # stderr, where the limit off once printed `1 ≈ 1.0000` and exited 0.
-    def run(setting):
+    # a number of 4401 digits is refused before it is parsed, with the same
+    # stderr.  With the limit off, the slice once printed `1 ≈ 1.0000` and
+    # the root degree `bound: 3 ≈ 3.0000`, both exiting 0, and the dimension
+    # failed on the dimension cap instead.
+    long_run = "5" + "0" * 4400
+
+    def run(argv, setting):
         env = child_env()
         env.pop("PYTHONINTMAXSTRDIGITS", None)
         if setting is not None:
             env["PYTHONINTMAXSTRDIGITS"] = setting
-        argv = ["vol", "--dim", "1", "--s", "5" + "0" * 4400]
         return subprocess.run([sys.executable, "-m", "hkcert", *argv], capture_output=True, text=True, env=env)
 
-    default, unlimited = run(None), run("0")
-    assert (default.returncode, default.stdout) == (unlimited.returncode, unlimited.stdout) == (2, "")
-    assert default.stderr == unlimited.stderr
-    assert default.stderr.endswith("hkcert vol: error: argument --s: a run of more than 4300 digits is past the input budget\n")
+    for argv, flag in [
+        (["vol", "--dim", "1", "--s", long_run], "vol: error: argument --s"),
+        (["vol", "--dim", long_run, "--s", "1"], "vol: error: argument --dim"),
+        (["radical", "--dim", "3", "--e", "6", "--k", "4", "--n", long_run, "--iterations", "0"],
+         "radical: error: argument --n"),
+    ]:
+        default, unlimited = run(argv, None), run(argv, "0")
+        assert (default.returncode, default.stdout) == (unlimited.returncode, unlimited.stdout) == (2, ""), argv
+        assert default.stderr == unlimited.stderr, argv
+        assert default.stderr.endswith(f"hkcert {flag}: a run of more than 4300 digits is past the input budget\n")
 
 
 @pytest.mark.parametrize("argv, message", [
     (["bound", "--dim", "3", "--e", "2", "--t", "1,x", "--s", "1"], "argument --t: "),
     (["bound", "--dim", "3", "--e", "2", "--t", "1,", "--s", "1"], "argument --t: "),
-    (["monomial", "--file", "sq.ideal", "--q", "1,x"], "argument --q: expected comma-separated integers, got '1,x'"),
-    (["monomial", "--file", "sq.ideal", "--q", "2,1/2"], "argument --q: expected comma-separated integers, got '2,1/2'"),
+    (["monomial", "--file", "sq.ideal", "--q", "1,x"], "argument --q: not an integer literal: 'x'"),
+    (["monomial", "--file", "sq.ideal", "--q", "2,1/2"], "argument --q: not an integer literal: '1/2'"),
 ])
 def test_bad_list_arguments_are_usage_errors(argv, message, capsys):
     # argparse reports the list parsers' ArgumentTypeError and exits 2 before any command runs.
@@ -291,6 +300,7 @@ def test_optimize_rejects_work_beyond_cost_cap(dim, resolution, capsys, monkeypa
         ["vol", "--dim", "513", "--s", "600"],
         ["bound", "--dim", "513", "--e", "5", "--r", "3", "--s", "1/2"],
         ["bound", "--dim", "513", "--e", "5", "--r", "3", "--optimize", "--resolution", "2"],
+        ["bound", "--dim", "513", "--e", "5", "--t", "1,1/2", "--s", "1/2"],
         ["certify-interval", "--dim", "513", "--e-low", "5", "--e-high", "9", "--s", "2", "--target", "1"],
         ["radical", "--dim", "513", "--case", "general"],
     ],
@@ -489,7 +499,7 @@ def test_radical_rejects_mixed_modes():
     [
         ("--dim", "1", "dimension must be >= 2"),
         ("--e", "5", "multiplicity must be >= 6"),
-        ("--e", "17/2", "multiplicity must be an integer, got 17/2"),
+        ("--e", "17/2", "e must be an integer, got 17/2"),
         ("--k", "2", "codimension must satisfy 3 <= k <= e - 2"),
         ("--n", "1", "root degree must be >= 2"),
         ("--iterations", "-1", "iterations must be >= 0"),
@@ -509,7 +519,7 @@ def test_radical_case_rejects_rational_multiplicity(case, capsys):
     assert main(["radical", "--dim", "6", "--e", "17/2", "--case", case]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: multiplicity must be an integer, got 17/2\n"
+    assert captured.err == "error: e must be an integer, got 17/2\n"
 
 
 def test_radical_has_no_field_degree_flag(capsys):

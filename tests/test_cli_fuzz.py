@@ -2,7 +2,8 @@
 
 Each case is one command with small valid arguments, then at most one
 flag changed: set to the first value that a cost cap or the print budget
-rejects given the other arguments, set to a zero, negative, huge or
+rejects given the other arguments (for every integer flag, also a run of
+4401 digits, past the input budget), set to a zero, negative, huge or
 non-numeric token, or dropped.  A value exactly at a cap is admitted and
 can take about a second, so no case draws one.
 """
@@ -26,10 +27,19 @@ def small_int(lo: int, hi: int) -> st.SearchStrategy:
     return st.integers(lo, hi).map(str)
 
 
+# A run of one digit more than the input budget, past every integer option.
+LONG_RUN = "5" + "0" * rationals._MAX_DIGITS
+
+
 class Flag(NamedTuple):
     valid: st.SearchStrategy  # st.none() for a flag that takes no value
     past: Optional[Callable[[dict], list]] = None  # the first rejected values, given the other flags' values
     bad: st.SearchStrategy = JUNK
+
+
+def integer(valid: st.SearchStrategy, past: Callable[[dict], list] = lambda values: []) -> Flag:
+    """An integer flag, whose rejected values also hold ``LONG_RUN``."""
+    return Flag(valid, lambda values: [*past(values), LONG_RUN])
 
 
 def past_grid_resolution(values: dict) -> list:
@@ -100,7 +110,7 @@ def past_valuations(values: dict) -> list:
     return [too_many, ",".join(valuations)]
 
 
-DIM = Flag(small_int(1, 8), lambda values: [str(slab._MAX_DIM + 1)])
+DIM = integer(small_int(1, 8), lambda values: [str(slab._MAX_DIM + 1)])
 RATIONAL = Flag(
     st.one_of(st.fractions(0, 10, max_denominator=12).map(str), st.decimals(0, 10, places=2).map(str)),
     lambda values: [f"1e{rationals._MAX_DIGITS + 1}"],
@@ -123,49 +133,52 @@ GENERATOR_FILE = Flag(
     past_generator_files,
     st.sampled_from(["", "# comment only\n", "1 x\n", "2 0\n0 2 1\n", "0 0\n", "-1 2\n0 1\n", "1.5 0\n0 2\n"]),
 )
-FROBENIUS_POWERS = Flag(st.sets(st.integers(1, 8), min_size=1, max_size=4).map(lambda qs: ",".join(map(str, sorted(qs)))))
+FROBENIUS_POWERS = Flag(
+    st.sets(st.integers(1, 8), min_size=1, max_size=4).map(lambda qs: ",".join(map(str, sorted(qs)))),
+    lambda values: [f"1,{LONG_RUN}"],
+)
 
 # Argument sets by command; "bound --t" and the like name one of a command's flag modes.
 COMMANDS = {
     "vol": {"--dim": DIM, "--s": SLICE},
-    "md": {"--max": Flag(small_int(1, 40), lambda values: [str(series._MAX_ORDER + 1)])},
-    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": Flag(small_int(0, 16)), "--s": SLICE, "--target": TARGET},
+    "md": {"--max": integer(small_int(1, 40), lambda values: [str(series._MAX_ORDER + 1)])},
+    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": integer(small_int(0, 16)), "--s": SLICE, "--target": TARGET},
     "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": SLICE},
     "bound --optimize": {
-        "--dim": Flag(small_int(1, 8), past_grid_dim),
+        "--dim": integer(small_int(1, 8), past_grid_dim),
         "--e": RATIONAL,
-        "--r": Flag(small_int(0, 16)),
+        "--r": integer(small_int(0, 16)),
         "--optimize": Flag(st.none()),
-        "--resolution": Flag(small_int(1, 100), past_grid_resolution),
+        "--resolution": integer(small_int(1, 100), past_grid_resolution),
         "--target": TARGET,
     },
     "certify-interval": {
         "--dim": DIM,
-        "--e-low": Flag(small_int(1, 30)),
-        "--e-high": Flag(small_int(30, 60)),
+        "--e-low": integer(small_int(1, 30)),
+        "--e-high": integer(small_int(30, 60)),
         "--s": SLICE,
         "--target": TARGET,
     },
     "verify-tables": {
-        "--dim": Flag(st.sampled_from(["5", "6"])),
+        "--dim": integer(st.sampled_from(["5", "6"])),
         "--csv": Flag(st.just("out.csv"), bad=st.sampled_from(["", "missing/out.csv"])),
     },
     "quadric": {
-        "--p": Flag(small_int(1, 200), lambda values: [str(bounds._MILLER_RABIN_LIMIT)]),
-        "--d": Flag(st.sampled_from(["5", "6"])),
+        "--p": integer(small_int(1, 200), lambda values: [str(bounds._MILLER_RABIN_LIMIT)]),
+        "--d": integer(st.sampled_from(["5", "6"])),
     },
     "radical --case": {
-        "--dim": Flag(small_int(2, 8), past_case_dim),
+        "--dim": integer(small_int(2, 8), past_case_dim),
         "--e": MULTIPLICITY,
         "--case": Flag(st.sampled_from(["minimal_gap", "general"])),
     },
     # k <= 4 keeps 3 <= k <= e - 2 for every drawn e, with k = e - 2 at e = 6.
     "radical": {
-        "--dim": Flag(small_int(2, 8)),
+        "--dim": integer(small_int(2, 8)),
         "--e": MULTIPLICITY,
-        "--k": Flag(small_int(3, 4)),
-        "--n": Flag(small_int(2, 6)),
-        "--iterations": Flag(small_int(0, 50), past_iterations),
+        "--k": integer(small_int(3, 4)),
+        "--n": integer(small_int(2, 6)),
+        "--iterations": integer(small_int(0, 50), past_iterations),
     },
     "monomial": {"--file": GENERATOR_FILE, "--q": FROBENIUS_POWERS},
 }

@@ -459,7 +459,7 @@ class TestParsing:
 
     def test_parse_error_names_the_line(self):
         # Comments and blank lines count: the bad row is the file's third line.
-        with pytest.raises(ValueError, match="^line 3: expected space-separated integers, got '1 x'$"):
+        with pytest.raises(ValueError, match="^line 3: not an integer literal: 'x'$"):
             parse_generators("# comment\n\n1 x\n2 0\n")
 
     def test_parse_width_error_names_the_line(self):

@@ -131,6 +131,8 @@ LONG_RUN = "5" + "0" * 4400
     pytest.param(lambda: parse_rational(LONG_RUN), id="parse_rational"),
     pytest.param(lambda: parse_rational(f"1/{LONG_RUN}"), id="parse_rational-denominator"),
     pytest.param(lambda: cli._int_list(f"2,{LONG_RUN}"), id="cli._int_list"),
+    pytest.param(lambda: rationals_module._parse_integer(LONG_RUN), id="_parse_integer"),
+    pytest.param(lambda: cli._int(f" -{LONG_RUN} "), id="cli._int"),
     pytest.param(lambda: parse_generators(f"# x\n{LONG_RUN} 0\n0 1\n"), id="parse_generators"),
 ])
 def test_digit_runs_are_refused_under_any_int_limit(parse, int_max_str_digits, monkeypatch):
@@ -139,6 +141,23 @@ def test_digit_runs_are_refused_under_any_int_limit(parse, int_max_str_digits, m
     monkeypatch.setattr(rationals_module, "Fraction", lambda *a: pytest.fail("literal converted"))
     with pytest.raises((ValueError, argparse.ArgumentTypeError), match="a run of more than 4300 digits is past the input budget$"):
         parse()
+
+
+# Letters, signs, points, slashes, underscores, ASCII and Unicode spaces, and
+# decimal digits of every script.
+INTEGER_TEXTS = st.text(st.one_of(st.sampled_from("0123456789+-_ ./\t\u3000aeEx"), st.characters(categories=["Nd"])),
+                        max_size=8)
+
+
+@given(text=INTEGER_TEXTS)
+def test_parse_integer_admits_exactly_what_int_admits(text):
+    try:
+        expected = int(text)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^not an integer literal: {re.escape(repr(text))}$"):
+            rationals_module._parse_integer(text)
+    else:
+        assert rationals_module._parse_integer(text) == expected
 
 
 BUDGET = 10**4300  # B: the least integer of more than 4300 digits
@@ -179,6 +198,9 @@ INTEGER_PARAMETERS = [
     pytest.param(lambda x: radical_recursion_bound(3, 6, 4, x, 3), "n", 2, id="radical_recursion_bound-n"),
     pytest.param(lambda x: radical_recursion_bound(3, 6, 4, 2, x), "iterations", 3,
                  id="radical_recursion_bound-iterations"),
+    pytest.param(lambda x: radical_recursion_bound(3, x, 4, 2, 3), "e", 6, id="radical_recursion_bound-e"),
+    pytest.param(lambda x: fixed_dimension_bound(3, x, "general"), "e", 6, id="fixed_dimension_bound-e"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, 2, r=x), "r", 3, id="volume_lower_bound-r"),
     pytest.param(lambda x: frobenius_colength(_IDEAL, x), "q", 2, id="frobenius_colength-q"),
     pytest.param(lambda x: mixed_colength(_IDEAL, Fraction(3, 2), x), "q", 4, id="mixed_colength-q"),
     pytest.param(lambda x: ehk_estimate(_IDEAL, [1, x]), "q", 2, id="ehk_estimate-q"),
@@ -215,7 +237,6 @@ PARAMETERS = [
     pytest.param(lambda x: vol_slab(3, x), "s", Fraction(1, 10), id="vol_slab-s"),
     pytest.param(lambda x: volume_lower_bound(5, x, 2, r=3), "e", 5, id="volume_lower_bound-e"),
     pytest.param(lambda x: volume_lower_bound(5, 5, x, r=3), "s", Fraction(7, 5), id="volume_lower_bound-s"),
-    pytest.param(lambda x: volume_lower_bound(5, 5, 2, r=x), "r", 3, id="volume_lower_bound-r"),
     pytest.param(lambda x: volume_lower_bound(5, 5, 2, valuations=[1, x]), "valuations", Fraction(1, 2),
                  id="volume_lower_bound-valuations"),
     pytest.param(lambda x: optimize_slice(5, x, 3, 10), "e", 5, id="optimize_slice-e"),
@@ -223,8 +244,6 @@ PARAMETERS = [
     pytest.param(lambda x: certify_interval(6, 10, x, Fraction(23, 10)), "e_high", 15, id="certify_interval-e_high"),
     pytest.param(lambda x: certify_interval(6, 10, 15, x), "s", Fraction(23, 10), id="certify_interval-s"),
     pytest.param(lambda x: mixed_colength(_IDEAL, x, 4), "s", Fraction(3, 2), id="mixed_colength-s"),
-    pytest.param(lambda x: radical_recursion_bound(3, x, 4, 2, 3), "e", 6, id="radical_recursion_bound-e"),
-    pytest.param(lambda x: fixed_dimension_bound(3, x, "general"), "e", 6, id="fixed_dimension_bound-e"),
     *INTEGER_PARAMETERS,
 ]
 
