@@ -110,17 +110,10 @@ def _bound_inputs(
     The dimension range is checked here for both forms, so ``optimize_slice``
     checks its inputs without evaluating a volume.
     """
-    d, e, s = _dimension(d), _exact("e", e), _exact("s", s)
-    if e < 1:
-        raise ValueError("multiplicity must be >= 1")
-    if s < 0:
-        raise ValueError("slice parameter must be >= 0")
+    d, e, s = _dimension(d), _exact("e", e, 1), _exact("s", s, 0)
     if (r is None) == (valuations is None):
         raise ValueError("exactly one of r / valuations is required")
-    if valuations is None:
-        if (r := _integer("r", r)) < 0:
-            raise ValueError("generator count must be >= 0")
-    return d, e, s, r
+    return d, e, s, None if r is None else _integer("r", r, 0)
 
 
 def _uniform_ratio(d: int, s: Fraction) -> tuple[int, int, int]:
@@ -177,9 +170,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
     ``_MAX_GRID_WORK``.
     """
-    d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution)
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
+    d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution, 2)
     if d * grid_resolution > _MAX_GRID_STEPS:
         raise ValueError(f"dimension * grid_resolution must be <= {_MAX_GRID_STEPS}, got {d * grid_resolution}")
     work = d**3 * grid_resolution
@@ -280,14 +271,10 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     ``_uniform_ratio``.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
-    e_low, e_high = _integer("e_low", e_low), _integer("e_high", e_high)
+    e_low, e_high = _integer("e_low", e_low, 1), _integer("e_high", e_high)
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
-    if e_low < 1:
-        raise ValueError("e_low must be >= 1 (multiplicities are positive)")
-    s = _exact("s", s)
-    if s < 0:
-        raise ValueError("slice parameter must be >= 0")
+    s = _exact("s", s, 0)
     n_s, n_prev, den = _uniform_ratio(_dimension(d), s)
     g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
@@ -328,18 +315,10 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
 
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power."""
-    d, e = _integer("d", d), _integer("e", e)
-    k, n, iterations = _integer("k", k), _integer("n", n), _integer("iterations", iterations)
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if e < 6:
-        raise ValueError("multiplicity must be >= 6")
+    d, e = _integer("d", d, 2), _integer("e", e, 6)
+    k, n, iterations = _integer("k", k), _integer("n", n, 2), _integer("iterations", iterations, 0)
     if not 3 <= k <= e - 2:
         raise ValueError("codimension must satisfy 3 <= k <= e - 2")
-    if n < 2:
-        raise ValueError("root degree must be >= 2")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
     power_bits = iterations * (e * n).bit_length()
     if power_bits > _MAX_POWER_BITS:
         raise ValueError(f"iterations * bit length of e*n must be <= {_MAX_POWER_BITS}, got {power_bits}")
@@ -368,9 +347,7 @@ def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple
     """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
-    d, e = _dimension(d, 2), _integer("e", e)
-    if e < 6:
-        raise ValueError("multiplicity must be >= 6")
+    d, e = _dimension(d, 2), _integer("e", e, 6)
     if e >= factorial(d) + 1:
         return None
     if case == "minimal_gap":

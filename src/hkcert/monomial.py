@@ -75,8 +75,7 @@ class MonomialIdeal(_MonomialIdealFields):
     __slots__ = ()
 
     def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
-        if num_vars < 1:
-            raise ValueError("need at least one variable")
+        num_vars = _integer("num_vars", num_vars, 1)
         if len(generators) > _MAX_GENERATORS:
             raise ValueError(f"at most {_MAX_GENERATORS} generators are supported, got {len(generators)}")
         work = len(generators) ** 2 * num_vars
@@ -145,8 +144,7 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     prefix), and one prefix-minimum pass per axis of length >= 2 makes T:
     O(rows * passes), whatever q and the generator count.
     """
-    if (q := _integer("q", q)) < 1:
-        raise ValueError("q must be >= 1")
+    q = _integer("q", q, 1)
     box = ideal.pure_power_exponents()
     rows = prod(box[:-1])
     if rows > _MAX_SCAN_ROWS:
@@ -198,14 +196,10 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
     adds min(q, m - t + 1) * c_n points along the last axis for each prefix
     with t <= m.  It visits every prefix, so its cost grows like q^(n-1).
     """
-    if (q := _integer("q", q)) < 1:
-        raise ValueError("q must be >= 1")
+    q = _integer("q", q, 1)
     if not ideal.is_parameter_ideal():
         raise ValueError("mixed_colength requires a pure-power (parameter) ideal")
-    s = _exact("s", s)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    cut = floor(s * q)
+    cut = floor(_exact("s", s, 0) * q)
     if cut <= 0:
         return 0
     cs = ideal.pure_power_exponents()
@@ -239,11 +233,11 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
     The sequence is constant: lambda(R/I^[q]) / q^n = lambda(R/I) for
     every q (see ``frobenius_colength``), so lambda(R/I) is counted once.
     """
-    qs = [_integer("q", q) for q in q_list]
+    qs = [_integer("q", q, 1) for q in q_list]
     if not qs:
         raise ValueError("q_list must be non-empty")
-    if any(b <= a for a, b in zip(qs, qs[1:])) or qs[0] < 1:
-        raise ValueError("q_list must be strictly increasing and positive")
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        raise ValueError("q_list must be strictly increasing")
     length = frobenius_colength(ideal, 1)
     n = ideal.num_vars
     return ColengthSequence(entries=tuple(ColengthEntry(q, q**n * length, Fraction(length)) for q in qs))

@@ -9,6 +9,8 @@ Text becomes a number only here: ``parse_rational`` reads rational
 literals and ``_parse_integer`` integer ones (CLI options, ideal-file
 exponents).  Both refuse a run of more than ``_MAX_DIGITS`` digits before
 parsing, so no PYTHONINTMAXSTRDIGITS setting changes what they accept.
+A library argument becomes a number through ``_exact`` or ``_integer``,
+which also check its floor, worded ``<name> must be >= <least>``.
 """
 
 from __future__ import annotations
@@ -69,22 +71,34 @@ def _parse_integer(text: str) -> int:
         raise ValueError(f"not an integer literal: {text!r}") from None
 
 
-def _exact(name: str, value: object) -> Fraction:
-    """``value`` as a ``Fraction``, where it is an int or a ``Fraction``; else ``_rational_input``'s ValueError."""
-    return Fraction(_rational_input(name, value))
+def _exact(name: str, value: object, least: int | None = None) -> Fraction:
+    """``value`` as a ``Fraction``, where it is an int or a ``Fraction`` not below ``least``; else ValueError."""
+    return _at_least(name, Fraction(_rational_input(name, value)), least)
 
 
-def _integer(name: str, value: object) -> int:
+def _integer(name: str, value: object, least: int | None = None) -> int:
     """``value`` as an int, where it is an int or a ``Fraction`` of denominator 1.
 
     Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
     does, and for a ``Fraction`` that is not an integer.  Both types carry
-    ``numerator`` and ``denominator``, so no ``Fraction`` is built.
+    ``numerator`` and ``denominator``, so no ``Fraction`` is built.  With
+    ``least``, also the floor rule of ``_at_least``.
     """
     value = _rational_input(name, value)
     if value.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {value}")
-    return value.numerator
+    return _at_least(name, value.numerator, least)
+
+
+def _at_least(name: str, value: Rational, least: int | None) -> Rational:
+    """``value``, unless it is below ``least``: the one floor rule, ``<name> must be >= <least>``.
+
+    Every lower bound of an argument in this package is checked here, by
+    the reader that reads the argument, so each floor is worded one way.
+    """
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def _rational_input(name: str, value: object) -> Rational:
@@ -123,8 +137,7 @@ def decimal_render(x: Rational, digits: int) -> str:
     Truncation is toward minus infinity, so the rendered value re-parses
     to a rational that is <= x and within 10**-digits of it.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _integer("digits", digits, 1)
     scaled = (x.numerator * 10**digits) // x.denominator
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)

@@ -38,8 +38,7 @@ def zigzag_numbers(count: int) -> list[int]:
     Row n of the Seidel triangle starts at 0 and accumulates the previous
     row in reverse; its last entry is E_n.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = _integer("count", count, 0)
     numbers = [1]
     row = [1]
     for n in range(1, count + 1):
@@ -57,7 +56,7 @@ def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
     Raises ValueError, before the triangle is built, for an order above
     ``_MAX_ORDER``.
     """
-    order = _integer("order", order)
+    order = _integer("order", order, 1)
     _check_order(order)
     zig = zigzag_numbers(order)
     return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
@@ -71,15 +70,12 @@ def conjecture_threshold(d: int) -> Fraction:
     ``zigzag_coeffs``; the test suite checks it against exact power-series
     division.
     """
-    if (d := _integer("d", d)) < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _integer("d", d, 1)
     _check_order(d)
     return 1 + Fraction(zigzag_numbers(d)[-1], factorial(d))
 
 
 def _check_order(order: int) -> None:
-    """The order range of both entry points, checked before any triangle or factorial."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    """The order cap of both entry points, checked before any triangle or factorial; each reads its own floor."""
     if order > _MAX_ORDER:
         raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")

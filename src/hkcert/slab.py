@@ -70,11 +70,9 @@ def _dimension(d: object, least: int = 1) -> int:
 
     Every caller of ``_slab_ratio`` and ``_slab_bits`` checks its d here first.
     """
-    d = _integer("d", d)
-    if d < least:
-        raise ValueError(f"dimension must be >= {least}")
+    d = _integer("d", d, least)
     if d > _MAX_DIM:
-        raise ValueError(f"dimension must be <= {_MAX_DIM}, got {d}")
+        raise ValueError(f"d must be <= {_MAX_DIM}, got {d}")
     return d
 
 

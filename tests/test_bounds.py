@@ -73,20 +73,21 @@ def fine_lattice_scores(d, r, b):
 def fraction_certify_interval(d, e_low, e_high, s):
     """Oracle: ``certify_interval`` as it was before it compared integer numerators.
 
-    The same input checks in the same order, then two ``vol_slab``
+    The same input checks in the same order (each end's type, then e_low's
+    floor, before the two ends are compared), then two ``vol_slab``
     volumes, G at both ends, the apex and the comparisons as ``Fraction``
     arithmetic.
     """
     for name, value in (("e_low", e_low), ("e_high", e_high)):
         if (value := Fraction(value)).denominator != 1:
             raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
+        if name == "e_low" and value < 1:
+            raise ValueError("e_low must be >= 1")
     if e_low > e_high:
         raise ValueError("e_low must be <= e_high")
-    if e_low < 1:
-        raise ValueError("e_low must be >= 1 (multiplicities are positive)")
     s = Fraction(s)
     if s < 0:
-        raise ValueError("slice parameter must be >= 0")
+        raise ValueError("s must be >= 0")
     v_s, v_prev = vol_slab(d, s), vol_slab(d, s - 1)
     g_low, g_high = (e * (v_s - (e - 2) * v_prev) for e in (e_low, e_high))
     apex = (v_s + 2 * v_prev) / (2 * v_prev) if v_prev else None
@@ -604,7 +605,7 @@ class TestCertifyInterval:
     def test_rejects_negative_slice(self):
         # The same check as volume_lower_bound.
         for s in (-1, Fraction(-1, 10)):
-            with pytest.raises(ValueError, match="slice parameter must be >= 0"):
+            with pytest.raises(ValueError, match="^s must be >= 0$"):
                 certify_interval(6, 5, 9, s)
         row = certify_interval(6, 7, 7, 0)
         assert row.certified_bound == 0
@@ -652,8 +653,10 @@ class TestCertifyInterval:
 
     def test_rejects_as_fraction_oracle(self):
         # The same checks, in the same order, with the same messages; the
-        # dimension is checked last, as vol_slab checked it.
+        # dimension is checked last, as vol_slab checked it.  e_low's floor
+        # comes before e_high is read and before the ends are compared.
         for args in [(6, Fraction(5, 2), 1, -1), (6, 5, Fraction(17, 2), 2), (0, 9, 5, -1), (0, 0, 9, -1),
+                     (6, 0, -3, 2), (6, 0, Fraction(1, 2), 2),
                      (0, 5, 9, -1), (0, 5, 9, 2), (513, 5, 9, Fraction(1, 2)), (513, 5, 9, 600), (-1, 1, 1, 0)]:
             with pytest.raises(ValueError) as expected:
                 fraction_certify_interval(*args)
@@ -756,12 +759,12 @@ class TestRadicalRecursion:
 
     def test_validation(self):
         for args, message in [
-            ((1, 6, 4, 2, 1), "dimension must be >= 2"),
-            ((3, 5, 3, 2, 1), "multiplicity must be >= 6"),
+            ((1, 6, 4, 2, 1), "d must be >= 2"),
+            ((3, 5, 3, 2, 1), "e must be >= 6"),
             ((3, Fraction(13, 2), 3, 2, 1), "e must be an integer, got 13/2"),
             ((3, 6, 2, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
             ((3, 6, 5, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
-            ((3, 6, 3, 1, 1), "root degree must be >= 2"),
+            ((3, 6, 3, 1, 1), "n must be >= 2"),
             ((3, 6, 3, 2, -1), "iterations must be >= 0"),
         ]:
             with pytest.raises(ValueError, match=message):
@@ -840,7 +843,7 @@ class TestFixedDimensionBound:
         assert slab._MAX_DIM == 512
         for d in (513, 10**8):
             for case in ("minimal_gap", "general"):
-                with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):
+                with pytest.raises(ValueError, match=f"^d must be <= 512, got {d}$"):
                     fixed_dimension_bound(d, 6, case)
 
     def test_admits_dimension_at_cap(self, monkeypatch):

@@ -315,7 +315,7 @@ def test_dimension_beyond_cap_exits_2(argv, capsys, monkeypatch):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: dimension must be <= 512, got {argv[2]}")
+    assert captured.err.startswith(f"error: d must be <= 512, got {argv[2]}")
 
 
 LONG_SLICE = "511." + "0" * 999 + "1"
@@ -497,11 +497,11 @@ def test_radical_rejects_mixed_modes():
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--dim", "1", "dimension must be >= 2"),
-        ("--e", "5", "multiplicity must be >= 6"),
+        ("--dim", "1", "d must be >= 2"),
+        ("--e", "5", "e must be >= 6"),
         ("--e", "17/2", "e must be an integer, got 17/2"),
         ("--k", "2", "codimension must satisfy 3 <= k <= e - 2"),
-        ("--n", "1", "root degree must be >= 2"),
+        ("--n", "1", "n must be >= 2"),
         ("--iterations", "-1", "iterations must be >= 0"),
     ],
 )
@@ -693,8 +693,7 @@ def test_certify_interval_rejects_negative_slice():
     result = run_cli("certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "9",
                      "--s", "-1", "--target", "1.107")
     assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
-    assert "slice parameter must be >= 0" in result.stderr
+    assert result.stderr == "error: s must be >= 0\n"
     assert result.stdout == ""
 
 

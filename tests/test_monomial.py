@@ -148,7 +148,7 @@ class TestMonomialIdeal:
 
     def test_rejects_fewer_than_one_variable(self):
         for num_vars in (0, -1):
-            with pytest.raises(ValueError, match="^need at least one variable$"):
+            with pytest.raises(ValueError, match="^num_vars must be >= 1$"):
                 MonomialIdeal(num_vars, ((1,),))
 
     def test_minimalizes_generators(self):

@@ -1,4 +1,4 @@
-"""Tripwires for three source invariants.
+"""Tripwires for four source invariants.
 
 No float on any computational path: parses every module of the package
 and fails on a float literal, any use of the name ``float``, or a
@@ -10,6 +10,10 @@ and the tables.
 
 Independent references: ``bench/oracles.py``, which the tests and the
 benchmark both check ``hkcert`` against, imports only the standard library.
+
+One floor rule: no ``raise`` outside ``rationals.py`` words a lower bound
+(``must be >=``), so every argument's floor is checked, with one message,
+by the ``rationals`` reader that reads the argument.
 """
 
 import ast
@@ -121,4 +125,35 @@ def test_formatter_tripwire_catches_each_form():
         "line 1: import format_rational",
         "line 2: import decimal_render",
         "line 4: .format_rational",
+    ]
+
+
+def floor_messages(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found.extend(f"line {node.lineno}: {part.value!r}" for part in ast.walk(node.exc)
+                         if isinstance(part, ast.Constant) and isinstance(part.value, str) and "must be >=" in part.value)
+    return found
+
+
+def test_floors_are_worded_only_in_rationals():
+    worded = {m.name: floor_messages(ast.parse(m.read_text(), str(m))) for m in MODULES}
+    assert len(worded.pop("rationals.py")) == 1
+    assert worded == {name: [] for name in worded}
+
+
+def test_floor_tripwire_catches_each_form():
+    source = "\n".join([
+        'raise ValueError("q must be >= 1")',
+        'raise ValueError(f"dimension must be >= {least}")',
+        "if d < 2:",
+        '    raise ValueError(f"d must be >= {2}, got {d}") from None',
+        'raise ValueError(f"d must be <= {cap}, got {d}")',
+        'message = "s must be >= 0"',
+    ])
+    assert floor_messages(ast.parse(source)) == [
+        "line 1: 'q must be >= 1'",
+        "line 2: 'dimension must be >= '",
+        "line 4: 'd must be >= '",
     ]

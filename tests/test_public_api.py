@@ -104,12 +104,16 @@ def test_unknown_package_name_raises_attribute_error():
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_version_matches_pyproject():
-    # Every report's tool-version line prints __version__.
+    # Every report's tool-version line prints __version__, and the package
+    # metadata takes its version from there: the version is written once.
     import tomllib
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == hkcert.__version__
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hkcert.__version__"}
 
 
 _ROW = hkcert.ReportRow("r", "d=5", Fraction(6, 5), Fraction(1))

@@ -216,6 +216,8 @@ INTEGER_PARAMETERS = [
     pytest.param(lambda x: fixed_dimension_bound(x, 6, "general"), "d", 6, id="fixed_dimension_bound-d"),
     pytest.param(lambda x: radical_recursion_bound(x, 6, 3, 2, 3), "d", 3, id="radical_recursion_bound-d"),
     pytest.param(lambda x: verify_tables(x), "dim", 5, id="verify_tables-dim"),
+    pytest.param(lambda x: MonomialIdeal(x, [(2, 0), (0, 3)]), "num_vars", 2, id="MonomialIdeal-num_vars"),
+    pytest.param(lambda x: decimal_render(Fraction(1, 3), x), "digits", 4, id="decimal_render-digits"),
 ]
 
 
@@ -258,3 +260,26 @@ def test_rational_inputs_are_exact_or_rejected(call, name, exact):
         message = f"^{name} must be int or Fraction, got {type(value).__name__}: {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             call(value)
+
+
+_PLANE = MonomialIdeal(2, [(1, 0), (0, 1)])
+
+# One floor of one parameter, worded the same by every entry point that reads it.
+FLOORS = [
+    pytest.param(lambda: volume_lower_bound(5, 5, -1, r=3), "s must be >= 0", id="s-volume_lower_bound"),
+    pytest.param(lambda: certify_interval(6, 5, 9, -1), "s must be >= 0", id="s-certify_interval"),
+    pytest.param(lambda: mixed_colength(_PLANE, -1, 2), "s must be >= 0", id="s-mixed_colength"),
+    pytest.param(lambda: frobenius_colength(_PLANE, 0), "q must be >= 1", id="q-frobenius_colength"),
+    pytest.param(lambda: mixed_colength(_PLANE, 1, 0), "q must be >= 1", id="q-mixed_colength"),
+    pytest.param(lambda: ehk_estimate(_PLANE, [0]), "q must be >= 1", id="q-ehk_estimate"),
+    pytest.param(lambda: radical_recursion_bound(3, 5, 3, 2, 1), "e must be >= 6", id="e-radical_recursion_bound"),
+    pytest.param(lambda: fixed_dimension_bound(3, 5, "general"), "e must be >= 6", id="e-fixed_dimension_bound"),
+    pytest.param(lambda: radical_recursion_bound(1, 6, 4, 2, 1), "d must be >= 2", id="d-radical_recursion_bound"),
+    pytest.param(lambda: fixed_dimension_bound(1, 6, "general"), "d must be >= 2", id="d-fixed_dimension_bound"),
+]
+
+
+@pytest.mark.parametrize("call, message", FLOORS)
+def test_floor_reads_the_same_at_every_entry(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -90,7 +90,7 @@ def test_vol_slab_rejects_dimension_beyond_cap(monkeypatch):
     assert slab._MAX_DIM == 512
     for d in (513, 10**8):
         for s in (Fraction(1, 2), 0, d):
-            with pytest.raises(ValueError, match=f"dimension must be <= 512, got {d}"):
+            with pytest.raises(ValueError, match=f"^d must be <= 512, got {d}$"):
                 vol_slab(d, s)
 
 
