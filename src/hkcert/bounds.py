@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .rationals import Rational, _exact, _integer
+from .rationals import Rational, _at_most, _check_printable, _exact, _integer
 from .slab import _MAX_SLAB_BITS, _dimension, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
 
 __all__ = [
@@ -91,11 +91,9 @@ def volume_lower_bound(
     counts = Counter(_exact("valuations", t) for t in valuations)
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
-    if len(counts) > _MAX_VALUATIONS:
-        raise ValueError(f"at most {_MAX_VALUATIONS} distinct valuations, got {len(counts)}")
+    _at_most("number of distinct valuations", len(counts), _MAX_VALUATIONS)
     bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
-    if bits > _MAX_VOLUME_BITS:
-        raise ValueError(f"summed slab sizes (dimension * bit length) must be <= {_MAX_VOLUME_BITS}, got {bits}")
+    _at_most("summed slab sizes (dimension * bit length)", bits, _MAX_VOLUME_BITS)
     total = vol_slab(d, s)
     for t, count in counts.items():
         total -= count * vol_slab(d, s - t)
@@ -171,11 +169,8 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     ``_MAX_GRID_WORK``.
     """
     d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution, 2)
-    if d * grid_resolution > _MAX_GRID_STEPS:
-        raise ValueError(f"dimension * grid_resolution must be <= {_MAX_GRID_STEPS}, got {d * grid_resolution}")
-    work = d**3 * grid_resolution
-    if work > _MAX_GRID_WORK:
-        raise ValueError(f"dimension**3 * grid_resolution must be <= {_MAX_GRID_WORK}, got {work}")
+    _at_most("dimension * grid_resolution", d * grid_resolution, _MAX_GRID_STEPS)
+    _at_most("dimension**3 * grid_resolution", d**3 * grid_resolution, _MAX_GRID_WORK)
     _, e, _, r = _bound_inputs(d, e, 0, r, None)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
@@ -271,10 +266,8 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     ``_uniform_ratio``.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
-    e_low, e_high = _integer("e_low", e_low, 1), _integer("e_high", e_high)
-    if e_low > e_high:
-        raise ValueError("e_low must be <= e_high")
-    s = _exact("s", s, 0)
+    e_low = _integer("e_low", e_low, 1)
+    e_high, s = _integer("e_high", e_high, e_low), _exact("s", s, 0)
     n_s, n_prev, den = _uniform_ratio(_dimension(d), s)
     g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
@@ -285,13 +278,6 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     else:
         branch = "increasing" if top > e_high * bottom else "decreasing"
     return IntervalCertRow(Fraction(top, bottom) if bottom else None, g_low, g_high, branch)
-
-
-# Cost cap on radical_recursion_bound: its power has about
-# iterations * (bit length of e*n) bits.  10**6 iterations at e = 6, n = 2
-# (4 * 10**6 bits) took 0.23 s, 4 * 10**6 iterations 1.7 s; the cap is
-# about 1 s.  fixed_dimension_bound at d = _MAX_DIM needs 2 * 10**6 bits.
-_MAX_POWER_BITS = 10**7
 
 
 def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int) -> Fraction:
@@ -306,25 +292,31 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
         k < e - 2:  1 + ((k+1)/((n-1)e+k+1))**iterations * (1/d)
 
     The base values e/2 and 1 + 1/d are the bounds available at the first
-    non-F-regular stage of the extension tower.  Raises ValueError when
-    iterations * (bit length of e*n) exceeds ``_MAX_POWER_BITS``.
+    non-F-regular stage of the extension tower.  Raises ValueError, before
+    the power is formed, for a bound that provably cannot print (its
+    denominator past the print budget of ``rationals.format_rational``).
     """
     base, start = _radical_terms(d, e, k, n, iterations)
     return 1 + base**iterations * start
 
 
 def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
-    """The checked (base, start) of ``radical_recursion_bound``, before the power."""
+    """The checked (base, start) of ``radical_recursion_bound``, before the power.
+
+    With base = a/b in lowest terms, the bound's denominator is at least
+    b**iterations / numerator(start) > 2**bits for the bits checked below.
+    base is in (0, 1), so b >= 2, and a power that the check admits has
+    fewer than 2 * (L + bit length of numerator(start)) bits, L the bit
+    length of 10**rationals._MAX_DIGITS.
+    """
     d, e = _integer("d", d, 2), _integer("e", e, 6)
-    k, n, iterations = _integer("k", k), _integer("n", n, 2), _integer("iterations", iterations, 0)
-    if not 3 <= k <= e - 2:
-        raise ValueError("codimension must satisfy 3 <= k <= e - 2")
-    power_bits = iterations * (e * n).bit_length()
-    if power_bits > _MAX_POWER_BITS:
-        raise ValueError(f"iterations * bit length of e*n must be <= {_MAX_POWER_BITS}, got {power_bits}")
+    k, n, iterations = _integer("k", k, 3, e - 2), _integer("n", n, 2), _integer("iterations", iterations, 0)
     if k == e - 2:
-        return Fraction(e - 2, e * n - 2), Fraction(e, 2) - 1
-    return Fraction(k + 1, (n - 1) * e + k + 1), Fraction(1, d)
+        base, start = Fraction(e - 2, e * n - 2), Fraction(e, 2) - 1
+    else:
+        base, start = Fraction(k + 1, (n - 1) * e + k + 1), Fraction(1, d)
+    _check_printable(iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length())
+    return base, start
 
 
 def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
@@ -335,21 +327,15 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
     codimension) from the base e/2 at e = 6, k = 4, n = ceil(d/2), and
     ``general`` from the base 1 + 1/d at e = d!, k = 3, n = ceil(d/3) + 1.
     The paper's abstract does not settle which n the paper means.
-    Raises ValueError for d above ``_MAX_DIM``.
+    Raises ValueError for d above ``_MAX_DIM`` and, as
+    ``radical_recursion_bound`` does, for a bound that provably cannot
+    print: ``general`` with e <= d! from d = 57 on.
     """
-    recursion = _fixed_dimension_recursion(d, e, case)
-    if recursion is None:
-        return 1 + Fraction(1, factorial(d))
-    return radical_recursion_bound(*recursion)
-
-
-def _fixed_dimension_recursion(d: int, e: Rational, case: str) -> Optional[tuple[int, int, int, int, int]]:
-    """The checked arguments of ``fixed_dimension_bound``'s recursion; None when e >= d! + 1."""
     if case not in ("minimal_gap", "general"):
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
     d, e = _dimension(d, 2), _integer("e", e, 6)
     if e >= factorial(d) + 1:
-        return None
+        return 1 + Fraction(1, factorial(d))
     if case == "minimal_gap":
-        return d, 6, 4, ceil(Fraction(d, 2)), d
-    return d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d
+        return radical_recursion_bound(d, 6, 4, ceil(Fraction(d, 2)), d)
+    return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)

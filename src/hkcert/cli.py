@@ -16,7 +16,7 @@ import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from . import __version__, rationals
+from . import __version__
 from .rationals import DISPLAY_DIGITS, _parse_integer, decimal_render, format_rational, parse_rational
 
 
@@ -144,20 +144,6 @@ def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
     return _text(line), 0 if exceeds else 1
 
 
-def _printable_radical(d: int, e: Fraction | int, k: int, n: int, iterations: int) -> bool:
-    """Whether ``radical_recursion_bound`` with these arguments prints, checked before the power.
-
-    With base = a/b in lowest terms, the bound's denominator is at least
-    b**iterations / numerator(start) > 2**bits, past the print budget when
-    bits is above the bit length of 10**rationals._MAX_DIGITS.
-    """
-    from .bounds import _radical_terms
-
-    base, start = _radical_terms(d, e, k, n, iterations)
-    bits = iterations * (base.denominator.bit_length() - 1) - start.numerator.bit_length()
-    return bits <= (10**rationals._MAX_DIGITS).bit_length()
-
-
 def _add_radical(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_radical)
     p.add_argument("--dim", type=_int, required=True)
@@ -169,19 +155,14 @@ def _add_radical(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
-    from .bounds import _fixed_dimension_recursion, fixed_dimension_bound, radical_recursion_bound
+    from .bounds import fixed_dimension_bound, radical_recursion_bound
 
     recursion_flags = (args.k, args.n, args.iterations)
     if args.case is not None:
         if any(flag is not None for flag in recursion_flags):
             raise ValueError("--case and recursion flags (--k/--n/--iterations) are mutually exclusive")
-        recursion = _fixed_dimension_recursion(args.dim, args.e, args.case)
-        if recursion is not None and not _printable_radical(*recursion):
-            raise ValueError(f"--dim {args.dim} gives a bound of more than {rationals._MAX_DIGITS} digits")
         bound = fixed_dimension_bound(args.dim, args.e, args.case)
     elif all(flag is not None for flag in recursion_flags):
-        if not _printable_radical(args.dim, args.e, args.k, args.n, args.iterations):
-            raise ValueError(f"--iterations {args.iterations} gives a bound of more than {rationals._MAX_DIGITS} digits")
         bound = radical_recursion_bound(args.dim, args.e, args.k, args.n, args.iterations)
     else:
         raise ValueError("give either --case, or all of --k --n --iterations")

@@ -16,8 +16,9 @@ scan still visits every row of the q-scaled box, so its cost grows like
 q^(n-1), but tallies the rows by floor sum in C iterators.
 
 The ``_MAX_*`` caps below refuse oversized input with ValueError before
-any work starts.  The test suite keeps second paths for each count (see
-the two docstrings below) and for the minimalization.
+any work starts, and a colength that provably cannot print is refused
+before its power q^n is formed.  The test suite keeps second paths for
+each count (see the two docstrings below) and for the minimalization.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import NamedTuple, Sequence
 
-from .rationals import Rational, _exact, _integer, _parse_integer
+from .rationals import Rational, _at_most, _check_printable, _exact, _integer, _parse_integer
 
 __all__ = [
     "ColengthEntry",
@@ -76,11 +77,8 @@ class MonomialIdeal(_MonomialIdealFields):
 
     def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
         num_vars = _integer("num_vars", num_vars, 1)
-        if len(generators) > _MAX_GENERATORS:
-            raise ValueError(f"at most {_MAX_GENERATORS} generators are supported, got {len(generators)}")
-        work = len(generators) ** 2 * num_vars
-        if work > _MAX_MINIMALIZE_WORK:
-            raise ValueError(f"minimalizing needs {work} pairs * variables, more than {_MAX_MINIMALIZE_WORK}")
+        count = _at_most("number of generators", len(generators), _MAX_GENERATORS)
+        _at_most("generators**2 * num_vars", count**2 * num_vars, _MAX_MINIMALIZE_WORK)
         try:
             gens = [tuple(map(operator.index, g)) for g in generators]
         except TypeError:
@@ -143,12 +141,15 @@ def frobenius_colength(ideal: MonomialIdeal, q: int) -> int:
     x_1..x_{n-1} lie outside the box; a minimal list has one generator a
     prefix), and one prefix-minimum pass per axis of length >= 2 makes T:
     O(rows * passes), whatever q and the generator count.
+
+    Raises ValueError, before the sweep, for a box of more than
+    ``_MAX_SCAN_ROWS`` rows, and for a count that provably cannot print:
+    it is at least q^n >= 2**((bit length of q - 1) * n).
     """
     q = _integer("q", q, 1)
     box = ideal.pure_power_exponents()
-    rows = prod(box[:-1])
-    if rows > _MAX_SCAN_ROWS:
-        raise ValueError(f"the staircase scan needs {rows} rows, more than {_MAX_SCAN_ROWS}")
+    _at_most("staircase scan rows", prod(box[:-1]), _MAX_SCAN_ROWS)
+    _check_printable((q.bit_length() - 1) * ideal.num_vars)
     return q**ideal.num_vars * _staircase_colength(box, ideal.generators)
 
 
@@ -203,9 +204,7 @@ def mixed_colength(ideal: MonomialIdeal, s: Rational, q: int) -> int:
     if cut <= 0:
         return 0
     cs = ideal.pure_power_exponents()
-    rows = prod(q * c for c in cs[:-1])
-    if rows > _MAX_SCAN_ROWS:
-        raise ValueError(f"the mixed colength scan needs {rows} rows, more than {_MAX_SCAN_ROWS}")
+    _at_most("mixed colength scan rows", prod(q * c for c in cs[:-1]), _MAX_SCAN_ROWS)
     budget = cut - 1
     # Each prefix axis as its lazy floors a // c_i (the bound method takes c
     # now, where a generator would read the loop's last c), and the rows
@@ -232,6 +231,8 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
 
     The sequence is constant: lambda(R/I^[q]) / q^n = lambda(R/I) for
     every q (see ``frobenius_colength``), so lambda(R/I) is counted once.
+    Raises ValueError, before any power q^n is formed, where the largest
+    colength provably cannot print.
     """
     qs = [_integer("q", q, 1) for q in q_list]
     if not qs:
@@ -240,6 +241,7 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
         raise ValueError("q_list must be strictly increasing")
     length = frobenius_colength(ideal, 1)
     n = ideal.num_vars
+    _check_printable((qs[-1].bit_length() - 1) * n + length.bit_length() - 1)
     return ColengthSequence(entries=tuple(ColengthEntry(q, q**n * length, Fraction(length)) for q in qs))
 
 

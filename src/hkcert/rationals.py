@@ -10,7 +10,13 @@ literals and ``_parse_integer`` integer ones (CLI options, ideal-file
 exponents).  Both refuse a run of more than ``_MAX_DIGITS`` digits before
 parsing, so no PYTHONINTMAXSTRDIGITS setting changes what they accept.
 A library argument becomes a number through ``_exact`` or ``_integer``,
-which also check its floor, worded ``<name> must be >= <least>``.
+which also check its floor (``_at_least``) and, for ``_integer``, its
+ceiling (``_at_most``); a cap on a cost that several arguments set goes
+through ``_at_most`` too.  So each bound is worded once, here:
+``<name> must be >= <least>`` and ``<name> must be <= <most>, got <value>``.
+Before the library forms a power whose size an argument sets,
+``_check_printable`` refuses one that provably cannot print, with
+``format_rational``'s message.
 """
 
 from __future__ import annotations
@@ -76,18 +82,19 @@ def _exact(name: str, value: object, least: int | None = None) -> Fraction:
     return _at_least(name, Fraction(_rational_input(name, value)), least)
 
 
-def _integer(name: str, value: object, least: int | None = None) -> int:
+def _integer(name: str, value: object, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an int, where it is an int or a ``Fraction`` of denominator 1.
 
     Raises ValueError naming the parameter ``name`` otherwise, as ``_exact``
     does, and for a ``Fraction`` that is not an integer.  Both types carry
     ``numerator`` and ``denominator``, so no ``Fraction`` is built.  With
-    ``least``, also the floor rule of ``_at_least``.
+    ``least``, also the floor rule of ``_at_least``, and with ``most`` then
+    the ceiling rule of ``_at_most``.
     """
     value = _rational_input(name, value)
     if value.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {value}")
-    return _at_least(name, value.numerator, least)
+    return _at_most(name, _at_least(name, value.numerator, least), most)
 
 
 def _at_least(name: str, value: Rational, least: int | None) -> Rational:
@@ -98,6 +105,17 @@ def _at_least(name: str, value: Rational, least: int | None) -> Rational:
     """
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def _at_most(name: str, value: int, most: int | None) -> int:
+    """``value``, unless it is above ``most``: the one ceiling rule, ``<name> must be <= <most>, got <value>``.
+
+    Every cap in this package is checked here, on an argument by its reader
+    or on a cost that several arguments set by the function that pays it.
+    """
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
 
 
@@ -114,6 +132,10 @@ def _rational_input(name: str, value: object) -> Rational:
     raise ValueError(f"{name} must be int or Fraction, got {type(value).__name__}: {value!r}")
 
 
+# The message of both print-budget checks, format_rational's and _check_printable's.
+_PAST_PRINT_BUDGET = "a number of more than {} digits is past the print budget"
+
+
 def format_rational(x: Rational) -> str:
     """Render an int or ``Fraction`` as ``num/den``, or plain ``num`` for integers.
 
@@ -123,8 +145,20 @@ def format_rational(x: Rational) -> str:
     """
     n, d = x.numerator, x.denominator
     if (n.bit_length() > 3 * _MAX_DIGITS or d.bit_length() > 3 * _MAX_DIGITS) and max(abs(n), d) >= 10**_MAX_DIGITS:
-        raise ValueError(f"a number of more than {_MAX_DIGITS} digits is past the print budget")
+        raise ValueError(_PAST_PRINT_BUDGET.format(_MAX_DIGITS))
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _check_printable(bits: int) -> None:
+    """Raise ``format_rational``'s ValueError where a number of at least ``2**bits`` cannot print.
+
+    Such a number is at least 2**L > 10**_MAX_DIGITS once bits >= L, the
+    bit length of 10**_MAX_DIGITS, so its caller refuses it before forming
+    it.  L > 3 * _MAX_DIGITS, so 10**_MAX_DIGITS is built only for a
+    longer ``bits``.  The budget is read when called.
+    """
+    if bits > 3 * _MAX_DIGITS and bits >= (10**_MAX_DIGITS).bit_length():
+        raise ValueError(_PAST_PRINT_BUDGET.format(_MAX_DIGITS))
 
 
 # Decimal places of every truncated display: CLI lines, report columns and notes.

@@ -56,8 +56,7 @@ def zigzag_coeffs(order: int) -> tuple[Fraction, ...]:
     Raises ValueError, before the triangle is built, for an order above
     ``_MAX_ORDER``.
     """
-    order = _integer("order", order, 1)
-    _check_order(order)
+    order = _integer("order", order, 1, _MAX_ORDER)
     zig = zigzag_numbers(order)
     return tuple(Fraction(zig[d], factorial(d)) for d in range(1, order + 1))
 
@@ -66,16 +65,9 @@ def conjecture_threshold(d: int) -> Fraction:
     """The conjectured Hilbert-Kunz lower bound 1 + m_d for dimension d.
 
     Computed on the integer boustrophedon path as 1 + E_d / d!, one
-    ``Fraction`` from the last zigzag number, under the order checks of
-    ``zigzag_coeffs``; the test suite checks it against exact power-series
-    division.
+    ``Fraction`` from the last zigzag number, with d capped at
+    ``_MAX_ORDER`` before any work, as ``zigzag_coeffs`` caps its order;
+    the test suite checks it against exact power-series division.
     """
-    d = _integer("d", d, 1)
-    _check_order(d)
+    d = _integer("d", d, 1, _MAX_ORDER)
     return 1 + Fraction(zigzag_numbers(d)[-1], factorial(d))
-
-
-def _check_order(order: int) -> None:
-    """The order cap of both entry points, checked before any triangle or factorial; each reads its own floor."""
-    if order > _MAX_ORDER:
-        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .rationals import Rational, _exact, _integer
+from .rationals import Rational, _at_most, _exact, _integer
 
 __all__ = ["vol_slab"]
 
@@ -70,10 +70,7 @@ def _dimension(d: object, least: int = 1) -> int:
 
     Every caller of ``_slab_ratio`` and ``_slab_bits`` checks its d here first.
     """
-    d = _integer("d", d, least)
-    if d > _MAX_DIM:
-        raise ValueError(f"d must be <= {_MAX_DIM}, got {d}")
-    return d
+    return _integer("d", d, least, _MAX_DIM)
 
 
 # Cost cap on one evaluated slab volume, 0 < s < d: d times the bit length of
@@ -104,11 +101,7 @@ def _slab_bits(d: int, a: int, b: int) -> int:
     if a <= 0 or a >= d * b:
         return 0
     bits = d * max(a, b).bit_length()
-    if bits > _MAX_SLAB_BITS:
-        raise ValueError(
-            f"dimension * bit length of max(numerator, denominator) of s must be <= {_MAX_SLAB_BITS}, got {bits}"
-        )
-    return bits
+    return _at_most("dimension * bit length of max(numerator, denominator) of s", bits, _MAX_SLAB_BITS)
 
 
 def _slab_numerator(d: int, a: int, b: int, r: int = 0) -> int:

@@ -5,8 +5,9 @@ from fractions import Fraction
 from math import ceil, comb, factorial, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hkcert import bounds, slab
+from hkcert import bounds, rationals, slab
 from hkcert.bounds import (
     IntervalCertRow,
     _is_odd_prime,
@@ -21,6 +22,10 @@ from hkcert.rationals import format_rational
 from hkcert.series import conjecture_threshold
 from hkcert.slab import vol_slab
 from test_slab import termwise_vol_slab
+
+PRINT_BUDGET = "a number of more than 4300 digits is past the print budget"
+# An integer of 1 to 4300 digits, each length as likely: what a CLI integer flag reads.
+CLI_INTEGER = st.integers(1, 4300).flatmap(lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1))
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -84,7 +89,7 @@ def fraction_certify_interval(d, e_low, e_high, s):
         if name == "e_low" and value < 1:
             raise ValueError("e_low must be >= 1")
     if e_low > e_high:
-        raise ValueError("e_low must be <= e_high")
+        raise ValueError(f"e_high must be >= {e_low}")
     s = Fraction(s)
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -263,7 +268,7 @@ class TestVolumeLowerBound:
         assert bounds._MAX_VALUATIONS == 1000
         monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("volume computed"))
         valuations = [Fraction(1, k) for k in range(2, 1003)] * 2
-        with pytest.raises(ValueError, match="at most 1000 distinct valuations, got 1001"):
+        with pytest.raises(ValueError, match="^number of distinct valuations must be <= 1000, got 1001$"):
             volume_lower_bound(8, 5, 4, valuations=valuations)
 
     def test_admits_valuations_at_cap(self, monkeypatch):
@@ -762,27 +767,54 @@ class TestRadicalRecursion:
             ((1, 6, 4, 2, 1), "d must be >= 2"),
             ((3, 5, 3, 2, 1), "e must be >= 6"),
             ((3, Fraction(13, 2), 3, 2, 1), "e must be an integer, got 13/2"),
-            ((3, 6, 2, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
-            ((3, 6, 5, 2, 1), "codimension must satisfy 3 <= k <= e - 2"),
+            ((3, 6, 2, 2, 1), "k must be >= 3"),
+            ((3, 6, 5, 2, 1), "k must be <= 4, got 5"),
+            # k's range is read with k, before n's floor.
+            ((3, 6, 2, 1, 1), "k must be >= 3"),
+            ((3, 6, 5, 1, -1), "k must be <= 4, got 5"),
             ((3, 6, 3, 1, 1), "n must be >= 2"),
             ((3, 6, 3, 2, -1), "iterations must be >= 0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 radical_recursion_bound(*args)
 
-    def test_rejects_power_beyond_cost_cap(self):
-        # Just past the cap the power has 10**7 + 4 bits (about 1 s if the cap were lost).
-        assert bounds._MAX_POWER_BITS == 10**7
-        with pytest.raises(ValueError, match="iterations \\* bit length of e\\*n must be <= 10000000, got 10000004"):
+    def test_rejects_depth_past_print_budget(self):
+        # 2500001 steps of the base 2/5 give a denominator of 5**2500001
+        # (about 1 s to build), refused on the print budget before the power.
+        with pytest.raises(ValueError, match=f"^{PRINT_BUDGET}$"):
+            bounds._radical_terms(2, 6, 4, 2, 2_500_001)
+        with pytest.raises(ValueError, match=f"^{PRINT_BUDGET}$"):
             radical_recursion_bound(2, 6, 4, 2, 2_500_001)
-        # fixed_dimension_bound's deepest recursion, at the dimension ceiling, stays inside.
-        d = slab._MAX_DIM
-        assert d * (factorial(d) * (ceil(Fraction(d, 3)) + 1)).bit_length() <= bounds._MAX_POWER_BITS
+        # fixed_dimension_bound's general recursion first passes the budget at
+        # d = 57; at d = 512 it used to return a 1986868-bit denominator.
+        assert fixed_dimension_bound(56, 6, "general").denominator < 10**rationals._MAX_DIGITS
+        for d in (57, slab._MAX_DIM):
+            with pytest.raises(ValueError, match=f"^{PRINT_BUDGET}$"):
+                fixed_dimension_bound(d, 6, "general")
+        assert fixed_dimension_bound(slab._MAX_DIM, 6, "minimal_gap").denominator < 10**rationals._MAX_DIGITS
 
-    def test_admits_power_at_cost_cap(self):
-        # 2500000 iterations of the 4-bit e*n = 12 make exactly 10**7 bits; the
-        # checked terms come back without building the power.
-        assert bounds._radical_terms(2, 6, 4, 2, 2_500_000) == (Fraction(2, 5), 2)
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 10**6), e=CLI_INTEGER.map(lambda e: max(e, 6)), n=CLI_INTEGER.map(lambda n: max(n, 2)),
+           data=st.data())
+    def test_print_check_bounds_admitted_powers(self, d, e, n, data):
+        # Over CLI-admissible radicals, both k branches: the first depth the
+        # check refuses raises before base**iterations is built (the checked
+        # terms are all that is formed), and the depth below it admits a power
+        # of fewer than 2 * (L + bit length of numerator(start)) bits, L the
+        # bit length of 10**4300: under 6 * 10**4 bits for a 4300-digit e.
+        k = e - 2 if data.draw(st.booleans()) else data.draw(st.integers(3, e - 3))
+        base, start = bounds._radical_terms(d, e, k, n, 0)
+        budget_bits = (10**rationals._MAX_DIGITS).bit_length()
+        most = 2 * (budget_bits + start.numerator.bit_length())
+        refused = -(-(budget_bits + start.numerator.bit_length()) // (base.denominator.bit_length() - 1))
+        with pytest.raises(ValueError, match=f"^{PRINT_BUDGET}$"):
+            bounds._radical_terms(d, e, k, n, refused)
+        with pytest.raises(ValueError, match=f"^{PRINT_BUDGET}$"):
+            radical_recursion_bound(d, e, k, n, refused)
+        assert bounds._radical_terms(d, e, k, n, refused - 1) == (base, start)
+        power = base ** (refused - 1)
+        assert max(power.numerator.bit_length(), power.denominator.bit_length()) < most
+        assert (1 + base**refused * start).denominator >= 10**rationals._MAX_DIGITS
 
     def test_matches_iterated_step_oracle(self):
         # Every valid k on the grid d 2..8, e 6..24, n 2..5, iterations 0..6.

@@ -353,12 +353,32 @@ def test_certify_interval_unprintable_apex_exits_2_fast(capsys):
     assert captured.err == BUDGET_ERROR
 
 
-def test_radical_rejects_power_beyond_cost_cap(capsys):
-    # Just past the cap (about 1 s of work if the cap were lost).
+def fail_past_print_check(monkeypatch):
+    """Fail the test where ``radical_recursion_bound``'s print check admits its power.
+
+    The handler imports the bound functions from ``bounds`` when it runs,
+    and they read ``_radical_terms`` from the module, so the stub is seen.
+    """
+    terms = bounds._radical_terms
+    monkeypatch.setattr(bounds, "_radical_terms", lambda *a: pytest.fail(f"power built from {terms(*a)}"))
+
+
+def test_radical_rejects_power_beyond_cost_cap(capsys, monkeypatch):
+    # The former 10**7-bit power cap's first refused depth (5**2500001, about
+    # 1 s of work) is refused by the print check before the power.
+    fail_past_print_check(monkeypatch)
     assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", "2500001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: iterations * bit length of e*n must be <= 10000000, got 10000004\n"
+    assert captured.err == BUDGET_ERROR
+
+
+def test_radical_prints_bound_the_power_cap_refused(capsys):
+    # e * n has 14285 bits, so the former cap refused 1000 steps, but the base
+    # is 1/3 and the bound 1 + 1/(2 * 3**1000) prints.
+    e, k = 2 * 10**4299, 10**4299 - 1
+    assert main(["radical", "--dim", "2", "--e", str(e), "--k", str(k), "--n", "2", "--iterations", "1000"]) == 0
+    assert capsys.readouterr() == (f"bound: {2 * 3**1000 + 1}/{2 * 3**1000} ≈ 1.0000\n", "")
 
 
 def test_radical_prints_deepest_printable_depth(capsys):
@@ -372,13 +392,12 @@ def test_radical_prints_deepest_printable_depth(capsys):
 
 @pytest.mark.parametrize("iterations", ["10000", "2000000"])
 def test_radical_rejects_depth_beyond_print_limit(iterations, capsys, monkeypatch):
-    # Should the check be lost, fail instead of building the power.  The handler
-    # imports radical_recursion_bound from bounds when it runs.
-    monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("power built"))
+    # Should the check be lost, fail instead of building the power.
+    fail_past_print_check(monkeypatch)
     assert main(["radical", "--dim", "4", "--e", "6", "--k", "4", "--n", "2", "--iterations", iterations]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --iterations {iterations} gives a bound of more than 4300 digits\n"
+    assert captured.err == BUDGET_ERROR
 
 
 @pytest.mark.parametrize("dim, e, k, n", [(4, 6, 4, 2), (5, 20, 18, 3), (6, 9, 3, 2), (7, 12, 5, 4)])
@@ -387,29 +406,29 @@ def test_radical_print_limit_rejects_only_unprintable_bounds(dim, e, k, n, capsy
     # already has more than 4300 digits.
     base, start = bounds._radical_terms(dim, e, k, n, 0)
     budget_bits = (10**rationals._MAX_DIGITS).bit_length()
-    depth = (budget_bits + start.numerator.bit_length()) // (base.denominator.bit_length() - 1) + 1
+    depth = -(-(budget_bits + start.numerator.bit_length()) // (base.denominator.bit_length() - 1))
     args = ["radical", "--dim", str(dim), "--e", str(e), "--k", str(k), "--n", str(n)]
     assert main([*args, "--iterations", str(depth)]) == 2
-    assert capsys.readouterr().out == ""
-    assert bounds.radical_recursion_bound(dim, e, k, n, depth).denominator >= 10**rationals._MAX_DIGITS
+    assert capsys.readouterr() == ("", BUDGET_ERROR)
+    assert (1 + base**depth * start).denominator >= 10**rationals._MAX_DIGITS
     # The depth before may still fail when printed, but not at the check.
+    assert bounds._radical_terms(dim, e, k, n, depth - 1) == (base, start)
     assert main([*args, "--iterations", str(depth - 1)]) in (0, 2)
-    assert "gives a bound of" not in capsys.readouterr().err
 
 
 def test_radical_case_rejects_dimension_beyond_print_limit(capsys, monkeypatch):
     # The general bound first has more than 4300 digits at d = 57; minimal_gap
-    # prints up to the 512 cap.  The check runs before the recursion, and
+    # prints up to the 512 cap.  The check runs before the power, and
     # e >= d! + 1 needs no recursion.
     assert main(["radical", "--dim", "56", "--case", "general"]) == 0
     assert capsys.readouterr().out.startswith("bound: ")
     assert main(["radical", "--dim", "512", "--case", "minimal_gap"]) == 0
     assert capsys.readouterr().out.startswith("bound: ")
-    monkeypatch.setattr(bounds, "radical_recursion_bound", lambda *a: pytest.fail("recursion run"))
+    fail_past_print_check(monkeypatch)
     assert main(["radical", "--dim", "57", "--case", "general"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --dim 57 gives a bound of more than 4300 digits\n"
+    assert captured.err == BUDGET_ERROR
     assert main(["radical", "--dim", "57", "--case", "general", "--e", str(factorial(57) + 1)]) == 0
     assert capsys.readouterr().out == f"bound: {factorial(57) + 1}/{factorial(57)} ≈ 1.0000\n"
 
@@ -422,7 +441,7 @@ def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
     assert main(["bound", "--dim", "8", "--e", "5", "--s", "4", "--t", valuations]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: at most 1000 distinct valuations, got {count}\n"
+    assert captured.err == f"error: number of distinct valuations must be <= 1000, got {count}\n"
 
 
 def test_rational_exponent_beyond_cap_exits_2(capsys, monkeypatch):
@@ -500,7 +519,8 @@ def test_radical_rejects_mixed_modes():
         ("--dim", "1", "d must be >= 2"),
         ("--e", "5", "e must be >= 6"),
         ("--e", "17/2", "e must be an integer, got 17/2"),
-        ("--k", "2", "codimension must satisfy 3 <= k <= e - 2"),
+        ("--k", "2", "k must be >= 3"),
+        ("--k", "5", "k must be <= 4, got 5"),
         ("--n", "1", "n must be >= 2"),
         ("--iterations", "-1", "iterations must be >= 0"),
     ],
@@ -560,7 +580,7 @@ def test_monomial_rejects_box_beyond_row_cap(capsys, tmp_path, monkeypatch):
     assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the staircase scan needs 1000000000000 rows")
+    assert captured.err == "error: staircase scan rows must be <= 1000000, got 1000000000000\n"
 
 
 def test_monomial_rejects_generators_beyond_cap(capsys, tmp_path, monkeypatch):
@@ -570,7 +590,20 @@ def test_monomial_rejects_generators_beyond_cap(capsys, tmp_path, monkeypatch):
     assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: at most 1000 generators are supported, got 1001\n"
+    assert captured.err == "error: number of generators must be <= 1000, got 1001\n"
+
+
+def test_monomial_unprintable_colength_exits_2_fast(capsys, tmp_path):
+    # 200 unit generators and 16 q's of 4300 digits: each colength q**200
+    # has about 860000 digits.  The check on the largest q refuses them all
+    # before any power; building them took 3.2 s.
+    path = tmp_path / "units.ideal"
+    path.write_text("".join(" ".join("1" if j == i else "0" for j in range(200)) + "\n" for i in range(200)))
+    qs = ",".join(str(10**4299 + i) for i in range(16))
+    start = time.perf_counter()
+    assert main(["monomial", "--file", str(path), "--q", qs]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", BUDGET_ERROR)
 
 
 def test_monomial_counts_former_work_cap_input(capsys, tmp_path):
@@ -594,7 +627,7 @@ def test_monomial_rejects_minimalize_work_beyond_cap(capsys, tmp_path, monkeypat
     assert main(["monomial", "--file", str(path), "--q", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: minimalizing needs 125000000 pairs * variables, more than 100000000\n"
+    assert captured.err == "error: generators**2 * num_vars must be <= 100000000, got 125000000\n"
 
 
 def test_monomial_width_error_names_the_line(capsys, tmp_path):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert import bounds, cli, monomial, rationals, series, slab
+from hkcert import bounds, monomial, rationals, series, slab
 from hkcert.cli import main
 
 JUNK = st.sampled_from(["0", "-1", "-5/3", "9" * 60, "x", "", "1/0", "nan", "1,2"])
@@ -54,21 +54,29 @@ def past_grid_dim(values: dict) -> list:
     return [str(next(over_work, slab._MAX_DIM + 1))]
 
 
+def refused(call: Callable[[], object]) -> bool:
+    """Whether ``call`` raises ValueError, that is, a library check refuses its arguments."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
 def past_case_dim(values: dict) -> list:
+    # The first dimension that fixed_dimension_bound refuses: on the print
+    # check before its power (general, from d = 57) or on the dimension cap.
     e, case = int(values["--e"]), values["--case"]
-
-    def unprintable(d):
-        recursion = bounds._fixed_dimension_recursion(d, e, case)
-        return recursion is not None and not cli._printable_radical(*recursion)
-
-    return [str(next((d for d in range(2, slab._MAX_DIM + 1) if unprintable(d)), slab._MAX_DIM + 1))]
+    dims = range(2, slab._MAX_DIM + 2)
+    first = bisect.bisect_left(dims, True, key=lambda d: refused(lambda: bounds.fixed_dimension_bound(d, e, case)))
+    return [str(dims[first])]
 
 
 def past_iterations(values: dict) -> list:
+    # The first depth whose checked terms the print check refuses; no power is built.
     d, e, k, n = (int(values[flag]) for flag in ("--dim", "--e", "--k", "--n"))
-    costly = bounds._MAX_POWER_BITS // (e * n).bit_length() + 1
-    unprintable = bisect.bisect_left(range(costly), True, key=lambda i: not cli._printable_radical(d, e, k, n, i))
-    return [str(min(costly, unprintable))]
+    depths = range(10**6)
+    return [str(bisect.bisect_left(depths, True, key=lambda i: refused(lambda: bounds._radical_terms(d, e, k, n, i))))]
 
 
 def past_generator_files(values: dict) -> list:

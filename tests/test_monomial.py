@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import floor, prod
 from types import SimpleNamespace
 
 import pytest
 
-from hkcert import monomial
+from hkcert import monomial, rationals
 from hkcert.monomial import (
     MonomialIdeal,
     ehk_estimate,
@@ -14,6 +15,7 @@ from hkcert.monomial import (
     mixed_colength,
     parse_generators,
 )
+from hkcert.rationals import format_rational
 from hkcert.slab import vol_slab
 import oracles
 from workloads import COLENGTH_MIXED_CELLS
@@ -288,10 +290,21 @@ class TestFrobeniusColength:
         # or materializing the huge ranges.
         monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: pytest.fail("sweep started"))
         monkeypatch.setattr(monomial, "itertools", SimpleNamespace(product=lambda *a: pytest.fail("scan started")))
-        with pytest.raises(ValueError, match="rows, more than 1000000"):
+        with pytest.raises(ValueError, match="^staircase scan rows must be <= 1000000, got 1000000000000$"):
             frobenius_colength(MonomialIdeal(2, ((10**12, 0), (0, 1))), 1)
-        with pytest.raises(ValueError, match="rows, more than 1000000"):
+        with pytest.raises(ValueError, match="^mixed colength scan rows must be <= 1000000, got 1000002$"):
             mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001)
+
+    def test_refuses_unprintable_count_before_the_power(self, monkeypatch):
+        # (x) at q = 2**k counts 2**k: L - 1 bits print, L bits are refused
+        # before the sweep and before q**n.
+        line = MonomialIdeal(1, ((1,),))
+        assert format_rational(frobenius_colength(line, 2 ** (BUDGET_BITS - 1))) == str(2 ** (BUDGET_BITS - 1))
+        monkeypatch.setattr(monomial, "_staircase_colength", lambda *a: pytest.fail("sweep started"))
+        with pytest.raises(ValueError, match=PRINT_BUDGET):
+            frobenius_colength(line, 2**BUDGET_BITS)
+        with pytest.raises(ValueError, match=PRINT_BUDGET):
+            frobenius_colength(MonomialIdeal(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), 2 ** (BUDGET_BITS // 3 + 1))
 
     def test_scans_admit_boxes_at_row_cap(self, monkeypatch):
         # Exactly 10**6 rows; the stubbed sweep and scan visit none of them.
@@ -305,7 +318,7 @@ class TestFrobeniusColength:
         monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
         assert monomial._MAX_GENERATORS == 1000
         staircase = [(i, 1000 - i) for i in range(1001)]
-        with pytest.raises(ValueError, match="at most 1000 generators are supported, got 1001"):
+        with pytest.raises(ValueError, match="^number of generators must be <= 1000, got 1001$"):
             MonomialIdeal(2, staircase)
 
     def test_admits_generators_at_cap(self, monkeypatch):
@@ -320,10 +333,10 @@ class TestFrobeniusColength:
         monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
         assert monomial._MAX_MINIMALIZE_WORK == 10**8
         squares = [tuple(2 * (j == i) for j in range(1000)) for i in range(1000)]
-        with pytest.raises(ValueError, match="minimalizing needs 1000000000 pairs \\* variables, more than 100000000"):
+        with pytest.raises(ValueError, match="^generators\\*\\*2 \\* num_vars must be <= 100000000, got 1000000000$"):
             MonomialIdeal(1000, squares)
         # One variable more than the admitted 1000 generators in 100 variables.
-        with pytest.raises(ValueError, match="minimalizing needs 101000000 pairs"):
+        with pytest.raises(ValueError, match="^generators\\*\\*2 \\* num_vars must be <= 100000000, got 101000000$"):
             MonomialIdeal(101, [(1,) * 101] * 1000)
 
     def test_admits_minimalize_work_at_cap(self, monkeypatch):
@@ -417,7 +430,27 @@ class TestMixedColength:
         assert mixed_colength(plane, Fraction(7, 8), 8) > mixed_colength(plane, Fraction(3, 4), 8)
 
 
+PRINT_BUDGET = "^a number of more than 4300 digits is past the print budget$"
+# L, the bit length of 10**4300: 2**(L-1) prints and 2**L does not.
+BUDGET_BITS = (10**rationals._MAX_DIGITS).bit_length()
+
+
 class TestEhkEstimate:
+    def test_refuses_unprintable_colength_before_the_power(self):
+        # The colength of (x^2) at q is 2q, at least 2**((bit length of q - 1)
+        # + (bit length of 2 - 1)): the check on the largest q counts both.
+        square = MonomialIdeal(1, ((2,),))
+        entries = ehk_estimate(square, [1, 2 ** (BUDGET_BITS - 2)]).entries
+        assert format_rational(entries[-1].colength) == str(2 ** (BUDGET_BITS - 1))
+        with pytest.raises(ValueError, match=PRINT_BUDGET):
+            ehk_estimate(square, [1, 2 ** (BUDGET_BITS - 1)])
+        # 100 variables at q = 2**10**6: the colength would have 10**8 bits.
+        units = MonomialIdeal(100, [tuple(int(i == j) for j in range(100)) for i in range(100)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=PRINT_BUDGET):
+            ehk_estimate(units, [2, 2**10**6])
+        assert time.perf_counter() - start < 1
+
     def test_staircase_sequence(self):
         seq = ehk_estimate(SQUARE, [2, 3, 4, 8])
         assert [entry.normalized for entry in seq.entries] == [Fraction(3)] * 4

@@ -14,6 +14,12 @@ benchmark both check ``hkcert`` against, imports only the standard library.
 One floor rule: no ``raise`` outside ``rationals.py`` words a lower bound
 (``must be >=``), so every argument's floor is checked, with one message,
 by the ``rationals`` reader that reads the argument.
+
+One ceiling rule: no ``raise`` outside ``rationals.py`` words an upper
+bound or a budget (``must be <=``, ``more than``, ``at most``, ``must
+satisfy``, ``past the print budget``), so every cap is checked, with one
+message, by ``rationals._at_most``, and every result that provably cannot
+print is refused by ``rationals._check_printable`` before it is formed.
 """
 
 import ast
@@ -128,13 +134,27 @@ def test_formatter_tripwire_catches_each_form():
     ]
 
 
-def floor_messages(tree: ast.AST) -> list[str]:
+FLOOR_FORMS = ("must be >=",)
+CEILING_FORMS = ("must be <=", "more than", "at most", "must satisfy", "past the print budget")
+
+
+def bound_messages(tree: ast.AST, forms: tuple[str, ...]) -> list[str]:
+    """Each string constant in a ``raise`` that holds one of ``forms``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             found.extend(f"line {node.lineno}: {part.value!r}" for part in ast.walk(node.exc)
-                         if isinstance(part, ast.Constant) and isinstance(part.value, str) and "must be >=" in part.value)
+                         if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                         and any(form in part.value for form in forms))
     return found
+
+
+def floor_messages(tree: ast.AST) -> list[str]:
+    return bound_messages(tree, FLOOR_FORMS)
+
+
+def ceiling_messages(tree: ast.AST) -> list[str]:
+    return bound_messages(tree, CEILING_FORMS)
 
 
 def test_floors_are_worded_only_in_rationals():
@@ -156,4 +176,31 @@ def test_floor_tripwire_catches_each_form():
         "line 1: 'q must be >= 1'",
         "line 2: 'dimension must be >= '",
         "line 4: 'd must be >= '",
+    ]
+
+
+def test_ceilings_are_worded_only_in_rationals():
+    worded = {m.name: ceiling_messages(ast.parse(m.read_text(), str(m))) for m in MODULES}
+    # rationals words the one ceiling, beside its input budgets (digit runs, decimal exponents).
+    assert len([m for m in worded.pop("rationals.py") if "must be <=" in m]) == 1
+    assert worded == {name: [] for name in worded}
+
+
+def test_ceiling_tripwire_catches_each_form():
+    source = "\n".join([
+        'raise ValueError(f"d must be <= {cap}, got {d}")',
+        'raise ValueError(f"the scan needs {rows} rows, more than {cap}")',
+        'raise ValueError(f"at most {cap} generators are supported")',
+        'raise ValueError("codimension must satisfy 3 <= k <= e - 2")',
+        'if bits > cap:',
+        '    raise ValueError("a number of more than 4300 digits is past the print budget") from None',
+        'raise ValueError("q must be >= 1")',
+        'message = "d must be <= 512"',
+    ])
+    assert ceiling_messages(ast.parse(source)) == [
+        "line 1: 'd must be <= '",
+        "line 2: ' rows, more than '",
+        "line 3: 'at most '",
+        "line 4: 'codimension must satisfy 3 <= k <= e - 2'",
+        "line 6: 'a number of more than 4300 digits is past the print budget'",
     ]

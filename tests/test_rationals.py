@@ -276,6 +276,8 @@ FLOORS = [
     pytest.param(lambda: fixed_dimension_bound(3, 5, "general"), "e must be >= 6", id="e-fixed_dimension_bound"),
     pytest.param(lambda: radical_recursion_bound(1, 6, 4, 2, 1), "d must be >= 2", id="d-radical_recursion_bound"),
     pytest.param(lambda: fixed_dimension_bound(1, 6, "general"), "d must be >= 2", id="d-fixed_dimension_bound"),
+    pytest.param(lambda: radical_recursion_bound(3, 6, 2, 2, 1), "k must be >= 3", id="k-radical_recursion_bound"),
+    pytest.param(lambda: certify_interval(6, 9, 5, 2), "e_high must be >= 9", id="e_high-certify_interval"),
 ]
 
 
@@ -283,3 +285,93 @@ FLOORS = [
 def test_floor_reads_the_same_at_every_entry(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every cap, one call past it: each is worded by rationals._at_most.
+CEILINGS = [
+    pytest.param(lambda: vol_slab(513, 1), "d must be <= 512, got 513", id="d-vol_slab"),
+    pytest.param(lambda: radical_recursion_bound(3, 6, 5, 2, 1), "k must be <= 4, got 5",
+                 id="k-radical_recursion_bound"),
+    pytest.param(lambda: zigzag_coeffs(1562), "order must be <= 1561, got 1562", id="order-zigzag_coeffs"),
+    pytest.param(lambda: conjecture_threshold(1562), "d must be <= 1561, got 1562", id="d-conjecture_threshold"),
+    pytest.param(lambda: vol_slab(512, 511 + Fraction(1, 2**128)),
+                 "dimension * bit length of max(numerator, denominator) of s must be <= 65536, got 70144",
+                 id="slab-bits-vol_slab"),
+    pytest.param(lambda: volume_lower_bound(512, 6, 511 + Fraction(1, 3**75), valuations=[1, 510 + Fraction(1, 3**75)]),
+                 "summed slab sizes (dimension * bit length) must be <= 131072, got 131584",
+                 id="volume-bits-volume_lower_bound"),
+    pytest.param(lambda: volume_lower_bound(8, 5, 4, valuations=[Fraction(1, k) for k in range(2, 1003)]),
+                 "number of distinct valuations must be <= 1000, got 1001", id="valuations-volume_lower_bound"),
+    pytest.param(lambda: optimize_slice(2, 5, 3, 500001), "dimension * grid_resolution must be <= 1000000, got 1000002",
+                 id="grid-steps-optimize_slice"),
+    pytest.param(lambda: optimize_slice(200, 5, 3, 500),
+                 "dimension**3 * grid_resolution must be <= 1000000000, got 4000000000", id="grid-work-optimize_slice"),
+    pytest.param(lambda: MonomialIdeal(2, [(i, 1000 - i) for i in range(1001)]),
+                 "number of generators must be <= 1000, got 1001", id="generators-MonomialIdeal"),
+    pytest.param(lambda: MonomialIdeal(101, [(1,) * 101] * 1000),
+                 "generators**2 * num_vars must be <= 100000000, got 101000000", id="minimalize-MonomialIdeal"),
+    pytest.param(lambda: frobenius_colength(MonomialIdeal(2, ((10**7, 0), (0, 1))), 1),
+                 "staircase scan rows must be <= 1000000, got 10000000", id="rows-frobenius_colength"),
+    pytest.param(lambda: mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001),
+                 "mixed colength scan rows must be <= 1000000, got 1000002", id="rows-mixed_colength"),
+]
+
+
+@pytest.mark.parametrize("call, message", CEILINGS)
+def test_ceiling_reads_one_way_at_every_cap(call, message):
+    assert re.fullmatch(r".+ must be <= \d+, got \d+", message)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integer_reads_floor_then_ceiling():
+    assert rationals_module._integer("k", Fraction(4), 3, 4) == 4
+    for value, message in [
+        (2, "k must be >= 3"), (5, "k must be <= 4, got 5"), (Fraction(7, 2), "k must be an integer, got 7/2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rationals_module._integer("k", value, 3, 4)
+
+
+PRINT_BUDGET = "^a number of more than 4300 digits is past the print budget$"
+# L, the bit length of 10**4300: 2**(L-1) < 10**4300 < 2**L.
+BUDGET_BITS = (BUDGET).bit_length()
+
+
+def test_print_check_refuses_from_the_budget_bit_length():
+    # The last admitted bits: a number of 2**(L-1) still prints.  The first
+    # refused: no number of at least 2**L prints.
+    assert BUDGET_BITS == 14285
+    rationals_module._check_printable(BUDGET_BITS - 1)
+    assert format_rational(2 ** (BUDGET_BITS - 1)) == str(2 ** (BUDGET_BITS - 1))
+    for bits in (BUDGET_BITS, BUDGET_BITS + 1, 10**9):
+        with pytest.raises(ValueError, match=PRINT_BUDGET):
+            rationals_module._check_printable(bits)
+    with pytest.raises(ValueError, match=PRINT_BUDGET):
+        format_rational(2**BUDGET_BITS)
+
+
+def test_print_check_builds_no_power_up_to_three_bits_a_digit(monkeypatch):
+    # Up to 3 * _MAX_DIGITS bits, below L, the check admits without building
+    # 10**_MAX_DIGITS; from one bit more it compares with L (and admits).
+    built = []
+
+    class Budget(int):
+        def __rpow__(self, base, mod=None):
+            built.append(base)
+            return int(base) ** int(self)
+
+    monkeypatch.setattr(rationals_module, "_MAX_DIGITS", Budget(4300))
+    for bits in (-1, 0, 3 * 4300):
+        rationals_module._check_printable(bits)
+    assert built == []
+    rationals_module._check_printable(3 * 4300 + 1)
+    assert built == [10]
+
+
+def test_print_check_reads_the_budget_when_called(monkeypatch):
+    monkeypatch.setattr(rationals_module, "_MAX_DIGITS", 640)
+    bits = (10**640).bit_length()
+    rationals_module._check_printable(bits - 1)
+    with pytest.raises(ValueError, match="^a number of more than 640 digits is past the print budget$"):
+        rationals_module._check_printable(bits)

@@ -146,8 +146,8 @@ def test_rejects_order_beyond_cap_before_the_triangle(monkeypatch):
     assert series._MAX_ORDER == 1561
     monkeypatch.setattr(series, "zigzag_numbers", lambda *a: pytest.fail("triangle built"))
     monkeypatch.setattr(series, "factorial", lambda *a: pytest.fail("factorial computed"))
-    for call in (zigzag_coeffs, conjecture_threshold):
-        with pytest.raises(ValueError, match="^order must be <= 1561, got 1562$"):
+    for call, name in ((zigzag_coeffs, "order"), (conjecture_threshold, "d")):
+        with pytest.raises(ValueError, match=f"^{name} must be <= 1561, got 1562$"):
             call(series._MAX_ORDER + 1)
 
 
