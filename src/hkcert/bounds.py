@@ -202,8 +202,7 @@ def _is_odd_prime(p: int) -> bool:
         return False
     if p in _MILLER_RABIN_BASES:
         return True
-    if p >= _MILLER_RABIN_LIMIT:
-        raise ValueError(f"p must be below {_MILLER_RABIN_LIMIT} for a deterministic primality test, got {p}")
+    _at_most("p", p, _MILLER_RABIN_LIMIT - 1)
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1

@@ -501,6 +501,17 @@ class TestQuadric:
             with pytest.raises(ValueError, match="odd prime"):
                 quadric_ehk(composite, 5)
 
+    def test_primality_cap_follows_the_even_answer(self):
+        # psi_12 is the first odd p refused and psi_12 - 2 the last one tested;
+        # an even p is answered before the cap, however large.
+        limit = bounds._MILLER_RABIN_LIMIT
+        assert limit == 318665857834031151167461
+        with pytest.raises(ValueError, match=f"^p must be <= {limit - 1}, got {limit}$"):
+            _is_odd_prime(limit)
+        assert _is_odd_prime(limit - 2) == all(strong_probable_prime(limit - 2, b) for b in FIRST_PRIMES)
+        assert not _is_odd_prime(limit + 1)
+        assert not _is_odd_prime(2 * limit)
+
     def test_bases_are_the_first_primes(self):
         # The cited bound psi_12 holds for these bases and no others.
         assert bounds._MILLER_RABIN_BASES == FIRST_PRIMES

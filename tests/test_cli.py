@@ -481,7 +481,7 @@ def test_quadric_large_prime_is_fast():
 def test_quadric_rejects_p_beyond_primality_limit():
     result = run_cli("quadric", "--p", "318665857834031151167461", "--d", "5", timeout=10)
     assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
+    assert result.stderr == "error: p must be <= 318665857834031151167460, got 318665857834031151167461\n"
     assert result.stdout == ""
 
 
@@ -628,6 +628,28 @@ def test_monomial_rejects_minimalize_work_beyond_cap(capsys, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: generators**2 * num_vars must be <= 100000000, got 125000000\n"
+
+
+@pytest.mark.parametrize("text, pairs, lines", [
+    ("".join(f"{i} {4 - i}\n" for i in range(5)), 10, ["q=1\tcolength=10\tnormalized=10 ≈ 10.0000",
+                                                       "q=2\tcolength=40\tnormalized=10 ≈ 10.0000"]),
+    ("2 0 0\n0 2 0\n0 0 2\n", 3, ["q=1\tcolength=8\tnormalized=8 ≈ 8.0000",
+                                  "q=2\tcolength=64\tnormalized=8 ≈ 8.0000"]),
+], ids=["staircase", "squares"])
+def test_monomial_reaches_the_stubbed_helpers(text, pairs, lines, capsys, tmp_path, monkeypatch):
+    # The "minimalization started" and "sweep started" stubs above guard only
+    # while `monomial` calls these helpers through the module.  On an admitted
+    # file of each guarded shape, every pair of generators (none dominated) is
+    # decided by _dominates, and lambda(R/I) is swept once for both q's.
+    calls = {"_dominates": [], "_staircase_colength": []}
+    for name, record in calls.items():
+        real = getattr(monomial, name)
+        monkeypatch.setattr(monomial, name, lambda *a, record=record, real=real: record.append(a) or real(*a))
+    path = tmp_path / "admitted.ideal"
+    path.write_text(text)
+    assert main(["monomial", "--file", str(path), "--q", "1,2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == lines
+    assert (len(calls["_dominates"]), len(calls["_staircase_colength"])) == (pairs, 1)
 
 
 def test_monomial_width_error_names_the_line(capsys, tmp_path):

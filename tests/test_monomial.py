@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from math import floor, prod
@@ -347,6 +348,23 @@ class TestFrobeniusColength:
         pairs = [tuple(int(j in (a, b)) for j in range(n)) for a, b in itertools.combinations(range(43), 2)]
         assert len(MonomialIdeal(n, squares + pairs[:900]).generators) == 1000
 
+    def test_every_pair_goes_through_dominates(self, monkeypatch):
+        # The "minimalization started" stubs above guard only while every
+        # dominance decision calls _dominates through the module: on admitted
+        # inputs of the stubbed shapes, none of whose generators is dominated,
+        # that is one call a pair.
+        calls = []
+        real = monomial._dominates
+        monkeypatch.setattr(monomial, "_dominates", lambda *a: calls.append(a) or real(*a))
+        for n, gens in [
+            (2, [(i, 3 - i) for i in range(4)]),
+            (3, [tuple(2 * (j == i) for j in range(3)) for i in range(3)]),
+            (4, [(k,) * 3 + (4 - k,) for k in range(1, 4)] + [tuple(9 * (j == i) for j in range(4)) for i in range(4)]),
+        ]:
+            calls.clear()
+            assert len(MonomialIdeal(n, gens).generators) == len(gens)
+            assert len(calls) == len(gens) * (len(gens) - 1) // 2, gens
+
     def test_matches_closed_form(self):
         corner = pure_power_ideal((4, 4, 4, 4))
         for ideal in (corner, *seeded_ideals({1: 4, 2: 6, 3: 5, 4: 3})):
@@ -483,6 +501,54 @@ class TestEhkEstimate:
             ehk_estimate(SQUARE, [2, 2])
         with pytest.raises(ValueError):
             ehk_estimate(SQUARE, [0, 2])
+
+
+# Inputs that break two rules at once, with the message that wins: the
+# arguments are read in order, every generator is converted before any is
+# checked, and the generators are checked in the order given (not sorted),
+# each for its length, then a negative exponent, then the unit monomial.
+WIDE = MonomialIdeal(2, ((10**7, 0), (0, 1)))  # 10**7 staircase rows, past the row cap
+CHECK_ORDER = [
+    pytest.param(lambda: MonomialIdeal(0, [(1.5,)] * 1001), "num_vars must be >= 1", id="num_vars-before-caps"),
+    pytest.param(lambda: MonomialIdeal(2, [(1.5, 0)] * 1001), "number of generators must be <= 1000, got 1001",
+                 id="count-cap-before-types"),
+    pytest.param(lambda: MonomialIdeal(2, [(1, 0, 0), (1.5, 0)]), "exponents must be integers",
+                 id="types-before-an-earlier-length"),
+    pytest.param(lambda: MonomialIdeal(2, [(1, 0, 0), 5]), "exponents must be integers", id="not-iterable"),
+    pytest.param(lambda: MonomialIdeal(2, [(Fraction(3, 2), 0, 0), (0, 1)]), "exponents must be integers",
+                 id="type-before-its-own-length"),
+    pytest.param(lambda: MonomialIdeal(2, [(1, 0, 0), (1, -1)]), "generator (1, 0, 0) does not have 2 exponents",
+                 id="length-before-a-later-negative"),
+    pytest.param(lambda: MonomialIdeal(2, [(-1, 0, 0), (0, 1)]), "generator (-1, 0, 0) does not have 2 exponents",
+                 id="length-before-its-own-negative"),
+    pytest.param(lambda: MonomialIdeal(2, [(2, -1), (1, 0, 0)]), "generator (2, -1) has a negative exponent",
+                 id="negative-before-a-later-length"),
+    pytest.param(lambda: MonomialIdeal(2, [(2, -1), (0, 0), (0, 1)]), "generator (2, -1) has a negative exponent",
+                 id="negative-before-a-unit-that-sorts-first"),
+    pytest.param(lambda: MonomialIdeal(2, [(1, 0), (0, 0), (0, -1)]), "the unit monomial generates the whole ring",
+                 id="unit-before-a-later-negative"),
+    pytest.param(lambda: MonomialIdeal(2, [(1, 1), (2, 2), (0, 1)]),
+                 "not m-primary: no pure power of variable 0 among the generators", id="m-primary-last"),
+    pytest.param(lambda: ehk_estimate(SQUARE, [3, 2, 1.5]), "q must be int or Fraction, got float: 1.5",
+                 id="every-q-read-before-the-order"),
+    pytest.param(lambda: ehk_estimate(SQUARE, [3, 2, 0]), "q must be >= 1", id="floor-before-the-order"),
+    pytest.param(lambda: ehk_estimate(SQUARE, [3, Fraction(5, 2)]), "q must be an integer, got 5/2",
+                 id="integer-before-the-order"),
+    pytest.param(lambda: ehk_estimate(WIDE, [2, 2]), "q_list must be strictly increasing",
+                 id="order-before-the-row-cap"),
+    pytest.param(lambda: ehk_estimate(WIDE, [2**BUDGET_BITS]),
+                 "staircase scan rows must be <= 1000000, got 10000000", id="row-cap-before-the-print-check"),
+    pytest.param(lambda: frobenius_colength(WIDE, 0), "q must be >= 1",
+                 id="frobenius-q-before-the-row-cap"),
+    pytest.param(lambda: frobenius_colength(WIDE, 2**BUDGET_BITS),
+                 "staircase scan rows must be <= 1000000, got 10000000", id="frobenius-row-cap-before-the-print-check"),
+]
+
+
+@pytest.mark.parametrize("call, message", CHECK_ORDER)
+def test_first_broken_rule_wins(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestParsing:

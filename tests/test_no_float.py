@@ -135,7 +135,7 @@ def test_formatter_tripwire_catches_each_form():
 
 
 FLOOR_FORMS = ("must be >=",)
-CEILING_FORMS = ("must be <=", "more than", "at most", "must satisfy", "past the print budget")
+CEILING_FORMS = ("must be <=", "must be below", "more than", "at most", "must satisfy", "past the print budget")
 
 
 def bound_messages(tree: ast.AST, forms: tuple[str, ...]) -> list[str]:
@@ -192,6 +192,7 @@ def test_ceiling_tripwire_catches_each_form():
         'raise ValueError(f"the scan needs {rows} rows, more than {cap}")',
         'raise ValueError(f"at most {cap} generators are supported")',
         'raise ValueError("codimension must satisfy 3 <= k <= e - 2")',
+        'raise ValueError(f"p must be below {limit} for a deterministic primality test, got {p}")',
         'if bits > cap:',
         '    raise ValueError("a number of more than 4300 digits is past the print budget") from None',
         'raise ValueError("q must be >= 1")',
@@ -202,5 +203,6 @@ def test_ceiling_tripwire_catches_each_form():
         "line 2: ' rows, more than '",
         "line 3: 'at most '",
         "line 4: 'codimension must satisfy 3 <= k <= e - 2'",
-        "line 6: 'a number of more than 4300 digits is past the print budget'",
+        "line 5: 'p must be below '",
+        "line 7: 'a number of more than 4300 digits is past the print budget'",
     ]

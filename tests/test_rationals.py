@@ -314,6 +314,8 @@ CEILINGS = [
                  "staircase scan rows must be <= 1000000, got 10000000", id="rows-frobenius_colength"),
     pytest.param(lambda: mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001),
                  "mixed colength scan rows must be <= 1000000, got 1000002", id="rows-mixed_colength"),
+    pytest.param(lambda: quadric_ehk(318665857834031151167461, 5),
+                 "p must be <= 318665857834031151167460, got 318665857834031151167461", id="p-quadric_ehk"),
 ]
 
 
