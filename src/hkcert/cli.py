@@ -203,7 +203,7 @@ def _add_certify_interval(p: argparse.ArgumentParser) -> None:
 
 def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     from .bounds import certify_interval
-    from .tables import _interval_notes
+    from .report import _interval_notes
 
     row = certify_interval(args.dim, args.e_low, args.e_high, args.s)
     target_lines, code = _target_lines(row.certified_bound, args.target)

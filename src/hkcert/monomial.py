@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import NamedTuple, Sequence
 
-from .rationals import Rational, _at_most, _check_printable, _exact, _integer, _parse_integer
+from .rationals import Rational, _at_most, _check_printable, _exact, _integer, _items, _parse_integer
 
 __all__ = [
     "ColengthEntry",
@@ -47,11 +47,10 @@ __all__ = [
 # before it answers.  At 10**6 rows (Python 3.11, 2-core x86-64) the mixed
 # scan takes 0.10-0.21 s over 2-6 prefix axes and 0.43-0.55 s over one,
 # where its tally holds up to 10**6 distinct floor sums (peak RSS 134 MB
-# at q = 10**6, against 52 MB for the former per-row loop, which took
-# 0.6-1.4 s on the same boxes).  The staircase sweep takes 0.09-0.76 s
-# there, whatever the generators (best of 3): 0.09 s in 2 passes over
-# axes of 1000, 0.37 s in 19 passes over axes of 2 and 3, 0.76 s in one
-# pass over an axis of 10**6.
+# at q = 10**6).  The staircase sweep takes 0.09-0.76 s there, whatever
+# the generators (best of 3): 0.09 s in 2 passes over axes of 1000, 0.37 s
+# in 19 passes over axes of 2 and 3, 0.76 s in one pass over an axis of
+# 10**6.
 _MAX_SCAN_ROWS = 10**6
 # Minimalizing tests each generator against those already kept, one
 # _dominates call a pair of up to n steps, about 0.2 us a call and 25 ns a
@@ -80,7 +79,7 @@ class MonomialIdeal(_MonomialIdealFields):
     __slots__ = ()
 
     def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
-        num_vars = _integer("num_vars", num_vars, 1)
+        num_vars, generators = _integer("num_vars", num_vars, 1), _items("generators", generators)
         count = _at_most("number of generators", len(generators), _MAX_GENERATORS)
         _at_most("generators**2 * num_vars", count**2 * num_vars, _MAX_MINIMALIZE_WORK)
         index = operator.index
@@ -250,7 +249,7 @@ def ehk_estimate(ideal: MonomialIdeal, q_list: Sequence[int]) -> ColengthSequenc
     Raises ValueError, before any power q^n is formed, where the largest
     colength provably cannot print.
     """
-    qs = [_integer("q", q, 1) for q in q_list]
+    qs = [_integer("q", q, 1) for q in _items("q_list", q_list)]
     if not qs:
         raise ValueError("q_list must be non-empty")
     if any(map(operator.ge, qs, qs[1:])):

@@ -12,7 +12,8 @@ parsing, so no PYTHONINTMAXSTRDIGITS setting changes what they accept.
 A library argument becomes a number through ``_exact`` or ``_integer``,
 which also check its floor (``_at_least``) and, for ``_integer``, its
 ceiling (``_at_most``); a cap on a cost that several arguments set goes
-through ``_at_most`` too.  So each bound is worded once, here:
+through ``_at_most`` too.  A sequence argument is read by ``_items``
+first.  So each bound is worded once, here:
 ``<name> must be >= <least>`` and ``<name> must be <= <most>, got <value>``.
 Before the library forms a power whose size an argument sets,
 ``_check_printable`` refuses one that provably cannot print, with
@@ -130,6 +131,15 @@ def _rational_input(name: str, value: object) -> Rational:
     if isinstance(value, (int, Fraction)):
         return value
     raise ValueError(f"{name} must be int or Fraction, got {type(value).__name__}: {value!r}")
+
+
+def _items(name: str, value: object) -> tuple:
+    """The items of ``value``, read once into a tuple; ValueError naming ``name`` where it is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {type(value).__name__}: {value!r}") from None
+    return tuple(items)
 
 
 # The message of both print-budget checks, format_rational's and _check_printable's.

@@ -5,6 +5,8 @@ block of fixed-order fields per row, and a trailing overall verdict.
 The same rows can be exported as CSV, a cell quoted by RFC 4180's rule.
 Reports contain no timestamps or other environment-dependent data, so
 identical invocations produce byte-identical output, on every Python.
+The sentence that explains an interval certificate is written here too,
+for the table's interval rows and for the ``certify-interval`` command.
 """
 
 from __future__ import annotations
@@ -110,3 +112,16 @@ class CertificationReport(_CertificationReportFields):
 
     def to_csv(self) -> str:
         return _CSV_HEADER + "".join(",".join(map(_csv_field, cells)) + "\n" for cells in self.cells)
+
+
+def _interval_notes(cert, lo: int, hi: int) -> str:
+    """Which end of [lo, hi] certifies the ``certify_interval`` row ``cert``, and why, in ``format_rational``'s text."""
+    if cert.branch == "degenerate-linear-increasing":
+        return f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({lo}) certifies"
+    apex = format_rational(cert.apex)
+    if cert.branch == "apex-interior":
+        g_low, g_high = format_rational(cert.g_low), format_rational(cert.g_high)
+        return f"apex {apex} inside [{lo}, {hi}]; G({lo}) = {g_low}, G({hi}) = {g_high}"
+    if cert.branch == "increasing":
+        return f"apex {apex} right of [{lo}, {hi}]; G increasing; G({lo}) certifies"
+    return f"apex {apex} left of [{lo}, {hi}]; G decreasing; G({hi}) certifies"

@@ -27,9 +27,9 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .bounds import IntervalCertRow, certify_interval, volume_lower_bound
+from .bounds import certify_interval, volume_lower_bound
 from .rationals import DISPLAY_DIGITS, _integer, decimal_render, format_rational
-from .report import CertificationReport, ReportRow
+from .report import CertificationReport, ReportRow, _interval_notes
 from .series import conjecture_threshold
 
 __all__ = ["verify_tables"]
@@ -91,19 +91,6 @@ DIM6_ROWS: tuple[TableRow, ...] = (
     ),
     TableRow("interval", 5, 9, Fraction(13, 5), Fraction(1107, 1000)),
 )
-
-
-def _interval_notes(cert: IntervalCertRow, lo: int, hi: int) -> str:
-    """Which end of [lo, hi] certifies and why; each ``Fraction`` is written by ``format_rational``."""
-    if cert.branch == "degenerate-linear-increasing":
-        return f"v_(s-1) = 0: G(e) = e*v_s is linear increasing; G({lo}) certifies"
-    apex = format_rational(cert.apex)
-    if cert.branch == "apex-interior":
-        g_low, g_high = format_rational(cert.g_low), format_rational(cert.g_high)
-        return f"apex {apex} inside [{lo}, {hi}]; G({lo}) = {g_low}, G({hi}) = {g_high}"
-    if cert.branch == "increasing":
-        return f"apex {apex} right of [{lo}, {hi}]; G increasing; G({lo}) certifies"
-    return f"apex {apex} left of [{lo}, {hi}]; G decreasing; G({hi}) certifies"
 
 
 def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -> ReportRow:

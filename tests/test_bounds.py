@@ -218,12 +218,11 @@ class TestVolumeLowerBound:
     def test_uniform_form_is_one_numerator_pair(self, monkeypatch):
         # The r form takes N_s and N_{s-1} over one denominator, as
         # certify_interval does: one _slab_ratio call at s = a/b and one at
-        # s - 1 = (a-b)/b, and no vol_slab or valuation grouping.  r = 0
-        # evaluates v_s alone, so a long s - 1 cannot fail the size cap.
+        # s - 1 = (a-b)/b, and no valuation grouping.  r = 0 evaluates v_s
+        # alone, so a long s - 1 cannot fail the size cap.
         calls = []
         real_ratio = bounds._slab_ratio
         monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
-        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
         monkeypatch.setattr(bounds, "Counter", lambda *a: pytest.fail("valuations grouped"))
         for s, r in ((Fraction(7, 5), 134), (Fraction(1, 3), 2), (Fraction(11, 2), 3), (Fraction(8), 1)):
             calls.clear()
@@ -263,16 +262,24 @@ class TestVolumeLowerBound:
             volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(3, 2))
         assert volume_lower_bound(3, 5, Fraction(3, 2), r=Fraction(1)) == Fraction(115, 48)
 
+    def test_valuations_are_any_iterable(self):
+        # An iterator reads as its tuple; anything not iterable is refused by name.
+        valuations = [1, Fraction(1, 2), 1]
+        expected = volume_lower_bound(5, 7, Fraction(21, 10), valuations=valuations)
+        assert volume_lower_bound(5, 7, Fraction(21, 10), valuations=iter(valuations)) == expected
+        with pytest.raises(ValueError, match="^valuations must be iterable, got int: 5$"):
+            volume_lower_bound(3, 5, 1, valuations=5)
+
     def test_rejects_valuations_beyond_cap(self, monkeypatch):
         # Checked before any volume is computed; a repeated valuation counts once.
         assert bounds._MAX_VALUATIONS == 1000
-        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("volume computed"))
+        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: pytest.fail("volume computed"))
         valuations = [Fraction(1, k) for k in range(2, 1003)] * 2
         with pytest.raises(ValueError, match="^number of distinct valuations must be <= 1000, got 1001$"):
             volume_lower_bound(8, 5, 4, valuations=valuations)
 
     def test_admits_valuations_at_cap(self, monkeypatch):
-        monkeypatch.setattr(bounds, "vol_slab", lambda *a: Fraction(0))
+        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: (0, 1))
         valuations = [Fraction(1, k) for k in range(2, 1002)]
         assert volume_lower_bound(8, 5, 4, valuations=valuations) == 0
 
@@ -326,13 +333,12 @@ class TestOptimizeSlice:
 
     def test_integer_path_after_input_checks(self, monkeypatch):
         # The inputs are checked as volume_lower_bound checks them, but with
-        # no volume_lower_bound call and no volume (no _slab_ratio or
-        # vol_slab); every candidate is compared as an integer slab numerator.  The
+        # no volume_lower_bound call and no volume (no _slab_ratio); every
+        # candidate is compared as an integer slab numerator.  The
         # 241 grid numerators come from one _grid_numerators call, so only
         # the 16 halving candidates are single-point calls: one folded
         # _slab_numerator(d, j, D, r) each, N_j - r * N_{j-D} in one sum.
         checks, ratios, grids, points = [], [], [], []
-        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
         real_ratio = bounds._slab_ratio
         monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: ratios.append(a) or real_ratio(*a))
         real_bound = bounds.volume_lower_bound
@@ -431,6 +437,58 @@ class TestOptimizeSlice:
             cases.append((d, max(e, 1), r, res))
         for d, e, r, res in cases:
             assert optimize_slice(d, e, r, res) == grid_then_halving(d, e, r, res), (d, e, r, res)
+
+
+# Two broken rules at once: the first message of each bound entry wins.
+# volume_lower_bound reads d, e and s, then which of r / valuations is given,
+# then that one; optimize_slice reads d as an integer and grid_resolution,
+# checks both grid caps, and only then the dimension range, e and r.
+BOUND_CHECK_ORDER = [
+    pytest.param(lambda: volume_lower_bound(513, 0, 1, r=1), "d must be <= 512, got 513", id="vlb-d-before-e"),
+    pytest.param(lambda: volume_lower_bound(0, 5, -1, r=1), "d must be >= 1", id="vlb-d-before-s"),
+    pytest.param(lambda: volume_lower_bound(2.0, 0, 1, r=1), "d must be int or Fraction, got float: 2.0",
+                 id="vlb-d-type-before-e"),
+    pytest.param(lambda: volume_lower_bound(3, 0, -1, r=1), "e must be >= 1", id="vlb-e-before-s"),
+    pytest.param(lambda: volume_lower_bound(3, Fraction(1, 2), 1), "e must be >= 1", id="vlb-e-before-r-or-t"),
+    pytest.param(lambda: volume_lower_bound(3, 5, -1, r=-1), "s must be >= 0", id="vlb-s-before-r"),
+    pytest.param(lambda: volume_lower_bound(3, 5, -1, r=Fraction(3, 2)), "s must be >= 0", id="vlb-s-before-r-type"),
+    pytest.param(lambda: volume_lower_bound(3, 5, 0.5, r=0.5), "s must be int or Fraction, got float: 0.5",
+                 id="vlb-s-type-before-r-type"),
+    pytest.param(lambda: volume_lower_bound(3, 5, -1, r=1, valuations=[1]), "s must be >= 0",
+                 id="vlb-s-before-r-or-t"),
+    pytest.param(lambda: volume_lower_bound(3, 5, 1, r=-1, valuations=[1]),
+                 "exactly one of r / valuations is required", id="vlb-r-or-t-before-r"),
+    pytest.param(lambda: volume_lower_bound(3, 5, -1, valuations=[0]), "s must be >= 0", id="vlb-s-before-t"),
+    pytest.param(lambda: volume_lower_bound(513, 5, 1, valuations=5), "d must be <= 512, got 513",
+                 id="vlb-d-before-t-iterable"),
+    pytest.param(lambda: volume_lower_bound(3, 0, 1, valuations=5), "e must be >= 1", id="vlb-e-before-t-iterable"),
+    pytest.param(lambda: volume_lower_bound(3, 5, 1, valuations=[0, 0.5]),
+                 "valuations must be int or Fraction, got float: 0.5", id="vlb-every-t-read-before-signs"),
+    pytest.param(lambda: volume_lower_bound(3, 5, 1, valuations=[0, *(Fraction(1, k) for k in range(2, 1100))]),
+                 "valuations must be positive", id="vlb-signs-before-count-cap"),
+    pytest.param(lambda: optimize_slice(513, 5, 3, 2000), "dimension * grid_resolution must be <= 1000000, got 1026000",
+                 id="opt-steps-cap-before-d-range"),
+    pytest.param(lambda: optimize_slice(513, 5, 3, 10),
+                 "dimension**3 * grid_resolution must be <= 1000000000, got 1350056970", id="opt-work-cap-before-d-range"),
+    pytest.param(lambda: optimize_slice(513, 0, None, 2), "d must be <= 512, got 513", id="opt-d-range-before-e"),
+    pytest.param(lambda: optimize_slice(0, 5, 3, 1), "grid_resolution must be >= 2", id="opt-resolution-before-d-floor"),
+    pytest.param(lambda: optimize_slice(2.0, 5, 3, 1), "d must be int or Fraction, got float: 2.0",
+                 id="opt-d-type-before-resolution"),
+    pytest.param(lambda: optimize_slice(0, 0, 3, 10), "d must be >= 1", id="opt-d-floor-before-e"),
+    pytest.param(lambda: optimize_slice(-1, 0, 3, 10), "d must be >= 1", id="opt-negative-d-before-e"),
+    pytest.param(lambda: optimize_slice(5, 0, -1, 10), "e must be >= 1", id="opt-e-before-r"),
+    pytest.param(lambda: optimize_slice(5, 5, -1, 1), "grid_resolution must be >= 2", id="opt-resolution-before-r"),
+    pytest.param(lambda: optimize_slice(4, Fraction(1, 2), None, 10), "e must be >= 1", id="opt-e-before-missing-r"),
+    # optimize_slice has no valuations: a missing r is read as r, by r's own reader.
+    pytest.param(lambda: optimize_slice(4, 5, None, 10), "r must be int or Fraction, got NoneType: None",
+                 id="opt-missing-r"),
+]
+
+
+@pytest.mark.parametrize("call, message", BOUND_CHECK_ORDER)
+def test_bound_entries_first_broken_rule_wins(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # Miller-Rabin to exactly these bases, the first 12 primes, is deterministic
@@ -629,11 +687,10 @@ class TestCertifyInterval:
 
     def test_evaluates_two_volumes(self, monkeypatch):
         # N_s and N_{s-1} serve both endpoints and the apex on every branch:
-        # exactly two slab numerators, at s = a/b and at s - 1 = (a-b)/b, and no vol_slab.
+        # exactly two slab numerators, at s = a/b and at s - 1 = (a-b)/b.
         calls = []
         real_ratio = bounds._slab_ratio
         monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
-        monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
         cases = [(5, 9, Fraction(13, 5), "apex-interior"), (296, 786, Fraction(13, 10), "increasing"),
                  (2, 5, 1, "degenerate-linear-increasing"), (8, 12, Fraction(13, 5), "decreasing"),
                  (3, 4, Fraction(13, 2), "decreasing"), (3, 4, 7, "decreasing"),

@@ -436,7 +436,7 @@ def test_radical_case_rejects_dimension_beyond_print_limit(capsys, monkeypatch):
 @pytest.mark.parametrize("count", [1001, 14998])
 def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of computing one volume per valuation.
-    monkeypatch.setattr(bounds, "vol_slab", lambda *a: pytest.fail("volume computed"))
+    monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: pytest.fail("volume computed"))
     valuations = ",".join(f"1/{k}" for k in range(2, count + 2))
     assert main(["bound", "--dim", "8", "--e", "5", "--s", "4", "--t", valuations]) == 2
     captured = capsys.readouterr()

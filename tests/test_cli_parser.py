@@ -101,7 +101,7 @@ LOADS = {
     "quadric": {"rationals", "slab", "bounds", "series"},
     "radical": {"rationals", "slab", "bounds"},
     "monomial": {"rationals", "monomial"},
-    "certify-interval": {"rationals", "slab", "bounds", "series", "report", "tables"},
+    "certify-interval": {"rationals", "slab", "bounds", "report"},
 }
 # Imports that only some subcommands need; -S keeps site's own imports out.
 HEAVY = ("csv", "typing", "pathlib")

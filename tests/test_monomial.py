@@ -551,6 +551,34 @@ def test_first_broken_rule_wins(call, message):
         call()
 
 
+# A sequence argument that is not iterable is refused by name, with ValueError.
+NOT_ITERABLE = [
+    pytest.param(lambda: MonomialIdeal(2, 5), "generators must be iterable, got int: 5", id="generators"),
+    pytest.param(lambda: MonomialIdeal(2, None), "generators must be iterable, got NoneType: None",
+                 id="generators-None"),
+    pytest.param(lambda: ehk_estimate(SQUARE, 5), "q_list must be iterable, got int: 5", id="q_list"),
+]
+
+
+@pytest.mark.parametrize("call, message", NOT_ITERABLE)
+def test_non_iterable_sequence_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_iterators_read_as_their_tuples(monkeypatch):
+    gens = ((2, 0), (1, 1), (0, 2), (2, 2))
+    assert MonomialIdeal(2, iter(gens)) == MonomialIdeal(2, gens) == SQUARE
+    assert MonomialIdeal(2, (g for g in gens)) == SQUARE
+    assert ehk_estimate(SQUARE, iter([1, 2, 4])) == ehk_estimate(SQUARE, [1, 2, 4])
+    # The generator caps count an iterator's items before the minimalization starts.
+    monkeypatch.setattr(monomial, "_dominates", lambda *a: pytest.fail("minimalization started"))
+    with pytest.raises(ValueError, match="^number of generators must be <= 1000, got 1001$"):
+        MonomialIdeal(2, ((i, 1000 - i) for i in range(1001)))
+    with pytest.raises(ValueError, match="^generators\\*\\*2 \\* num_vars must be <= 100000000, got 101000000$"):
+        MonomialIdeal(101, iter([(1,) * 101] * 1000))
+
+
 class TestParsing:
     def test_parse_generators(self):
         ideal = parse_generators("# squares\n2 0\n1 1\n0 2\n\n")
