@@ -35,7 +35,7 @@ from math import ceil, factorial
 from typing import NamedTuple, Optional, Sequence
 
 from .rationals import Rational, _at_most, _check_printable, _exact, _integer, _items
-from .slab import _MAX_SLAB_BITS, _dimension, _grid_numerators, _slab_bits, _slab_numerator, _slab_ratio
+from .slab import _dimension, _grid_numerators, _slab_numerator, _slab_ratios
 
 __all__ = [
     "IntervalCertRow",
@@ -54,15 +54,6 @@ __all__ = [
 # worked 5.65 s and then failed at the int-to-str limit.
 _MAX_VALUATIONS = 1000
 
-# Cost cap on the summed ``_slab_bits`` sizes of the volumes one volume_lower_bound
-# call evaluates.  It admits two volumes at the per-volume cap, as the uniform r
-# form evaluates without this check, the costliest admitted call: 0.6 s at
-# d = 512, s = 511 + 1/3^75 (four volumes of a quarter each took 0.44 s).
-# Uncapped, five valuations at d = 512 and s = 511 + 1/3^68 took 1.5 s, and up
-# to 1000 are admitted.
-_MAX_VOLUME_BITS = 2 * _MAX_SLAB_BITS
-
-
 def volume_lower_bound(
     d: int,
     e: Rational,
@@ -80,25 +71,24 @@ def volume_lower_bound(
     the sum is taken as ``sum_t count(t) * v_{s-t}`` with one volume per
     distinct t.  Raises ValueError, before any volume is evaluated, for
     more than ``_MAX_VALUATIONS`` distinct t and when the sizes of the
-    volumes with 0 < s - t < d sum past ``_MAX_VOLUME_BITS``.
+    volumes it evaluates, those at 0 < s - t < d, sum past the slab work
+    budget (``slab._MAX_SLAB_BITS``, checked by ``slab._slab_ratios``).
     """
     d, e, s = _dimension(d), _exact("e", e, 1), _exact("s", s, 0)
     if (r is None) == (valuations is None):
         raise ValueError("exactly one of r / valuations is required")
     if valuations is None:
         r = _integer("r", r, 0)
-        if not r:  # v_{s-1} is not needed, so its size is not checked
-            return e * Fraction(*_slab_ratio(d, s.numerator, s.denominator))
+        if not r:  # v_{s-1} is not needed, so its size is not counted
+            return e * Fraction(*_slab_ratios(d, (s.numerator, s.denominator))[0])
         n_s, n_prev, den = _uniform_ratio(d, s)
         return e * Fraction(n_s - r * n_prev, den)
     counts = Counter(_exact("valuations", t) for t in _items("valuations", valuations))
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
     _at_most("number of distinct valuations", len(counts), _MAX_VALUATIONS)
-    points = (s, *(s - t for t in counts))
-    bits = sum(_slab_bits(d, x.numerator, x.denominator) for x in points)
-    _at_most("summed slab sizes (dimension * bit length)", bits, _MAX_VOLUME_BITS)
-    v_s, *shifted = (Fraction(*_slab_ratio(d, x.numerator, x.denominator)) for x in points)
+    points = ((x.numerator, x.denominator) for x in (s, *(s - t for t in counts)))
+    v_s, *shifted = (Fraction(n, den) for n, den in _slab_ratios(d, *points))
     return e * (v_s - sum(count * v for count, v in zip(counts.values(), shifted)))
 
 
@@ -106,10 +96,10 @@ def _uniform_ratio(d: int, s: Fraction) -> tuple[int, int, int]:
     """(N_s, N_{s-1}, D) with v_s = N_s / D and v_{s-1} = N_{s-1} / D, for s >= 0.
 
     With s = a/b, D = d! b^d, or D = 1 for s >= d + 1, where both volumes
-    are 1; one ``_slab_ratio`` call for each volume.
+    are 1; one ``_slab_ratios`` call for the pair.
     """
     a, b = s.numerator, s.denominator
-    (n_s, den), (n_prev, den_prev) = _slab_ratio(d, a, b), _slab_ratio(d, a - b, b)
+    (n_s, den), (n_prev, den_prev) = _slab_ratios(d, (a, b), (a - b, b))
     if den < den_prev:  # d <= s < d + 1: v_s = 1 came as (1, 1)
         n_s = den = den_prev
     return n_s, n_prev, den

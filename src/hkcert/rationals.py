@@ -179,10 +179,12 @@ def decimal_render(x: Rational, digits: int) -> str:
     """Decimal string of ``x`` truncated to exactly ``digits`` places.
 
     Truncation is toward minus infinity, so the rendered value re-parses
-    to a rational that is <= x and within 10**-digits of it.
+    to a rational that is <= x and within 10**-digits of it.  Both parts
+    stay in the print budget: ``digits`` is at most ``_MAX_DIGITS``, and
+    the whole part is written by ``format_rational``.
     """
-    digits = _integer("digits", digits, 1)
+    digits = _integer("digits", digits, 1, _MAX_DIGITS)
     scaled = (x.numerator * 10**digits) // x.denominator
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{format_rational(whole)}.{frac:0{digits}d}"

@@ -11,12 +11,14 @@ evaluated as one integer numerator over the common denominator d! b^d,
 
     v_{a/b} = N / (d! b^d),   N = sum_{n=0}^{floor(a/b)} (-1)^n C(d,n) (a-nb)^d,
 
-so a single ``Fraction`` is built per volume.  One private helper,
-``_slab_ratio``, holds the clamps for every pointwise volume: it returns
-the pair (N, d! b^d), or (0, 1) and (1, 1) where s <= 0 or s >= d, so a
-clamped volume forms neither b^d nor a power; its one check, the size
-cap, is ``_slab_bits``, after every caller has checked the dimension
-range with ``_dimension``.  The clamps are shortcuts only: the sum is
+so a single ``Fraction`` is built per volume.  One private entry,
+``_slab_ratios(d, *points)``, evaluates every pointwise volume: for each
+point (a, b) it returns the pair (N, d! b^d), or (0, 1) and (1, 1) where
+s <= 0 or s >= d, so a clamped volume forms neither b^d nor a power.  It
+owns the one work budget: it sizes each point once (``_slab_bits``) and
+refuses a call whose sizes sum past ``_MAX_SLAB_BITS`` before any sum is
+taken, after every caller has checked the dimension range with
+``_dimension``.  The clamps are shortcuts only: the sum is
 already 0 for a <= 0, and, with its terms capped at n <= d, it is
 d! b^d for a >= d*b, the d-th difference of x^d.  On a
 grid {k/b} all numerators share that denominator, so volumes on one grid
@@ -58,50 +60,49 @@ def vol_slab(d: int, s: Rational) -> Fraction:
     Total in s: returns 0 for s <= 0 and 1 for s >= d, so shifted
     evaluations like v_{s-t} with s < t are well defined.  Raises
     ValueError for d above ``_MAX_DIM`` and, for 0 < s < d, for an s
-    too long to evaluate (``_MAX_SLAB_BITS``), and for an s that is
-    not an int or a ``Fraction``.
+    too long to evaluate (its size past ``_MAX_SLAB_BITS``), and for an
+    s that is not an int or a ``Fraction``.
     """
     d, s = _dimension(d), _exact("s", s)
-    return Fraction(*_slab_ratio(d, s.numerator, s.denominator))
+    return Fraction(*_slab_ratios(d, (s.numerator, s.denominator))[0])
 
 
 def _dimension(d: object, least: int = 1) -> int:
     """``d`` as an int in [least, ``_MAX_DIM``], else ValueError: the one dimension rule.
 
-    Every caller of ``_slab_ratio`` and ``_slab_bits`` checks its d here first.
+    Every caller of ``_slab_ratios`` checks its d here first.
     """
     return _integer("d", d, least, _MAX_DIM)
 
 
-# Cost cap on one evaluated slab volume, 0 < s < d: d times the bit length of
-# max(a, b) for s = a/b, the size of b^d and of every power (a - n*b)^d.
-# The worst admitted calls, d = 512 and s just below 511 (512 terms), took
-# 0.4 s (vol_slab) and 0.5-1.0 s (certify_interval, volume_lower_bound with r).
-# Uncapped, `vol --dim 512` worked 2.0 s at 173 056 bits and 75 s at 1.7
-# million (s = 511.0...01 with 100 and 1000 digits) before failing to print.
-_MAX_SLAB_BITS = 2**16
+# The work budget of one _slab_ratios call: the summed size of its evaluated
+# volumes, d times the bit length of max(a, b) for s = a/b, 0 < s < d, the
+# size of b^d and of every power (a - n*b)^d.  The worst admitted call, one
+# volume at d = 512, s = 511 - 1/2^247 (511 terms), took 0.69-0.79 s CPU
+# (Python 3.11, 2-core x86-64); the uniform pair at s = 511 - 1/2^119 took
+# 0.43-0.49 s.  Uncapped, `vol --dim 512` worked 75 s at 1.7 million bits
+# (s = 511.0...01, 1000 digits) and then failed to print.
+_MAX_SLAB_BITS = 2**17
 
 
-def _slab_ratio(d: int, a: int, b: int) -> tuple[int, int]:
-    """(N, D) with v_{a/b} = N / D, for b >= 1 and any integer a.
+def _slab_ratios(d: int, *points: tuple[int, int]) -> list[tuple[int, int]]:
+    """(N, D) with v_{a/b} = N / D for each point (a, b), b >= 1 and any integer a.
 
     D = d! b^d where 0 < a/b < d; a clamped volume comes as (0, 1) or
-    (1, 1), before b^d is formed.  Checked first by ``_slab_bits``.
+    (1, 1), before b^d is formed.  Raises ValueError, before any sum or
+    b^d, where the sizes of the points sum past ``_MAX_SLAB_BITS``.
     """
-    if not _slab_bits(d, a, b):
-        return (0, 1) if a <= 0 else (1, 1)
-    return _slab_numerator(d, a, b), factorial(d) * b**d
+    sizes = [_slab_bits(d, a, b) for a, b in points]
+    _at_most("summed slab sizes (dimension * bit length)", sum(sizes), _MAX_SLAB_BITS)
+    return [(_slab_numerator(d, a, b), factorial(d) * b**d) if bits else (0, 1) if a <= 0 else (1, 1)
+            for (a, b), bits in zip(points, sizes)]
 
 
 def _slab_bits(d: int, a: int, b: int) -> int:
-    """d * bit length of max(a, b), the size of the sum for v_{a/b}; 0 where v_{a/b} is clamped.
-
-    Raises ValueError above ``_MAX_SLAB_BITS``; d is checked by the caller (``_dimension``).
-    """
+    """d * bit length of max(a, b), the size of the sum for v_{a/b}; 0 where v_{a/b} is clamped."""
     if a <= 0 or a >= d * b:
         return 0
-    bits = d * max(a, b).bit_length()
-    return _at_most("dimension * bit length of max(numerator, denominator) of s", bits, _MAX_SLAB_BITS)
+    return d * max(a, b).bit_length()
 
 
 def _slab_numerator(d: int, a: int, b: int, r: int = 0) -> int:

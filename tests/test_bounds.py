@@ -217,22 +217,29 @@ class TestVolumeLowerBound:
 
     def test_uniform_form_is_one_numerator_pair(self, monkeypatch):
         # The r form takes N_s and N_{s-1} over one denominator, as
-        # certify_interval does: one _slab_ratio call at s = a/b and one at
-        # s - 1 = (a-b)/b, and no valuation grouping.  r = 0 evaluates v_s
-        # alone, so a long s - 1 cannot fail the size cap.
+        # certify_interval does: one _slab_ratios call for the two points
+        # s = a/b and s - 1 = (a-b)/b, and no valuation grouping.  r = 0
+        # evaluates v_s alone, so a long s - 1 cannot fail the work budget.
         calls = []
-        real_ratio = bounds._slab_ratio
-        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
+        real_ratios = bounds._slab_ratios
+        monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: calls.append(a) or real_ratios(*a))
         monkeypatch.setattr(bounds, "Counter", lambda *a: pytest.fail("valuations grouped"))
         for s, r in ((Fraction(7, 5), 134), (Fraction(1, 3), 2), (Fraction(11, 2), 3), (Fraction(8), 1)):
             calls.clear()
             assert volume_lower_bound(5, 35, s, r=r) == ungrouped_bound(5, 35, s, [1] * r)
-            assert calls == [(5, s.numerator, s.denominator), (5, s.numerator - s.denominator, s.denominator)]
+            assert calls == [(5, (s.numerator, s.denominator), (s.numerator - s.denominator, s.denominator))]
+        # v_s = 1 and v_{s-1} = v_{1 + 1/3^k} of size 2 * bit length of 3^k + 1:
+        # 65618 bits at k = 20700, past half the budget, 131072 at k = 41348,
+        # the last admitted, and 131074 at k = 41349.
+        for k, bits in ((20700, 65618), (41348, 131072)):
+            long_s = 2 + Fraction(1, 3**k)
+            assert 2 * (3**k + 1).bit_length() == bits
+            assert volume_lower_bound(2, 5, long_s, r=1) == ungrouped_bound(2, 5, long_s, [1])
+        long_s = 2 + Fraction(1, 3**41349)
         calls.clear()
-        long_s = 2 + Fraction(1, 3**20700)  # v_s = 1; v_{s-1} is past _MAX_SLAB_BITS
         assert volume_lower_bound(2, 5, long_s, r=0) == 5
-        assert calls == [(2, long_s.numerator, long_s.denominator)]
-        with pytest.raises(ValueError, match="must be <= 65536, got 65618$"):
+        assert calls == [(2, (long_s.numerator, long_s.denominator))]
+        with pytest.raises(ValueError, match="^summed slab sizes .* must be <= 131072, got 131074$"):
             volume_lower_bound(2, 5, long_s, r=1)
 
     def test_weakly_decreasing_in_generator_count(self):
@@ -273,25 +280,29 @@ class TestVolumeLowerBound:
     def test_rejects_valuations_beyond_cap(self, monkeypatch):
         # Checked before any volume is computed; a repeated valuation counts once.
         assert bounds._MAX_VALUATIONS == 1000
-        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: pytest.fail("volume computed"))
+        monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: pytest.fail("volume computed"))
         valuations = [Fraction(1, k) for k in range(2, 1003)] * 2
         with pytest.raises(ValueError, match="^number of distinct valuations must be <= 1000, got 1001$"):
             volume_lower_bound(8, 5, 4, valuations=valuations)
 
     def test_admits_valuations_at_cap(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: (0, 1))
+        monkeypatch.setattr(bounds, "_slab_ratios", lambda d, *points: [(0, 1)] * len(points))
         valuations = [Fraction(1, k) for k in range(2, 1002)]
         assert volume_lower_bound(8, 5, 4, valuations=valuations) == 0
 
     def test_admits_summed_volume_sizes_at_cap(self, monkeypatch):
-        # v_s and v_{s-1} each at the per-volume cap fill the summed cap; a
-        # clamped volume (here v_0, from t = s) costs nothing.
-        assert bounds._MAX_VOLUME_BITS == 2 * slab._MAX_SLAB_BITS == 2**17
-        s = 511 + Fraction(1, 3**75)
-        assert 512 * s.numerator.bit_length() == slab._MAX_SLAB_BITS
+        # v_s and v_{s-1} of half the budget each fill it, as does v_s alone
+        # at the full budget; a clamped volume (here v_0, from t = s) costs
+        # nothing.
+        assert slab._MAX_SLAB_BITS == 2**17
+        half, full = 511 + Fraction(1, 3**75), 511 + Fraction(1, 2**247)
+        assert 512 * half.numerator.bit_length() == slab._MAX_SLAB_BITS // 2
+        assert 512 * full.numerator.bit_length() == slab._MAX_SLAB_BITS
         monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 0)
-        assert volume_lower_bound(512, 6, s, r=4) == 0
-        assert volume_lower_bound(512, 6, s, valuations=[1, 1, s]) == 0
+        assert volume_lower_bound(512, 6, half, r=4) == 0
+        assert volume_lower_bound(512, 6, half, valuations=[1, 1, half]) == 0
+        assert volume_lower_bound(512, 6, full, r=0) == 0
+        assert volume_lower_bound(512, 6, full, valuations=[full]) == 0
 
     def test_rejects_summed_volume_sizes_beyond_cap(self, monkeypatch):
         # One more evaluated volume, v_1 of size 512, is the first sum past
@@ -333,14 +344,14 @@ class TestOptimizeSlice:
 
     def test_integer_path_after_input_checks(self, monkeypatch):
         # The inputs are checked as volume_lower_bound checks them, but with
-        # no volume_lower_bound call and no volume (no _slab_ratio); every
+        # no volume_lower_bound call and no volume (no _slab_ratios); every
         # candidate is compared as an integer slab numerator.  The
         # 241 grid numerators come from one _grid_numerators call, so only
         # the 16 halving candidates are single-point calls: one folded
         # _slab_numerator(d, j, D, r) each, N_j - r * N_{j-D} in one sum.
         checks, ratios, grids, points = [], [], [], []
-        real_ratio = bounds._slab_ratio
-        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: ratios.append(a) or real_ratio(*a))
+        real_ratios = bounds._slab_ratios
+        monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: ratios.append(a) or real_ratios(*a))
         real_bound = bounds.volume_lower_bound
         monkeypatch.setattr(bounds, "volume_lower_bound", lambda *a, **k: checks.append(a) or real_bound(*a, **k))
         real_grid = bounds._grid_numerators
@@ -689,8 +700,8 @@ class TestCertifyInterval:
         # N_s and N_{s-1} serve both endpoints and the apex on every branch:
         # exactly two slab numerators, at s = a/b and at s - 1 = (a-b)/b.
         calls = []
-        real_ratio = bounds._slab_ratio
-        monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
+        real_ratios = bounds._slab_ratios
+        monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: calls.append(a) or real_ratios(*a))
         cases = [(5, 9, Fraction(13, 5), "apex-interior"), (296, 786, Fraction(13, 10), "increasing"),
                  (2, 5, 1, "degenerate-linear-increasing"), (8, 12, Fraction(13, 5), "decreasing"),
                  (3, 4, Fraction(13, 2), "decreasing"), (3, 4, 7, "decreasing"),
@@ -699,7 +710,7 @@ class TestCertifyInterval:
             calls.clear()
             row = certify_interval(6, e_low, e_high, s)
             a, b = Fraction(s).numerator, Fraction(s).denominator
-            assert calls == [(6, a, b), (6, a - b, b)], s
+            assert calls == [(6, (a, b), (a - b, b))], s
             assert row.branch == branch, s
 
     def test_matches_fraction_oracle(self):
@@ -737,14 +748,21 @@ class TestCertifyInterval:
                 certify_interval(*args)
 
     def test_long_slice_beyond_cap(self, monkeypatch):
-        # The slab cap applies where a sum is evaluated, before any power; a
-        # slice from d + 1 on needs none, and d <= s < d + 1 needs v_{s-1}.
+        # The work budget applies where a sum is evaluated, before any power;
+        # a slice from d + 1 on needs none, and d <= s < d + 1 needs v_{s-1}.
         tiny = Fraction(1, 10**4000)
-        with pytest.raises(ValueError, match="of s must be <= 65536, got 6808064$"):
+        with pytest.raises(ValueError, match="^summed slab sizes .* must be <= 131072, got 6808064$"):
             certify_interval(512, 5, 9, 512 + tiny)
         monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
-        with pytest.raises(ValueError, match="of s must be <= 65536, got 70144$"):
-            certify_interval(512, 5, 9, 511 + Fraction(1, 2**128))
+        # v_s and v_{s-1} at 511 + 1/2^k are 512 * (k + 9) bits each: k = 120
+        # is the first pair past the budget, and at k = 128 each volume alone
+        # is past half of it.
+        for k, bits in ((128, 140288), (120, 132096)):
+            with pytest.raises(ValueError, match=f"^summed slab sizes .* must be <= 131072, got {bits}$"):
+                certify_interval(512, 5, 9, 511 + Fraction(1, 2**k))
+        # k = 119, the last admitted pair, fills the budget.
+        monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 0)
+        assert certify_interval(512, 5, 9, 511 + Fraction(1, 2**119)) == (None, 0, 0, "degenerate-linear-increasing")
         row = certify_interval(512, 5, 9, 600 + tiny)
         assert row == (Fraction(3, 2), -10, -54, "decreasing")
         assert row.certified_bound == -54

@@ -319,6 +319,25 @@ def test_dimension_beyond_cap_exits_2(argv, capsys, monkeypatch):
 
 
 LONG_SLICE = "511." + "0" * 999 + "1"
+# At d = 512, s = 0.9...9 with k nines is one volume of 512 * bit length of
+# 10**k bits: k = 77 fills the slab work budget (512 * 256 bits) and k = 78
+# is past it.  s = 1.0...01 with k decimals evaluates v_s and v_{s-1} of
+# that size each: k = 38 is the last pair inside the budget (2 * 512 * 127
+# bits) and k = 39 the first past it (2 * 512 * 130 bits).
+NINES_AT_BUDGET, NINES_PAST_BUDGET = "0." + "9" * 77, "0." + "9" * 78
+PAIR_AT_BUDGET, PAIR_PAST_BUDGET = "1." + "0" * 37 + "1", "1." + "0" * 38 + "1"
+
+
+def slice_argvs(vol_s, pair_s):
+    return [
+        ["vol", "--dim", "512", "--s", vol_s],
+        ["bound", "--dim", "512", "--e", "6", "--r", "4", "--s", pair_s],
+        ["certify-interval", "--dim", "512", "--e-low", "5", "--e-high", "9", "--s", pair_s, "--target", "1"],
+    ]
+
+
+def slice_id(argv):
+    return f"{argv[0]}-{argv[argv.index('--s') + 1][:6]}"
 
 
 @pytest.mark.parametrize(
@@ -328,8 +347,9 @@ LONG_SLICE = "511." + "0" * 999 + "1"
         ["vol", "--dim", "512", "--s", "1e-4300"],
         ["bound", "--dim", "512", "--e", "6", "--r", "4", "--s", LONG_SLICE],
         ["certify-interval", "--dim", "512", "--e-low", "5", "--e-high", "9", "--s", LONG_SLICE, "--target", "1"],
+        *slice_argvs(NINES_PAST_BUDGET, PAIR_PAST_BUDGET),
     ],
-    ids=lambda argv: f"{argv[0]}-{argv[argv.index('--s') + 1][:6]}",
+    ids=slice_id,
 )
 def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
     # Uncapped, the first of these worked 75 s and then failed to print.
@@ -338,7 +358,20 @@ def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: dimension * bit length of max(numerator, denominator) of s must be <= 65536")
+    assert captured.err.startswith("error: summed slab sizes (dimension * bit length) must be <= 131072, got ")
+
+
+@pytest.mark.parametrize("argv", slice_argvs(NINES_AT_BUDGET, PAIR_AT_BUDGET), ids=slice_id)
+def test_long_slice_at_cap_passes_the_slab_check(argv, capsys):
+    # The work budget admits these slices and their volumes are evaluated;
+    # each result's denominator, of more than 4300 digits, is then refused
+    # by the print budget.
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == BUDGET_ERROR
 
 
 def test_certify_interval_unprintable_apex_exits_2_fast(capsys):
@@ -436,7 +469,7 @@ def test_radical_case_rejects_dimension_beyond_print_limit(capsys, monkeypatch):
 @pytest.mark.parametrize("count", [1001, 14998])
 def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of computing one volume per valuation.
-    monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: pytest.fail("volume computed"))
+    monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: pytest.fail("volume computed"))
     valuations = ",".join(f"1/{k}" for k in range(2, count + 2))
     assert main(["bound", "--dim", "8", "--e", "5", "--s", "4", "--t", valuations]) == 2
     captured = capsys.readouterr()

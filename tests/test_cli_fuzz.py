@@ -90,18 +90,21 @@ def past_generator_files(values: dict) -> list:
 
 
 def past_slice(values: dict) -> list:
-    # s = 10**-k, written 1e-k, parses while k <= _MAX_DIGITS: for d <= 4 no
-    # such s is long enough to pass the slab cap.
-    d = int(values["--dim"])
-    cap = slab._MAX_SLAB_BITS
-    k = bisect.bisect_left(range(cap), True, key=lambda k: d * (10**k).bit_length() > cap)
-    return [f"1e{rationals._MAX_DIGITS + 1}"] + ([f"1e-{k}"] if k <= rationals._MAX_DIGITS else [])
+    # The first s = 10**-k whose volume is past the slab work budget.  It is
+    # written 1e-k while k <= _MAX_DIGITS, which reaches the budget from
+    # d = 10, and 0.0...01e-_MAX_DIGITS up to k = 2 * _MAX_DIGITS, which
+    # reaches it from d = 5: for d <= 4 no parseable s is that long.
+    d, most = int(values["--dim"]), rationals._MAX_DIGITS
+    powers = range(2 * most + 1)
+    k = bisect.bisect_left(powers, True, key=lambda k: d * (10**k).bit_length() > slab._MAX_SLAB_BITS)
+    past = [f"1e-{k}" if k <= most else f"0.{'0' * (k - most - 1)}1e-{most}"] if k in powers else []
+    return [f"1e{most + 1}", *past]
 
 
 def past_valuations(values: dict) -> list:
     # One valuation more than the distinct-valuation cap, and, for s > 0, the
     # shortest list t_i = s - s*i/2^k, i = 1, 2, ..., whose evaluated volumes
-    # (v_s and each v_{s*i/2^k}, about dim * k bits) sum past the size cap.
+    # (v_s and each v_{s*i/2^k}, about dim * k bits) sum past the slab work budget.
     too_many = ",".join(f"1/{i}" for i in range(1, bounds._MAX_VALUATIONS + 2))
     d, s = int(values["--dim"]), rationals.parse_rational(values["--s"])
     if s == 0:
@@ -111,7 +114,7 @@ def past_valuations(values: dict) -> list:
         return d * max(x.numerator, x.denominator).bit_length() if 0 < x < d else 0
 
     k, bits, valuations = 4096 // d, size(s), []
-    while bits <= bounds._MAX_VOLUME_BITS:
+    while bits <= slab._MAX_SLAB_BITS:
         x = s * (len(valuations) + 1) / 2**k
         bits += size(x)
         valuations.append(str(s - x))

@@ -51,6 +51,18 @@ def test_decimal_render_rejects_zero_digits():
         decimal_render(Fraction(1, 2), 0)
 
 
+def test_decimal_render_stays_in_the_print_budget():
+    # Both parts up to 4300 digits print; a whole part of 4301 digits is
+    # refused with format_rational's message, whatever the int-to-str limit.
+    assert decimal_render(Fraction(1, 3), 4300) == "0." + "3" * 4300
+    assert decimal_render(Fraction(10**4300 - 1, 1), 4) == "9" * 4300 + ".0000"
+    assert decimal_render(Fraction(10**4300, 3), 4) == "3" * 4300 + ".3333"
+    assert decimal_render(-Fraction(10**4300 - 1, 3), 4) == "-" + "3" * 4300 + ".0000"
+    for x in (Fraction(10**4301, 3), Fraction(-10**4300, 1)):
+        with pytest.raises(ValueError, match="^a number of more than 4300 digits is past the print budget$"):
+            decimal_render(x, 4)
+
+
 @given(x=rationals, digits=st.integers(min_value=1, max_value=12))
 def test_decimal_render_truncates_downward(x, digits):
     rendered = Fraction(decimal_render(x, digits))
@@ -294,8 +306,8 @@ CEILINGS = [
                  id="k-radical_recursion_bound"),
     pytest.param(lambda: zigzag_coeffs(1562), "order must be <= 1561, got 1562", id="order-zigzag_coeffs"),
     pytest.param(lambda: conjecture_threshold(1562), "d must be <= 1561, got 1562", id="d-conjecture_threshold"),
-    pytest.param(lambda: vol_slab(512, 511 + Fraction(1, 2**128)),
-                 "dimension * bit length of max(numerator, denominator) of s must be <= 65536, got 70144",
+    pytest.param(lambda: vol_slab(512, 511 + Fraction(1, 2**248)),
+                 "summed slab sizes (dimension * bit length) must be <= 131072, got 131584",
                  id="slab-bits-vol_slab"),
     pytest.param(lambda: volume_lower_bound(512, 6, 511 + Fraction(1, 3**75), valuations=[1, 510 + Fraction(1, 3**75)]),
                  "summed slab sizes (dimension * bit length) must be <= 131072, got 131584",
@@ -314,6 +326,8 @@ CEILINGS = [
                  "staircase scan rows must be <= 1000000, got 10000000", id="rows-frobenius_colength"),
     pytest.param(lambda: mixed_colength(MonomialIdeal(2, ((2, 0), (0, 3))), 1, 500001),
                  "mixed colength scan rows must be <= 1000000, got 1000002", id="rows-mixed_colength"),
+    pytest.param(lambda: decimal_render(Fraction(1, 3), 4301), "digits must be <= 4300, got 4301",
+                 id="digits-decimal_render"),
     pytest.param(lambda: quadric_ehk(318665857834031151167461, 5),
                  "p must be <= 318665857834031151167460, got 318665857834031151167461", id="p-quadric_ehk"),
 ]

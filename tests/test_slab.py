@@ -102,21 +102,29 @@ def test_vol_slab_admits_dimension_at_cap(monkeypatch):
 
 def test_vol_slab_rejects_long_slice_beyond_cap(monkeypatch):
     # Checked before any power or d! is formed; the bit length of s is that of
-    # the larger of its numerator and denominator.
+    # the larger of its numerator and denominator.  The first s of each form
+    # past the work budget.
     monkeypatch.setattr(slab, "_slab_numerator", lambda *a: pytest.fail("numerator computed"))
     monkeypatch.setattr(slab, "factorial", lambda *a: pytest.fail("factorial computed"))
-    assert slab._MAX_SLAB_BITS == 2**16
-    for d, s, bits in [(512, Fraction(2**128 + 1, 2**120), 512 * 129), (512, Fraction(1, 2**128), 512 * 129),
-                       (1, Fraction(1, 2**65536), 65537), (3, 2 + Fraction(1, 2**21845), 3 * 21847)]:
-        with pytest.raises(ValueError, match=f"of s must be <= 65536, got {bits}$"):
+    assert slab._MAX_SLAB_BITS == 2**17
+    for d, s, bits in [(512, Fraction(2**256 + 1, 2**248), 512 * 257), (512, Fraction(1, 2**256), 512 * 257),
+                       (1, Fraction(1, 2**131072), 131073), (3, 2 + Fraction(1, 2**43689), 3 * 43691)]:
+        with pytest.raises(ValueError, match=f"^summed slab sizes .* must be <= 131072, got {bits}$"):
             vol_slab(d, s)
 
 
 def test_vol_slab_admits_long_slice_at_cap(monkeypatch):
+    # The last s of each form inside the work budget, and each form at half
+    # the budget and just past it: one volume may take the whole budget.
     monkeypatch.setattr(slab, "_slab_numerator", lambda *a: 1)
     monkeypatch.setattr(slab, "factorial", lambda d: 1)
-    for d, s in [(512, Fraction(2**127 + 1, 2**119)), (512, Fraction(1, 2**127)), (1, Fraction(1, 2**65535))]:
-        assert d * max(s.numerator, s.denominator).bit_length() == 2**16
+    for d, s, bits in [(512, Fraction(2**255 + 1, 2**247), 2**17), (512, Fraction(1, 2**255), 2**17),
+                       (1, Fraction(1, 2**131071), 2**17), (3, 2 + Fraction(1, 2**43688), 3 * 43690),
+                       (512, Fraction(2**127 + 1, 2**119), 2**16), (512, Fraction(1, 2**127), 2**16),
+                       (1, Fraction(1, 2**65535), 2**16), (512, Fraction(2**128 + 1, 2**120), 512 * 129),
+                       (512, Fraction(1, 2**128), 512 * 129), (1, Fraction(1, 2**65536), 65537),
+                       (3, 2 + Fraction(1, 2**21845), 3 * 21847)]:
+        assert d * max(s.numerator, s.denominator).bit_length() == bits
         assert vol_slab(d, s) == Fraction(1, s.denominator**d)
 
 

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert import bounds, report as report_module, slab
+from hkcert import bounds, report as report_module
 from hkcert.bounds import volume_lower_bound
 from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
@@ -101,15 +101,14 @@ def test_report_bytes_are_pinned(dim):
 @pytest.mark.parametrize("dim, ratios", [(5, 10), (6, 12)])
 def test_volume_count_is_pinned(dim, ratios, monkeypatch):
     # The cost model, no timer: each volume or interval row evaluates the
-    # pair v_s, v_{s-1} as two _slab_ratio calls (5 volume rows at d = 5,
-    # 6 interval rows at d = 6), and no row goes through vol_slab.
+    # pair v_s, v_{s-1} as one _slab_ratios call of two points (5 volume
+    # rows at d = 5, 6 interval rows at d = 6).
     calls = []
-    real_ratio = bounds._slab_ratio
-    monkeypatch.setattr(bounds, "_slab_ratio", lambda *a: calls.append(a) or real_ratio(*a))
-    monkeypatch.setattr(slab, "vol_slab", lambda *a: pytest.fail("vol_slab called"))
+    real_ratios = bounds._slab_ratios
+    monkeypatch.setattr(bounds, "_slab_ratios", lambda *a: calls.append(a) or real_ratios(*a))
     verify_tables(dim)
-    assert len(calls) == ratios
-    assert all(d == dim for d, _, _ in calls)
+    assert sum(len(points) for _, *points in calls) == ratios
+    assert all(d == dim and len(points) == 2 for d, *points in calls)
 
 
 def _finite_rows(dim):
