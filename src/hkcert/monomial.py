@@ -76,8 +76,6 @@ class MonomialIdeal(_MonomialIdealFields):
     minimally and sorted: no generator componentwise-dominates another.
     """
 
-    __slots__ = ()
-
     def __new__(cls, num_vars: int, generators: Sequence[Sequence[int]]) -> MonomialIdeal:
         num_vars, generators = _integer("num_vars", num_vars, 1), _items("generators", generators)
         count = _at_most("number of generators", len(generators), _MAX_GENERATORS)
@@ -106,29 +104,34 @@ class MonomialIdeal(_MonomialIdealFields):
                     break
             else:
                 minimal.append(g)
-        ideal = tuple.__new__(cls, (num_vars, tuple(minimal)))
-        powers = ideal.pure_power_exponents()
+        powers = _pure_powers(num_vars, minimal)
         if 0 in powers:
             raise ValueError(f"not m-primary: no pure power of variable {powers.index(0)} among the generators")
+        ideal = tuple.__new__(cls, (num_vars, tuple(minimal)))
+        ideal._powers = powers
         return ideal
 
     @classmethod
-    def _make(cls, iterable) -> MonomialIdeal:  # so _replace runs the checks too
+    def _make(cls, iterable) -> MonomialIdeal:  # NamedTuple's own skips __new__ and its checks
         return cls(*iterable)
 
     def pure_power_exponents(self) -> tuple[int, ...]:
-        """Exponent c_i of the pure power of each variable (0 if none; a minimal list has at most one)."""
-        powers = [0] * self.num_vars
-        zeros = self.num_vars - 1
-        for g in self.generators:
-            if g.count(0) == zeros:  # one nonzero exponent
-                top = max(g)
-                powers[g.index(top)] = top
-        return tuple(powers)
+        """Exponent c_i of the pure power of each variable: the constructor's tuple, kept beside the fields."""
+        return self._powers
 
     def is_parameter_ideal(self) -> bool:
         """True when the generators are exactly one pure power per variable."""
         return len(self.generators) == self.num_vars
+
+
+def _pure_powers(num_vars: int, generators: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Exponent c_i of the pure power of each variable (0 if none; a minimal list has at most one)."""
+    powers = [0] * num_vars
+    for g in generators:
+        if g.count(0) == num_vars - 1:  # one nonzero exponent
+            top = max(g)
+            powers[g.index(top)] = top
+    return tuple(powers)
 
 
 def _dominates(g: tuple[int, ...], h: tuple[int, ...]) -> bool:

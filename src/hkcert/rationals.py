@@ -153,7 +153,11 @@ def format_rational(x: Rational) -> str:
     ``_MAX_DIGITS`` digits.  A part of at most 3 * _MAX_DIGITS bits is below
     8**_MAX_DIGITS, so only a longer one is compared with 10**_MAX_DIGITS.
     """
-    n, d = x.numerator, x.denominator
+    try:
+        n, d = x.numerator, x.denominator
+    except AttributeError:
+        _rational_input("x", x)  # raises ValueError: an int or a Fraction has both parts
+        raise
     if (n.bit_length() > 3 * _MAX_DIGITS or d.bit_length() > 3 * _MAX_DIGITS) and max(abs(n), d) >= 10**_MAX_DIGITS:
         raise ValueError(_PAST_PRINT_BUDGET.format(_MAX_DIGITS))
     return str(n) if d == 1 else f"{n}/{d}"
@@ -184,7 +188,11 @@ def decimal_render(x: Rational, digits: int) -> str:
     the whole part is written by ``format_rational``.
     """
     digits = _integer("digits", digits, 1, _MAX_DIGITS)
-    scaled = (x.numerator * 10**digits) // x.denominator
+    try:
+        scaled = (x.numerator * 10**digits) // x.denominator
+    except AttributeError:
+        _rational_input("x", x)  # raises ValueError, as in format_rational
+        raise
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
     return f"{sign}{format_rational(whole)}.{frac:0{digits}d}"

@@ -66,32 +66,24 @@ class _CertificationReportFields(NamedTuple):
     tool_version: str
     command: str
     rows: tuple[ReportRow, ...]
-    cells: tuple[tuple[str, ...], ...]
 
 
 class CertificationReport(_CertificationReportFields):
-    """A report's rows, and their cells, each row's ``_cells`` computed once.
+    """A report's three fields, and beside them ``cells``: each row's ``_cells``, computed once.
 
-    ``cells`` is derived from ``rows`` when the report is built and is
-    never an argument, so the two cannot disagree: ``to_text``,
-    ``to_csv`` and ``overall_pass`` only read it.
+    ``cells`` is derived by the constructor, never an argument, so a
+    made, replaced, copied or unpickled report derives it again, and
+    ``to_text``, ``to_csv`` and ``overall_pass`` only read it.
     """
 
-    __slots__ = ()
-
     def __new__(cls, tool_version: str, command: str, rows: Sequence[ReportRow]) -> CertificationReport:
-        rows = tuple(rows)
-        return super().__new__(cls, tool_version, command, rows, tuple(map(_cells, rows)))
+        report = super().__new__(cls, tool_version, command, tuple(rows))
+        report.cells = tuple(map(_cells, report.rows))
+        return report
 
     @classmethod
-    def _make(cls, iterable) -> CertificationReport:  # the constructor's three values; cells is re-derived
+    def _make(cls, iterable) -> CertificationReport:  # NamedTuple's own skips __new__, so cells
         return cls(*iterable)
-
-    def _replace(self, /, **changes) -> CertificationReport:  # cells= is a TypeError, as in the constructor
-        return type(self)(**{"tool_version": self.tool_version, "command": self.command, "rows": self.rows, **changes})
-
-    def __getnewargs__(self) -> tuple[str, str, tuple[ReportRow, ...]]:  # copy and pickle
-        return self.tool_version, self.command, self.rows
 
     @property
     def overall_pass(self) -> bool:

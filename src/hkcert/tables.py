@@ -117,13 +117,7 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         else:
             why = f"{cert.branch}: {_interval_notes(cert, row.e_low, row.e_high)}"
     verdict = f"exceeds conjectured threshold {threshold_text}: {'yes' if bound > threshold else 'no'}"
-    return ReportRow(
-        name=row.name,
-        inputs=inputs,
-        exact_bound=bound,
-        target=target,
-        notes="; ".join(filter(None, (verdict, why, row.note))),
-    )
+    return ReportRow(row.name, inputs, bound, target, "; ".join(filter(None, (verdict, why, row.note))))
 
 
 def verify_tables(dim: int) -> CertificationReport:

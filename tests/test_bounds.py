@@ -403,6 +403,21 @@ class TestOptimizeSlice:
             assert optimize_slice(d, e, r, res) == (Fraction(want, fine), e * Fraction(best, factorial(d) * fine**d))
         assert ties == 8
 
+    def test_score_rises_then_falls_on_every_lattice(self):
+        # The fact the halvings rest on: over a whole lattice {j/b : 0 <= j <= d*b}
+        # the score N_j - r N_{j-b} rises, ties at most once, then falls, as its
+        # forward difference integrates f(s) - r f(s-1) over [j, j+1]/b, which
+        # changes sign at most once, from + to -.  31 of these lattices tie.
+        shape, ties = re.compile(r"\+*0?-*"), 0
+        for d in range(1, 13):
+            for b in range(2, 9):
+                for r in [*range(41), 127, 511, 1023]:
+                    scores = [slab._slab_numerator(d, j, b, r) for j in range(d * b + 1)]
+                    signs = "".join("+" if y > x else "-" if y < x else "0" for x, y in zip(scores, scores[1:]))
+                    assert shape.fullmatch(signs), (d, b, r, signs)
+                    ties += "0" in signs
+        assert ties == 31
+
     def test_rejects_grid_beyond_cost_cap(self, monkeypatch):
         # The cap is checked before the grid exists: a kernel call would fail the test.
         monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))

@@ -191,6 +191,7 @@ class TestMonomialIdeal:
         for built in (ideal._replace(generators=gens), MonomialIdeal._make((2, gens))):
             assert type(built) is MonomialIdeal
             assert built == MonomialIdeal(2, gens) == (2, ((0, 3), (1, 0)))
+            assert built.pure_power_exponents() == (1, 3)  # found again, not the original's (2, 2)
             assert frobenius_colength(built, 1) == scan_colength(gens) == 3
 
     def test_parameter_ideal_detection(self):

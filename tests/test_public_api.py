@@ -1,3 +1,5 @@
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -133,6 +135,65 @@ RECORDS = [
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+
+
+# Each public record with the arguments of its constructor.  The report and
+# the ideal also derive a value, kept beside the fields: the report's cells,
+# one _cells call a row, and the ideal's pure powers, one _pure_powers walk.
+CONTRACT = [
+    (hkcert.CertificationReport, ("0", "verify-tables --dim 5", (_ROW,))),
+    (hkcert.ColengthEntry, (2, 12, Fraction(3))),
+    (hkcert.ColengthSequence, ((_ENTRY,),)),
+    (hkcert.IntervalCertRow, (None, Fraction(1), Fraction(2), "degenerate-linear-increasing")),
+    (hkcert.MonomialIdeal, (2, ((0, 2), (1, 1), (2, 0)))),
+    (hkcert.ReportRow, ("r", "d=5", Fraction(6, 5), Fraction(1), "")),
+]
+
+
+def _derived(record):
+    if isinstance(record, hkcert.CertificationReport):
+        return record.cells
+    if isinstance(record, hkcert.MonomialIdeal):
+        return record.pure_power_exponents()
+    return None
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The arguments of every ``report._cells`` and ``monomial._pure_powers`` call, in order."""
+    calls = []
+    for module, name in ((report, "_cells"), (monomial, "_pure_powers")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("cls, args", CONTRACT, ids=[cls.__name__ for cls, _ in CONTRACT])
+def test_record_is_its_constructors_tuple(cls, args, derivations):
+    record = cls(*args)
+    assert record == args and tuple(record) == args and record._fields == cls._fields
+    derived, built = _derived(record), len(derivations)
+    assert built == (cls in (hkcert.CertificationReport, hkcert.MonomialIdeal))
+    # A derived value is read, never derived again: the same object each time.
+    assert _derived(record) is derived and len(derivations) == built
+    twins = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+             cls._make(args), record._replace()]
+    for twin in twins:
+        assert type(twin) is cls and twin == record and _derived(twin) == derived
+    # Each copy, unpickling, _make and _replace goes through the constructor.
+    assert len(derivations) == built * (1 + len(twins))
+    for field, value in zip(cls._fields, args):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+
+
+def test_colengths_read_the_constructors_pure_powers(monkeypatch):
+    # The walk is the constructor's alone: no colength walks the generators again.
+    ideal, parameter = hkcert.MonomialIdeal(2, ((2, 0), (1, 1), (0, 2))), hkcert.MonomialIdeal(2, ((2, 0), (0, 3)))
+    monkeypatch.setattr(monomial, "_pure_powers", lambda *args: pytest.fail("generators walked again"))
+    assert hkcert.frobenius_colength(ideal, 2) == 12
+    assert [entry.colength for entry in hkcert.ehk_estimate(ideal, [1, 2]).entries] == [3, 12]
+    assert hkcert.mixed_colength(parameter, 1, 2) == 6 * 3
 
 
 def test_record_defaults():

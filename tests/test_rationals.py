@@ -245,7 +245,8 @@ def test_integer_inputs_are_integers_or_rejected(call, name, exact):
 
 
 # The rational and integer parameters that go through rationals._exact or
-# _integer, as (call, parameter, an exact value it accepts): the call puts the
+# _integer, and the renderers' x, whose failed numerator read raises the same
+# error, as (call, parameter, an exact value it accepts): the call puts the
 # value x in the parameter's place.
 PARAMETERS = [
     pytest.param(lambda x: vol_slab(3, x), "s", Fraction(1, 10), id="vol_slab-s"),
@@ -258,6 +259,8 @@ PARAMETERS = [
     pytest.param(lambda x: certify_interval(6, 10, x, Fraction(23, 10)), "e_high", 15, id="certify_interval-e_high"),
     pytest.param(lambda x: certify_interval(6, 10, 15, x), "s", Fraction(23, 10), id="certify_interval-s"),
     pytest.param(lambda x: mixed_colength(_IDEAL, x, 4), "s", Fraction(3, 2), id="mixed_colength-s"),
+    pytest.param(lambda x: format_rational(x), "x", Fraction(1, 3), id="format_rational-x"),
+    pytest.param(lambda x: decimal_render(x, 2), "x", Fraction(1, 3), id="decimal_render-x"),
     *INTEGER_PARAMETERS,
 ]
 
