@@ -145,10 +145,10 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     exceeds ``_MAX_GRID_STEPS`` or d^3 * grid_resolution exceeds
     ``_MAX_GRID_WORK``.
     """
-    d, grid_resolution = _integer("d", d), _integer("grid_resolution", grid_resolution, 2)
+    d, grid_resolution = _dimension(d), _integer("grid_resolution", grid_resolution, 2)
     _at_most("dimension * grid_resolution", d * grid_resolution, _MAX_GRID_STEPS)
     _at_most("dimension**3 * grid_resolution", d**3 * grid_resolution, _MAX_GRID_WORK)
-    d, e, r = _dimension(d), _exact("e", e, 1), _integer("r", r, 0)
+    e, r = _exact("e", e, 1), _integer("r", r, 0)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
     for k in range(1, len(numerators)):

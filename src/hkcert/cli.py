@@ -111,19 +111,19 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_verify_tables(p: argparse.ArgumentParser) -> None:
-    from pathlib import Path
-
     p.set_defaults(handler=_cmd_verify_tables)
     p.add_argument("--dim", type=_int, choices=(5, 6), required=True)
-    p.add_argument("--csv", type=Path, help="also write the rows as CSV to this path")
+    p.add_argument("--csv", help="also write the rows as CSV to this path")
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
+    from pathlib import Path
+
     from .tables import verify_tables
 
     report = verify_tables(args.dim)
     if args.csv is not None:
-        args.csv.write_text(report.to_csv())
+        Path(args.csv).write_text(report.to_csv())
     return report.to_text(), 0 if report.overall_pass else 1
 
 
@@ -170,17 +170,17 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_monomial(p: argparse.ArgumentParser) -> None:
-    from pathlib import Path
-
     p.set_defaults(handler=_cmd_monomial)
-    p.add_argument("--file", type=Path, required=True, help="one generator per line, space-separated exponents")
+    p.add_argument("--file", required=True, help="one generator per line, space-separated exponents")
     p.add_argument("--q", type=_int_list, required=True, help="comma-separated Frobenius powers")
 
 
 def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
+    from pathlib import Path
+
     from .monomial import ehk_estimate, parse_generators
 
-    ideal = parse_generators(args.file.read_text())
+    ideal = parse_generators(Path(args.file).read_text())
     sequence = ehk_estimate(ideal, args.q)
     lines = [
         f"variables: {ideal.num_vars}",
@@ -219,8 +219,9 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
 
 
 # The subcommands, in help order: name -> (help, argument adder).  Each adder
-# also sets its command's handler, and each handler imports the modules it
-# needs when it runs, so a process pays only for the subcommand it runs.
+# sets its command's handler and imports nothing; each handler imports the
+# modules it needs when it runs.  So every process builds the whole parser
+# but imports only the modules of the subcommand it runs.
 _COMMANDS = {
     "vol": ("exact hypercube slab volume v_s", _add_vol),
     "md": ("series coefficients m_d and thresholds 1 + m_d", _add_md),
@@ -233,32 +234,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only ``command``'s.
-
-    The usage line names every subcommand either way (the one-subparser
-    build gives the list as its metavar), so both builds print the same
-    bytes for ``command``'s arguments.  The full build sets no metavar:
-    argparse would name the argument by it in the errors only that build
-    raises, such as ``argument command: invalid choice``.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand of ``_COMMANDS``, in its order."""
     parser = argparse.ArgumentParser(
         prog="hkcert",
         description="Exact-rational lower bounds for Hilbert-Kunz multiplicities.",
     )
     parser.add_argument("--version", action="version", version=f"hkcert {__version__}")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out, code = args.handler(args)
     except (ValueError, OSError) as exc:

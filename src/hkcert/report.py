@@ -73,13 +73,18 @@ class CertificationReport(_CertificationReportFields):
 
     ``cells`` is derived by the constructor, never an argument, so a
     made, replaced, copied or unpickled report derives it again, and
-    ``to_text``, ``to_csv`` and ``overall_pass`` only read it.
+    ``to_text``, ``to_csv`` and ``overall_pass`` only read it.  Like the
+    fields, it cannot be assigned.
     """
 
     def __new__(cls, tool_version: str, command: str, rows: Sequence[ReportRow]) -> CertificationReport:
         report = super().__new__(cls, tool_version, command, tuple(rows))
-        report.cells = tuple(map(_cells, report.rows))
+        report._rendered = tuple(map(_cells, report.rows))
         return report
+
+    @property
+    def cells(self) -> tuple[tuple[str, ...], ...]:
+        return self._rendered
 
     @classmethod
     def _make(cls, iterable) -> CertificationReport:  # NamedTuple's own skips __new__, so cells

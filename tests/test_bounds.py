@@ -422,7 +422,7 @@ class TestOptimizeSlice:
         # The cap is checked before the grid exists: a kernel call would fail the test.
         monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
         assert bounds._MAX_GRID_STEPS == 10**6
-        for d, res in ((2, 500001), (1000001, 2)):
+        for d, res in ((2, 500001), (512, 1954)):
             with pytest.raises(ValueError, match=f"dimension \\* grid_resolution must be <= 1000000, got {d * res}"):
                 optimize_slice(d, 5, 3, res)
 
@@ -430,7 +430,7 @@ class TestOptimizeSlice:
         # The work grows like d^2 * (d * res); these pass the points cap.
         monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
         assert bounds._MAX_GRID_WORK == 10**9 == 100 * 100 * (100 * 1000)
-        for d, res in ((101, 1000), (100, 1001), (200, 500), (1000, 20), (10000, 2)):
+        for d, res in ((101, 1000), (100, 1001), (200, 500), (512, 8)):
             assert d * res <= bounds._MAX_GRID_STEPS
             message = f"dimension\\*\\*3 \\* grid_resolution must be <= 1000000000, got {d**3 * res}"
             with pytest.raises(ValueError, match=message):
@@ -492,12 +492,10 @@ BOUND_CHECK_ORDER = [
                  "valuations must be int or Fraction, got float: 0.5", id="vlb-every-t-read-before-signs"),
     pytest.param(lambda: volume_lower_bound(3, 5, 1, valuations=[0, *(Fraction(1, k) for k in range(2, 1100))]),
                  "valuations must be positive", id="vlb-signs-before-count-cap"),
-    pytest.param(lambda: optimize_slice(513, 5, 3, 2000), "dimension * grid_resolution must be <= 1000000, got 1026000",
-                 id="opt-steps-cap-before-d-range"),
-    pytest.param(lambda: optimize_slice(513, 5, 3, 10),
-                 "dimension**3 * grid_resolution must be <= 1000000000, got 1350056970", id="opt-work-cap-before-d-range"),
+    pytest.param(lambda: optimize_slice(513, 5, 3, 2000), "d must be <= 512, got 513", id="opt-d-range-before-steps-cap"),
+    pytest.param(lambda: optimize_slice(513, 5, 3, 10), "d must be <= 512, got 513", id="opt-d-range-before-work-cap"),
     pytest.param(lambda: optimize_slice(513, 0, None, 2), "d must be <= 512, got 513", id="opt-d-range-before-e"),
-    pytest.param(lambda: optimize_slice(0, 5, 3, 1), "grid_resolution must be >= 2", id="opt-resolution-before-d-floor"),
+    pytest.param(lambda: optimize_slice(0, 5, 3, 1), "d must be >= 1", id="opt-d-floor-before-resolution"),
     pytest.param(lambda: optimize_slice(2.0, 5, 3, 1), "d must be int or Fraction, got float: 2.0",
                  id="opt-d-type-before-resolution"),
     pytest.param(lambda: optimize_slice(0, 0, 3, 10), "d must be >= 1", id="opt-d-floor-before-e"),

@@ -274,23 +274,31 @@ def test_bound_optimize(capsys):
     assert out.startswith("s: ")
 
 
-@pytest.mark.parametrize("dim, resolution", [("2", "500001"), ("1000001", "2")])
-def test_optimize_rejects_grid_beyond_cost_cap(dim, resolution, capsys, monkeypatch):
+# A --dim past 512 is refused on its own range, before either cap is read.
+@pytest.mark.parametrize("dim, resolution, message", [
+    pytest.param("2", "500001", "error: dimension * grid_resolution must be <= 1000000", id="2-500001"),
+    pytest.param("1000001", "2", "error: d must be <= 512, got 1000001", id="1000001-2"),
+])
+def test_optimize_rejects_grid_beyond_cost_cap(dim, resolution, message, capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of building the huge grid.
     monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
     assert main(["bound", "--dim", dim, "--e", "5", "--r", "3", "--optimize", "--resolution", resolution]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: dimension * grid_resolution must be <= 1000000")
+    assert captured.err.startswith(message)
 
 
-@pytest.mark.parametrize("dim, resolution", [("200", "500"), ("1000", "20"), ("10000", "2")])
-def test_optimize_rejects_work_beyond_cost_cap(dim, resolution, capsys, monkeypatch):
+@pytest.mark.parametrize("dim, resolution, message", [
+    pytest.param("200", "500", "error: dimension**3 * grid_resolution must be <= 1000000000", id="200-500"),
+    pytest.param("1000", "20", "error: d must be <= 512, got 1000", id="1000-20"),
+    pytest.param("10000", "2", "error: d must be <= 512, got 10000", id="10000-2"),
+])
+def test_optimize_rejects_work_beyond_cost_cap(dim, resolution, message, capsys, monkeypatch):
     monkeypatch.setattr(bounds, "_grid_numerators", lambda *a: pytest.fail("grid built"))
     assert main(["bound", "--dim", dim, "--e", "5", "--r", "3", "--optimize", "--resolution", resolution]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: dimension**3 * grid_resolution must be <= 1000000000")
+    assert captured.err.startswith(message)
 
 
 @pytest.mark.parametrize(

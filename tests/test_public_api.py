@@ -182,9 +182,23 @@ def test_record_is_its_constructors_tuple(cls, args, derivations):
         assert type(twin) is cls and twin == record and _derived(twin) == derived
     # Each copy, unpickling, _make and _replace goes through the constructor.
     assert len(derivations) == built * (1 + len(twins))
-    for field, value in zip(cls._fields, args):
+    # Neither a field nor the report's derived cells can be assigned.
+    assigned = dict(zip(cls._fields, args))
+    if cls is hkcert.CertificationReport:
+        assigned["cells"] = derived
+    for name, value in assigned.items():
         with pytest.raises(AttributeError):
-            setattr(record, field, value)
+            setattr(record, name, value)
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_report_cells_cannot_drift_from_rows(dim):
+    report = hkcert.verify_tables(dim)
+    text = report.to_text()
+    with pytest.raises(AttributeError):
+        report.cells = ()
+    assert report.to_text() == text
+    assert report.overall_pass == all(row.passed for row in report.rows)
 
 
 def test_colengths_read_the_constructors_pure_powers(monkeypatch):
