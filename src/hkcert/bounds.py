@@ -118,8 +118,8 @@ _MAX_GRID_WORK = 10**9
 def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
     """Maximiser s of the uniform volume bound over {j / (256 * grid_resolution)}, and its bound.
 
-    Scans the grid {k/grid_resolution : 0 <= k <= d*grid_resolution}, then
-    8 halving rounds on the fine lattice {j/D : 0 <= j <= d*D}: each
+    Scans the grid {k/grid_resolution : grid_resolution <= k <= d*grid_resolution},
+    then 8 halving rounds on the fine lattice {j/D : 0 <= j <= d*D}: each
     compares the two points (j - step)/D and (j + step)/D, step = 128, 64,
     ..., 1, next to the best point j/D so far, and moves only to a strictly
     better one.  The bound rises and then falls in s, because the
@@ -134,6 +134,9 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     A candidate j/D scores N_j - r * N_{j-D}, where v_{j/D} = N_j / (d! D^d)
     and N_j = 0 for j < 0: with one denominator and the checked e >= 1 > 0,
     comparing scores is exact, and the strict ``>`` keeps the first maximum.
+    The grid scan starts at s = 1, where v_{s-1} first enters the bound: for
+    k <= grid_resolution the score is N_k alone, which rises strictly up to
+    k = grid_resolution, so no earlier grid point is the first maximum.
     The grid numerators come at once from ``_grid_numerators`` (powers up
     to d*grid_resolution/2, the rest by the slab symmetry), scaled to D by
     ``<< 8*d``.  Each halving point is one ``_slab_numerator(d, j, D, r)``
@@ -151,9 +154,8 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     e, r = _exact("e", e, 1), _integer("r", r, 0)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
-    for k in range(1, len(numerators)):
-        previous = numerators[k - grid_resolution] if k >= grid_resolution else 0
-        score = numerators[k] - r * previous
+    for k in range(grid_resolution, len(numerators)):
+        score = numerators[k] - r * numerators[k - grid_resolution]
         if score > best_score:
             best_k, best_score = k, score
     fine = 256 * grid_resolution

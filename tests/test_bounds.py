@@ -400,7 +400,11 @@ class TestOptimizeSlice:
             ties += len(argmax) == 2
             want = argmax[0] if len(argmax) == 1 else next(j for j in argmax if j % 2 == 0)
             e = Fraction(d + r + 1, 3)
-            assert optimize_slice(d, e, r, res) == (Fraction(want, fine), e * Fraction(best, factorial(d) * fine**d))
+            s, bound = optimize_slice(d, e, r, res)
+            assert (s, bound) == (Fraction(want, fine), e * Fraction(best, factorial(d) * fine**d))
+            # The grid scan starts at s = 1; with r = 0 the bound e v_s rises
+            # to s = d; with r >= 1 it peaks by the middle of the slab.
+            assert s >= 1 and (s == d if r == 0 else s <= Fraction(d + 1, 2)), (d, res, r, s)
         assert ties == 8
 
     def test_score_rises_then_falls_on_every_lattice(self):
@@ -408,6 +412,8 @@ class TestOptimizeSlice:
         # the score N_j - r N_{j-b} rises, ties at most once, then falls, as its
         # forward difference integrates f(s) - r f(s-1) over [j, j+1]/b, which
         # changes sign at most once, from + to -.  31 of these lattices tie.
+        # Up to j = b, where N_{j-b} = 0, the score is N_j and rises: the
+        # grid scan starts there.
         shape, ties = re.compile(r"\+*0?-*"), 0
         for d in range(1, 13):
             for b in range(2, 9):
@@ -415,6 +421,7 @@ class TestOptimizeSlice:
                     scores = [slab._slab_numerator(d, j, b, r) for j in range(d * b + 1)]
                     signs = "".join("+" if y > x else "-" if y < x else "0" for x, y in zip(scores, scores[1:]))
                     assert shape.fullmatch(signs), (d, b, r, signs)
+                    assert signs[:b] == "+" * b, (d, b, r, signs)
                     ties += "0" in signs
         assert ties == 31
 

@@ -160,7 +160,7 @@ COMMANDS = {
         "--e": RATIONAL,
         "--r": integer(small_int(0, 16)),
         "--optimize": Flag(st.none()),
-        "--resolution": integer(small_int(1, 100), past_grid_resolution),
+        "--resolution": integer(small_int(2, 100), past_grid_resolution),
         "--target": TARGET,
     },
     "certify-interval": {
