@@ -6,7 +6,9 @@ accept both "p/q" and decimal literals; decimals parse exactly ("3.32"
 means 83/25).  Integer arguments accept what ``int`` does.  Every numeric
 argument is read by a ``rationals`` reader through ``_argument``, so a
 bad one, a run of more than 4300 digits included, exits 2 the same way
-under any interpreter setting.
+under any interpreter setting.  ``main`` returns the exit code of every
+run, help, ``--version`` and argparse's own usage errors included, and
+``entrypoint``, the console script, exits with it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ def _target_lines(bound: Fraction, target: Fraction | None) -> tuple[list[str], 
 
 
 def _add_vol(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_vol)
     p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--s", type=_rational, required=True)
 
@@ -66,7 +67,6 @@ def _cmd_vol(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_md(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_md)
     p.add_argument("--max", type=_int, required=True, dest="max_order")
 
 
@@ -81,7 +81,6 @@ def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_bound(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--e", type=_rational, required=True)
     gens = p.add_mutually_exclusive_group(required=True)
@@ -111,7 +110,6 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_verify_tables(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_verify_tables)
     p.add_argument("--dim", type=_int, choices=(5, 6), required=True)
     p.add_argument("--csv", help="also write the rows as CSV to this path")
 
@@ -128,7 +126,6 @@ def _cmd_verify_tables(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_quadric(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_quadric)
     p.add_argument("--p", type=_int, required=True, help="odd prime characteristic")
     p.add_argument("--d", type=_int, choices=(5, 6), required=True)
 
@@ -145,7 +142,6 @@ def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_radical(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_radical)
     p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--e", type=_rational, default=Fraction(6))
     p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
@@ -170,7 +166,6 @@ def _cmd_radical(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_monomial(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_monomial)
     p.add_argument("--file", required=True, help="one generator per line, space-separated exponents")
     p.add_argument("--q", type=_int_list, required=True, help="comma-separated Frobenius powers")
 
@@ -193,7 +188,6 @@ def _cmd_monomial(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _add_certify_interval(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_certify_interval)
     p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--e-low", type=_int, required=True)
     p.add_argument("--e-high", type=_int, required=True)
@@ -218,19 +212,19 @@ def _cmd_certify_interval(args: argparse.Namespace) -> tuple[str, int]:
     ), code
 
 
-# The subcommands, in help order: name -> (help, argument adder).  Each adder
-# sets its command's handler and imports nothing; each handler imports the
-# modules it needs when it runs.  So every process builds the whole parser
-# but imports only the modules of the subcommand it runs.
+# The subcommands, in help order: name -> (help, argument adder, handler).
+# No adder imports anything; each handler imports the modules it needs when
+# it runs.  So every process builds the whole parser but imports only the
+# modules of the subcommand it runs.
 _COMMANDS = {
-    "vol": ("exact hypercube slab volume v_s", _add_vol),
-    "md": ("series coefficients m_d and thresholds 1 + m_d", _add_md),
-    "bound": ("volume lower bound e (v_s - sum v_{s-t_i})", _add_bound),
-    "verify-tables": ("recompute a bundled certification table", _add_verify_tables),
-    "quadric": ("closed-form e_HK of the quadric hypersurface", _add_quadric),
-    "radical": ("radical-extension lower bounds", _add_radical),
-    "monomial": ("Frobenius colengths of a monomial ideal", _add_monomial),
-    "certify-interval": ("certify G(e) >= target over an integer interval", _add_certify_interval),
+    "vol": ("exact hypercube slab volume v_s", _add_vol, _cmd_vol),
+    "md": ("series coefficients m_d and thresholds 1 + m_d", _add_md, _cmd_md),
+    "bound": ("volume lower bound e (v_s - sum v_{s-t_i})", _add_bound, _cmd_bound),
+    "verify-tables": ("recompute a bundled certification table", _add_verify_tables, _cmd_verify_tables),
+    "quadric": ("closed-form e_HK of the quadric hypersurface", _add_quadric, _cmd_quadric),
+    "radical": ("radical-extension lower bounds", _add_radical, _cmd_radical),
+    "monomial": ("Frobenius colengths of a monomial ideal", _add_monomial, _cmd_monomial),
+    "certify-interval": ("certify G(e) >= target over an integer interval", _add_certify_interval, _cmd_certify_interval),
 }
 
 
@@ -242,15 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hkcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """The exit code of ``hkcert argv`` (default: the command line), argparse's own exits included."""
     try:
-        out, code = args.handler(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        out, code = _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

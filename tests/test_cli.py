@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hkcert
 from hkcert import bounds, cli, monomial, rationals, series, slab
 from hkcert.cli import main
 from hkcert.rationals import format_rational
@@ -16,12 +17,14 @@ from hkcert.tables import verify_tables
 from test_bounds import LEAST_STRONG_PSEUDOPRIMES
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Where the tests import hkcert from: the checkout's src, or the installed
+# copy's site-packages.  Children run that same copy.
+SRC = str(Path(hkcert.__file__).resolve().parents[1])
 BUDGET_ERROR = "error: a number of more than 4300 digits is past the print budget\n"
 
 
 def child_env():
-    """The current environment with the repo's ``src`` first on PYTHONPATH."""
+    """The current environment with ``SRC`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
@@ -190,10 +193,8 @@ def test_digit_runs_do_not_depend_on_the_interpreter():
     (["monomial", "--file", "sq.ideal", "--q", "2,1/2"], "argument --q: not an integer literal: '1/2'"),
 ])
 def test_bad_list_arguments_are_usage_errors(argv, message, capsys):
-    # argparse reports the list parsers' ArgumentTypeError and exits 2 before any command runs.
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
+    # argparse reports the list parsers' ArgumentTypeError, and main returns 2 before any command runs.
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -257,11 +258,7 @@ def test_bound_valuations(capsys):
     ],
 )
 def test_bound_rejects_bad_input_exit_2(flags, capsys):
-    try:
-        code = main(["bound", *flags])
-    except SystemExit as exc:  # argparse rejects flag combinations itself
-        code = exc.code
-    assert code == 2
+    assert main(["bound", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err
@@ -348,25 +345,31 @@ def slice_id(argv):
     return f"{argv[0]}-{argv[argv.index('--s') + 1][:6]}"
 
 
+# Each case with the summed size that its error line names: d times the bit
+# length of max(a, b), s = a/b, over the volumes evaluated (v_s, and v_{s-1}
+# past vol).  511.0...01 has 3331 bits over 10**1000, and 10**4300 has 14285.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, got",
     [
-        ["vol", "--dim", "512", "--s", LONG_SLICE],
-        ["vol", "--dim", "512", "--s", "1e-4300"],
-        ["bound", "--dim", "512", "--e", "6", "--r", "4", "--s", LONG_SLICE],
-        ["certify-interval", "--dim", "512", "--e-low", "5", "--e-high", "9", "--s", LONG_SLICE, "--target", "1"],
-        *slice_argvs(NINES_PAST_BUDGET, PAIR_PAST_BUDGET),
+        *(pytest.param(argv, got, id=slice_id(argv)) for argv, got in [
+            (["vol", "--dim", "512", "--s", LONG_SLICE], 512 * 3331),
+            (["vol", "--dim", "512", "--s", "1e-4300"], 512 * 14285),
+            (["bound", "--dim", "512", "--e", "6", "--r", "4", "--s", LONG_SLICE], 2 * 512 * 3331),
+            (["certify-interval", "--dim", "512", "--e-low", "5", "--e-high", "9", "--s", LONG_SLICE, "--target", "1"],
+             2 * 512 * 3331),
+            *zip(slice_argvs(NINES_PAST_BUDGET, PAIR_PAST_BUDGET), [512 * 260, 2 * 512 * 130, 2 * 512 * 130]),
+        ]),
+        pytest.param(["vol", "--dim", "10", "--s", "1e-4300"], 142850, id="vol-10-1e-430"),
     ],
-    ids=slice_id,
 )
-def test_long_slice_beyond_cap_exits_2_fast(argv, capsys):
+def test_long_slice_beyond_cap_exits_2_fast(argv, got, capsys):
     # Uncapped, the first of these worked 75 s and then failed to print.
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: summed slab sizes (dimension * bit length) must be <= 131072, got ")
+    assert captured.err == f"error: summed slab sizes (dimension * bit length) must be <= 131072, got {got}\n"
 
 
 @pytest.mark.parametrize("argv", slice_argvs(NINES_AT_BUDGET, PAIR_AT_BUDGET), ids=slice_id)
@@ -488,9 +491,7 @@ def test_bound_rejects_valuations_beyond_cap(count, capsys, monkeypatch):
 def test_rational_exponent_beyond_cap_exits_2(capsys, monkeypatch):
     # Should the cap ever be lost, fail instead of building 10**10000000.
     monkeypatch.setattr(rationals, "Fraction", lambda *a: pytest.fail("literal converted"))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["vol", "--dim", "3", "--s", "1e10000000"])
-    assert excinfo.value.code == 2
+    assert main(["vol", "--dim", "3", "--s", "1e10000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "decimal exponent must be at most 4300 in absolute value, got '1e10000000'" in captured.err
@@ -584,9 +585,7 @@ def test_radical_case_rejects_rational_multiplicity(case, capsys):
 
 
 def test_radical_has_no_field_degree_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["radical", "--dim", "6", "--e", "8", "--k", "4", "--n", "3", "--iterations", "2", "--b", "2"])
-    assert excinfo.value.code == 2
+    assert main(["radical", "--dim", "6", "--e", "8", "--k", "4", "--n", "3", "--iterations", "2", "--b", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --b 2" in captured.err
@@ -596,13 +595,13 @@ def test_monomial(capsys, tmp_path):
     path = tmp_path / "sq.ideal"
     path.write_text("2 0\n1 1\n0 2\n")
     assert main(["monomial", "--file", str(path), "--q", "2,3,4"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "variables: 2"
-    assert out[2:] == [
-        "q=2\tcolength=12\tnormalized=3 ≈ 3.0000",
-        "q=3\tcolength=27\tnormalized=3 ≈ 3.0000",
-        "q=4\tcolength=48\tnormalized=3 ≈ 3.0000",
-    ]
+    assert capsys.readouterr().out == (
+        "variables: 2\n"
+        "generators: 0 2 / 1 1 / 2 0\n"
+        "q=2\tcolength=12\tnormalized=3 ≈ 3.0000\n"
+        "q=3\tcolength=27\tnormalized=3 ≈ 3.0000\n"
+        "q=4\tcolength=48\tnormalized=3 ≈ 3.0000\n"
+    )
 
 
 def test_monomial_cost_does_not_grow_with_q(tmp_path):
@@ -672,16 +671,25 @@ def test_monomial_rejects_minimalize_work_beyond_cap(capsys, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("text, pairs, lines", [
-    ("".join(f"{i} {4 - i}\n" for i in range(5)), 10, ["q=1\tcolength=10\tnormalized=10 ≈ 10.0000",
+    ("".join(f"{i} {4 - i}\n" for i in range(5)), 10, ["variables: 2",
+                                                       "generators: 0 4 / 1 3 / 2 2 / 3 1 / 4 0",
+                                                       "q=1\tcolength=10\tnormalized=10 ≈ 10.0000",
                                                        "q=2\tcolength=40\tnormalized=10 ≈ 10.0000"]),
-    ("2 0 0\n0 2 0\n0 0 2\n", 3, ["q=1\tcolength=8\tnormalized=8 ≈ 8.0000",
+    ("2 0 0\n0 2 0\n0 0 2\n", 3, ["variables: 3",
+                                  "generators: 0 0 2 / 0 2 0 / 2 0 0",
+                                  "q=1\tcolength=8\tnormalized=8 ≈ 8.0000",
                                   "q=2\tcolength=64\tnormalized=8 ≈ 8.0000"]),
-], ids=["staircase", "squares"])
+    ("2 0 0 0\n0 2 0 0\n0 0 2 0\n0 0 0 2\n1 1 1 0\n", 10, ["variables: 4",
+                                                            "generators: 0 0 0 2 / 0 0 2 0 / 0 2 0 0 / 1 1 1 0 / 2 0 0 0",
+                                                            "q=1\tcolength=14\tnormalized=14 ≈ 14.0000",
+                                                            "q=2\tcolength=224\tnormalized=14 ≈ 14.0000"]),
+], ids=["staircase", "squares", "four-variables"])
 def test_monomial_reaches_the_stubbed_helpers(text, pairs, lines, capsys, tmp_path, monkeypatch):
     # The "minimalization started" and "sweep started" stubs above guard only
     # while `monomial` calls these helpers through the module.  On an admitted
     # file of each guarded shape, every pair of generators (none dominated) is
-    # decided by _dominates, and lambda(R/I) is swept once for both q's.
+    # decided by _dominates, and lambda(R/I) is swept once for both q's.  In
+    # four variables, the sweep's box comes from the pure powers the ideal keeps.
     calls = {"_dominates": [], "_staircase_colength": []}
     for name, record in calls.items():
         real = getattr(monomial, name)
@@ -689,7 +697,7 @@ def test_monomial_reaches_the_stubbed_helpers(text, pairs, lines, capsys, tmp_pa
     path = tmp_path / "admitted.ideal"
     path.write_text(text)
     assert main(["monomial", "--file", str(path), "--q", "1,2"]) == 0
-    assert capsys.readouterr().out.splitlines()[2:] == lines
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
     assert (len(calls["_dominates"]), len(calls["_staircase_colength"])) == (pairs, 1)
 
 
@@ -854,9 +862,8 @@ def test_verify_tables_csv(tmp_path, capsys):
 
 
 def test_version(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
-    assert excinfo.value.code == 0
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"hkcert {hkcert.__version__}\n", "")
 
 
 def test_md_rejects_zero_order(capsys):

@@ -231,17 +231,12 @@ def test_every_argv_exits_0_1_or_2(case, scratch):
         elif name == "--csv":
             value = str(scratch / value)
         argv += [name] if value is None else [name, value]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = run(argv)
     assert code in ((2,) if past else (0, 1, 2)), argv
     if code == 2:
-        assert out.getvalue() == "" and "error:" in err.getvalue(), argv
+        assert out == "" and "error:" in err, argv
     else:
-        assert err.getvalue() == "", argv
+        assert err == "", argv
 
 
 def run(argv):

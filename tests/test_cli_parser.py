@@ -2,9 +2,10 @@
 
 ``cli.build_parser`` adds every subcommand of ``cli._COMMANDS``, and no
 argument adder imports anything.  The tests here pin the parser's usage
-outcomes (help exits 0, every other usage error exits 2 with empty
-stdout), and which ``hkcert`` modules each subcommand loads in a fresh
-interpreter.
+outcomes (help and ``--version`` return 0, every other usage error 2
+with empty stdout), that ``cli.main`` returns the code that
+``python -m hkcert`` exits with, and which ``hkcert`` modules each
+subcommand loads in a fresh interpreter.
 """
 
 import ast
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import workloads
-from hkcert import cli
+from hkcert import __version__, cli
 from test_cli import child_env
 
 COMMANDS = list(cli._COMMANDS)
@@ -48,6 +49,7 @@ INVALID = [
     ["certify-interval", "--dim", "6", "--e-low", "x", "--e-high", "9", "--s", "2", "--target", "1"],
 ]
 ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["bogus"],  # the top level
     *([name, flag] for name in COMMANDS for flag in ("-h", "--help")),
     *([name] for name in COMMANDS),  # missing required arguments
     *([*argv, "extra"] for argv in VALID.values()),  # unrecognized argument, reported by the top level
@@ -62,22 +64,51 @@ def test_every_subcommand_has_cases():
 
 
 def outcome(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+# The usage-outcome test; its name is older than the one parser build, and
+# it keeps that name so that its ids stay.
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_one_subparser_prints_what_all_print(argv, capsys):
-    """Help for a subcommand exits 0 on stdout; every other argv here exits 2 with empty stdout."""
+    """Help and --version return 0 on stdout; every other argv here returns 2 with empty stdout."""
     code, out, err = outcome(argv, capsys)
-    if argv[-1] in ("-h", "--help"):
-        assert (code, err) == (0, "") and out.startswith(f"usage: hkcert {argv[0]} ")
+    if argv == ["--version"]:
+        assert (code, out, err) == (0, f"hkcert {__version__}\n", "")
+    elif argv[-1:] in (["-h"], ["--help"]):
+        prog = " ".join(["hkcert", *argv[:-1]])
+        assert (code, err) == (0, "") and out.startswith(f"usage: {prog} ")
+        if prog == "hkcert":  # top-level help lists every subcommand with its help
+            assert all(f"\n    {name} " in out for name in COMMANDS)
     else:
         assert (code, out) == (2, "") and err
+        if argv == ["bogus"]:
+            assert "invalid choice" in err
+
+
+# One argv per kind of outcome, with its exit code.
+OUTCOMES = [
+    pytest.param(VALID["vol"], 0, id="pass"),
+    pytest.param(["bound", "--dim", "5", "--e", "18", "--r", "32", "--s", "17/10", "--target", "1.197"], 1,
+                 id="failed-comparison"),
+    pytest.param(["md", "--max", "0"], 2, id="library-error"),
+    pytest.param(INVALID[0], 2, id="argparse-error"),
+    pytest.param(["-h"], 0, id="help"),
+    pytest.param(["--version"], 0, id="version"),
+    pytest.param([], 2, id="empty"),
+    pytest.param(["bogus"], 2, id="unknown-command"),
+]
+
+
+@pytest.mark.parametrize("argv, code", OUTCOMES)
+def test_main_returns_what_the_process_exits_with(argv, code, capsys, monkeypatch):
+    # One help width for both: argparse reads COLUMNS before the terminal.
+    monkeypatch.setenv("COLUMNS", "80")
+    result = subprocess.run([sys.executable, "-m", "hkcert", *argv], capture_output=True, text=True, env=child_env())
+    assert result.returncode == code
+    assert outcome(argv, capsys) == (code, result.stdout, result.stderr)
 
 
 def test_one_parser_holds_every_subcommand(capsys, monkeypatch):

@@ -82,10 +82,7 @@ def test_example_output_matches(command, output, capsys):
 def test_described_example_runs(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "sq.ideal").write_text(_ideal_file_text())
     monkeypatch.chdir(tmp_path)
-    try:
-        code = main(shlex.split(command)[1:])
-    except SystemExit as exc:  # argparse rejects an unknown command or flag itself
-        code = exc.code
+    code = main(shlex.split(command)[1:])
     captured = capsys.readouterr()
     assert code in (0, 1), captured.err
     assert captured.out
