@@ -80,9 +80,10 @@ def volume_lower_bound(
     if valuations is None:
         r = _integer("r", r, 0)
         if not r:  # v_{s-1} is not needed, so its size is not counted
-            return e * Fraction(*_slab_ratios(d, (s.numerator, s.denominator))[0])
+            n_s, den = _slab_ratios(d, (s.numerator, s.denominator))[0]
+            return Fraction(e.numerator * n_s, e.denominator * den)
         n_s, n_prev, den = _uniform_ratio(d, s)
-        return e * Fraction(n_s - r * n_prev, den)
+        return Fraction(e.numerator * (n_s - r * n_prev), e.denominator * den)
     counts = Counter(_exact("valuations", t) for t in _items("valuations", valuations))
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
@@ -166,7 +167,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
                 score = _slab_numerator(d, j, fine, r)
                 if score > best_score:
                     best_j, best_score = j, score
-    return Fraction(best_j, fine), e * Fraction(best_score, factorial(d) * fine**d)
+    return Fraction(best_j, fine), Fraction(e.numerator * best_score, e.denominator * factorial(d) * fine**d)
 
 
 # Miller-Rabin with the first 12 prime bases is deterministic below
@@ -313,7 +314,7 @@ def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
         raise ValueError(f"case must be 'minimal_gap' or 'general', got {case!r}")
     d, e = _dimension(d, 2), _integer("e", e, 6)
     if e >= factorial(d) + 1:
-        return 1 + Fraction(1, factorial(d))
+        return Fraction(factorial(d) + 1, factorial(d))
     if case == "minimal_gap":
         return radical_recursion_bound(d, 6, 4, ceil(Fraction(d, 2)), d)
     return radical_recursion_bound(d, factorial(d), 3, ceil(Fraction(d, 3)) + 1, d)

@@ -79,8 +79,9 @@ def _parse_integer(text: str) -> int:
 
 
 def _exact(name: str, value: object, least: int | None = None) -> Fraction:
-    """``value`` as a ``Fraction``, where it is an int or a ``Fraction`` not below ``least``; else ValueError."""
-    return _at_least(name, Fraction(_rational_input(name, value)), least)
+    """``value`` as a plain ``Fraction`` (itself if it is one), where it is an int or a ``Fraction`` not below ``least``."""
+    exact = value if type(value) is Fraction else Fraction(_rational_input(name, value))
+    return _at_least(name, exact, least)
 
 
 def _integer(name: str, value: object, least: int | None = None, most: int | None = None) -> int:
@@ -188,11 +189,12 @@ def decimal_render(x: Rational, digits: int) -> str:
     the whole part is written by ``format_rational``.
     """
     digits = _integer("digits", digits, 1, _MAX_DIGITS)
+    scale = 10**digits
     try:
-        scaled = (x.numerator * 10**digits) // x.denominator
+        scaled = (x.numerator * scale) // x.denominator
     except AttributeError:
         _rational_input("x", x)  # raises ValueError, as in format_rational
         raise
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
+    whole, frac = divmod(abs(scaled), scale)
     return f"{sign}{format_rational(whole)}.{frac:0{digits}d}"

@@ -70,4 +70,4 @@ def conjecture_threshold(d: int) -> Fraction:
     the test suite checks it against exact power-series division.
     """
     d = _integer("d", d, 1, _MAX_ORDER)
-    return 1 + Fraction(zigzag_numbers(d)[-1], factorial(d))
+    return Fraction(factorial(d) + zigzag_numbers(d)[-1], factorial(d))

@@ -277,6 +277,46 @@ def test_rational_inputs_are_exact_or_rejected(call, name, exact):
             call(value)
 
 
+class _Loud(Fraction):
+    """A ``Fraction`` subclass whose sum and text are wrong, so a computation that saw it would show it."""
+
+    def __add__(self, other):
+        return Fraction(-1)
+
+    def __str__(self):
+        return "loud"
+
+
+def test_exact_passes_a_plain_fraction_and_converts_the_rest():
+    # The plain Fraction is not copied; an int, a bool or a subclass becomes
+    # a plain Fraction of its value.
+    x = Fraction(7, 5)
+    assert rationals_module._exact("x", x) is x
+    for value in (3, True, _Loud(7, 5)):
+        exact = rationals_module._exact("x", value)
+        assert type(exact) is Fraction and exact == value
+
+
+# Each result built from integers, with a _Loud argument in place of x.
+PLAIN_RESULTS = [
+    pytest.param(lambda x: volume_lower_bound(5, x, Fraction(7, 5), r=0), 5, id="volume_lower_bound-r0-e"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, x, r=0), Fraction(7, 5), id="volume_lower_bound-r0-s"),
+    pytest.param(lambda x: volume_lower_bound(5, x, Fraction(7, 5), r=3), 5, id="volume_lower_bound-r3-e"),
+    pytest.param(lambda x: volume_lower_bound(5, 5, x, r=3), Fraction(7, 5), id="volume_lower_bound-r3-s"),
+    pytest.param(lambda x: volume_lower_bound(5, x, 2, valuations=[1, Fraction(1, 2)]), Fraction(9, 2),
+                 id="volume_lower_bound-valuations-e"),
+    pytest.param(lambda x: optimize_slice(5, x, 3, 10)[1], Fraction(11, 2), id="optimize_slice-e"),
+    pytest.param(lambda x: conjecture_threshold(x), 6, id="conjecture_threshold-d"),
+    pytest.param(lambda x: fixed_dimension_bound(3, x, "general"), 7, id="fixed_dimension_bound-e"),
+]
+
+
+@pytest.mark.parametrize("call, exact", PLAIN_RESULTS)
+def test_results_are_plain_fractions(call, exact):
+    result = call(_Loud(exact))
+    assert type(result) is Fraction and result == call(Fraction(exact))
+
+
 _PLANE = MonomialIdeal(2, [(1, 0), (0, 1)])
 
 # One floor of one parameter, worded the same by every entry point that reads it.

@@ -21,6 +21,12 @@ metric's ``better`` direction (ties count for neither side), the base's
 interquartile range and the gap between the medians.  ``gain`` is true
 when the change wins at least nine pairs in ten and its median is better
 than the base's by more than the base's interquartile range.
+``regressed`` is true when the change's median is worse than the base's
+by more than the metric's ``bound`` in ``BENCHMARK.json``, a share of the
+base median, in the metric's ``better`` direction: a change that the
+benchmark's check would refuse.  The entry also holds each side's
+failed-op share (failed ops over attempted ops, all runs pooled) and
+whether the change's share is the larger.
 
 With n pairs the interval can be no wider than the smallest and largest
 ratio, which hold the true median with probability 1 - 2^(1-n): 75 % at
@@ -94,7 +100,7 @@ def bootstrap_median(ratios: list[float], seed: int) -> tuple[float, float]:
     return medians[int(0.025 * RESAMPLES)], medians[int(0.975 * RESAMPLES) - 1]
 
 
-def summarize(base: list[float], change: list[float], lower_is_better: bool, seed: int) -> dict:
+def summarize(base: list[float], change: list[float], lower_is_better: bool, bound: float, seed: int) -> dict:
     ratios = [b / a for a, b in zip(base, change)]
     wins = sum(b < a if lower_is_better else b > a for a, b in zip(base, change))
     sides = {}
@@ -115,7 +121,15 @@ def summarize(base: list[float], change: list[float], lower_is_better: bool, see
         "base_iqr": iqr,
         "median_gap": gap,
         "gain": wins >= 0.9 * len(ratios) and better_gap > iqr,
+        "regressed": -better_gap > bound * abs(sides["base"]["median"]),
     }
+
+
+def failed_share(runs: list[dict]) -> dict:
+    shares = {side: sum(run["failed"] for run in runs if run["side"] == side)
+              / max(1, sum(run["attempted"] for run in runs if run["side"] == side))
+              for side in ("base", "change")}
+    return {**shares, "rose": shares["change"] > shares["base"]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,7 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         return [run[name] for run in runs if run["side"] == side]  # in pair order
 
     summary = {m["name"]: summarize(series("base", m["name"]), series("change", m["name"]),
-                                    m["better"] == "lower", args.seed) for m in end_to_end}
+                                    m["better"] == "lower", m["bound"], args.seed) for m in end_to_end}
+    failed = failed_share(runs)
     head = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     report = json.loads(args.out.read_text()) if args.out.is_file() else {}
@@ -178,14 +193,15 @@ def main(argv: list[str] | None = None) -> int:
     })
     report.setdefault("workloads", {})[f"{args.workload} seed {args.seed}"] = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-        "summary": summary, "runs": runs,
+        "summary": summary, "failed_share": failed, "runs": runs,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, s in summary.items():
         print(f"{name}: base {s['base']['median']:.4g}, change {s['change']['median']:.4g}, "
               f"{s['change_pct']:+.1f} % [{s['ratio_ci95'][0]:.4f}, {s['ratio_ci95'][1]:.4f}], "
-              f"better {s['change_better_pairs']}, gain {s['gain']}")
+              f"better {s['change_better_pairs']}, gain {s['gain']}, regressed {s['regressed']}")
+    print(f"failed-op share: base {failed['base']:.6f}, change {failed['change']:.6f}, rose {failed['rose']}")
     print(f"wrote {args.out}")
     return 0 if ok else 1
 
