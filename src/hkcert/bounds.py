@@ -5,9 +5,9 @@ bound
 
     e_HK >= e * (v_s - sum_i v_{s - t_i})
 
-for a ring of dimension d and multiplicity e, where v is the hypercube
-slab volume, s >= 0 is a rational slice parameter, and the t_i are
-valuations of the generators counted against a minimal reduction (all
+for a ring of dimension d and integer multiplicity e >= 1, where v is the
+hypercube slab volume, s >= 0 is a rational slice parameter, and the t_i
+are valuations of the generators counted against a minimal reduction (all
 t_i = 1 in the uniform case with generator count r).  The uniform case
 is evaluated as ``e * (N_s - r N_{s-1}) / D`` over the one denominator D
 of v_s and v_{s-1}, as the interval certificate is.  On top of it sit:
@@ -56,7 +56,7 @@ _MAX_VALUATIONS = 1000
 
 def volume_lower_bound(
     d: int,
-    e: Rational,
+    e: int,
     s: Rational,
     r: Optional[int] = None,
     valuations: Optional[Sequence[Rational]] = None,
@@ -74,16 +74,16 @@ def volume_lower_bound(
     volumes it evaluates, those at 0 < s - t < d, sum past the slab work
     budget (``slab._MAX_SLAB_BITS``, checked by ``slab._slab_ratios``).
     """
-    d, e, s = _dimension(d), _exact("e", e, 1), _exact("s", s, 0)
+    d, e, s = _dimension(d), _integer("e", e, 1), _exact("s", s, 0)
     if (r is None) == (valuations is None):
         raise ValueError("exactly one of r / valuations is required")
     if valuations is None:
         r = _integer("r", r, 0)
         if not r:  # v_{s-1} is not needed, so its size is not counted
             n_s, den = _slab_ratios(d, (s.numerator, s.denominator))[0]
-            return Fraction(e.numerator * n_s, e.denominator * den)
+            return Fraction(e * n_s, den)
         n_s, n_prev, den = _uniform_ratio(d, s)
-        return Fraction(e.numerator * (n_s - r * n_prev), e.denominator * den)
+        return Fraction(e * (n_s - r * n_prev), den)
     counts = Counter(_exact("valuations", t) for t in _items("valuations", valuations))
     if any(t <= 0 for t in counts):
         raise ValueError("valuations must be positive")
@@ -116,7 +116,7 @@ _MAX_GRID_STEPS = 10**6
 _MAX_GRID_WORK = 10**9
 
 
-def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
+def optimize_slice(d: int, e: int, r: int, grid_resolution: int) -> tuple[Fraction, Fraction]:
     """Maximiser s of the uniform volume bound over {j / (256 * grid_resolution)}, and its bound.
 
     Scans the grid {k/grid_resolution : grid_resolution <= k <= d*grid_resolution},
@@ -152,7 +152,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
     d, grid_resolution = _dimension(d), _integer("grid_resolution", grid_resolution, 2)
     _at_most("dimension * grid_resolution", d * grid_resolution, _MAX_GRID_STEPS)
     _at_most("dimension**3 * grid_resolution", d**3 * grid_resolution, _MAX_GRID_WORK)
-    e, r = _exact("e", e, 1), _integer("r", r, 0)
+    e, r = _integer("e", e, 1), _integer("r", r, 0)
     numerators = _grid_numerators(d, grid_resolution)
     best_k, best_score = 0, 0
     for k in range(grid_resolution, len(numerators)):
@@ -167,7 +167,7 @@ def optimize_slice(d: int, e: Rational, r: int, grid_resolution: int) -> tuple[F
                 score = _slab_numerator(d, j, fine, r)
                 if score > best_score:
                     best_j, best_score = j, score
-    return Fraction(best_j, fine), Fraction(e.numerator * best_score, e.denominator * factorial(d) * fine**d)
+    return Fraction(best_j, fine), Fraction(e * best_score, factorial(d) * fine**d)
 
 
 # Miller-Rabin with the first 12 prime bases is deterministic below
@@ -245,9 +245,9 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     ``_uniform_ratio``.  G(e) is e (N_s - (e-2) N_{s-1}) / D, and
     the apex is placed by comparing e * 2 N_{s-1} with N_s + 2 N_{s-1}.
     """
-    e_low = _integer("e_low", e_low, 1)
+    d, e_low = _dimension(d), _integer("e_low", e_low, 1)
     e_high, s = _integer("e_high", e_high, e_low), _exact("s", s, 0)
-    n_s, n_prev, den = _uniform_ratio(_dimension(d), s)
+    n_s, n_prev, den = _uniform_ratio(d, s)
     g_low, g_high = (Fraction(e * (n_s - (e - 2) * n_prev), den) for e in (e_low, e_high))
     top, bottom = n_s + 2 * n_prev, 2 * n_prev
     if not bottom:
@@ -259,7 +259,7 @@ def certify_interval(d: int, e_low: int, e_high: int, s: Rational) -> IntervalCe
     return IntervalCertRow(Fraction(top, bottom) if bottom else None, g_low, g_high, branch)
 
 
-def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int) -> Fraction:
+def radical_recursion_bound(d: int, e: int, k: int, n: int, iterations: int) -> Fraction:
     """Closed form of the iterated radical-extension recursion.
 
     ``k`` is the embedding codimension, ``n`` the root degree of each
@@ -279,7 +279,7 @@ def radical_recursion_bound(d: int, e: Rational, k: int, n: int, iterations: int
     return 1 + base**iterations * start
 
 
-def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
+def _radical_terms(d: int, e: int, k: int, n: int, iterations: int) -> tuple[Fraction, Fraction]:
     """The checked (base, start) of ``radical_recursion_bound``, before the power.
 
     With base = a/b in lowest terms, the bound's denominator is at least
@@ -298,7 +298,7 @@ def _radical_terms(d: int, e: Rational, k: int, n: int, iterations: int) -> tupl
     return base, start
 
 
-def fixed_dimension_bound(d: int, e: Rational, case: str) -> Fraction:
+def fixed_dimension_bound(d: int, e: int, case: str) -> Fraction:
     """Dimension-only lower bound for Gorenstein F-regular non-complete-intersections.
 
     For e >= d! + 1 the bound 1 + 1/d! applies directly.  Otherwise it is

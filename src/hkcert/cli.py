@@ -3,7 +3,8 @@
 Every command prints exact rationals alongside truncated decimals and
 exits 0 exactly when all requested comparisons pass.  Rational arguments
 accept both "p/q" and decimal literals; decimals parse exactly ("3.32"
-means 83/25).  Integer arguments accept what ``int`` does.  Every numeric
+means 83/25).  Integer arguments accept what ``int`` does; every
+multiplicity (``--e``, ``--e-low``, ``--e-high``) is one.  Every numeric
 argument is read by a ``rationals`` reader through ``_argument``, so a
 bad one, a run of more than 4300 digits included, exits 2 the same way
 under any interpreter setting.  ``main`` returns the exit code of every
@@ -16,14 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 
 from . import __version__
-from .rationals import DISPLAY_DIGITS, _parse_integer, decimal_render, format_rational, parse_rational
+from .rationals import Rational, _parse_integer, decimal_render, format_rational, parse_rational
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{format_rational(x)} ≈ {decimal_render(x, DISPLAY_DIGITS)}"
+def _fmt(x: Rational) -> str:
+    return f"{format_rational(x)} ≈ {decimal_render(x)}"
 
 
 def _argument(read: Callable[[str], object]) -> Callable[[str], object]:
@@ -48,7 +48,7 @@ def _text(*lines: str) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _target_lines(bound: Fraction, target: Fraction | None) -> tuple[list[str], int]:
+def _target_lines(bound: Rational, target: Rational | None) -> tuple[list[str], int]:
     if target is None:
         return [], 0
     passed = bound >= target
@@ -76,13 +76,13 @@ def _cmd_md(args: argparse.Namespace) -> tuple[str, int]:
     lines = []
     for d, m in enumerate(zigzag_coeffs(args.max_order), start=1):
         threshold = 1 + m
-        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold, DISPLAY_DIGITS)}")
+        lines.append(f"{d}\t{format_rational(m)}\t{format_rational(threshold)}\t{decimal_render(threshold)}")
     return _text(*lines), 0
 
 
 def _add_bound(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=_int, required=True)
-    p.add_argument("--e", type=_rational, required=True)
+    p.add_argument("--e", type=_int, required=True)
     gens = p.add_mutually_exclusive_group(required=True)
     gens.add_argument("--r", type=_int, help="uniform generator count (all valuations 1)")
     gens.add_argument("--t", type=_rational_list, help="comma-separated valuations t_1,..,t_r")
@@ -143,7 +143,7 @@ def _cmd_quadric(args: argparse.Namespace) -> tuple[str, int]:
 
 def _add_radical(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=_int, required=True)
-    p.add_argument("--e", type=_rational, default=Fraction(6))
+    p.add_argument("--e", type=_int, default=6)
     p.add_argument("--case", choices=("minimal_gap", "general"), help="closed-form case")
     p.add_argument("--k", type=_int, help="embedding codimension (recursion mode)")
     p.add_argument("--n", type=_int, help="root degree (recursion mode)")

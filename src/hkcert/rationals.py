@@ -178,23 +178,22 @@ def _check_printable(bits: int) -> None:
 
 # Decimal places of every truncated display: CLI lines, report columns and notes.
 DISPLAY_DIGITS = 4
+_DISPLAY_SCALE = 10**DISPLAY_DIGITS
 
 
-def decimal_render(x: Rational, digits: int) -> str:
-    """Decimal string of ``x`` truncated to exactly ``digits`` places.
+def decimal_render(x: Rational) -> str:
+    """Decimal string of ``x`` truncated to exactly ``DISPLAY_DIGITS`` places.
 
     Truncation is toward minus infinity, so the rendered value re-parses
-    to a rational that is <= x and within 10**-digits of it.  Both parts
-    stay in the print budget: ``digits`` is at most ``_MAX_DIGITS``, and
-    the whole part is written by ``format_rational``.
+    to a rational that is <= x and within 10**-DISPLAY_DIGITS of it.  The
+    whole part is written by ``format_rational``, so it stays in the print
+    budget.
     """
-    digits = _integer("digits", digits, 1, _MAX_DIGITS)
-    scale = 10**digits
     try:
-        scaled = (x.numerator * scale) // x.denominator
+        scaled = (x.numerator * _DISPLAY_SCALE) // x.denominator
     except AttributeError:
         _rational_input("x", x)  # raises ValueError, as in format_rational
         raise
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    return f"{sign}{format_rational(whole)}.{frac:0{digits}d}"
+    whole, frac = divmod(abs(scaled), _DISPLAY_SCALE)
+    return f"{sign}{format_rational(whole)}.{frac:0{DISPLAY_DIGITS}d}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .rationals import DISPLAY_DIGITS, decimal_render, format_rational
+from .rationals import decimal_render, format_rational
 
 __all__ = ["CertificationReport", "ReportRow"]
 
@@ -36,7 +36,7 @@ class ReportRow(NamedTuple):
     @property
     def decimal(self) -> str:
         """Truncated rendering of the exact bound."""
-        return decimal_render(self.exact_bound, DISPLAY_DIGITS)
+        return decimal_render(self.exact_bound)
 
 
 # The columns of a report row, in order, as the text form labels them; the

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import certify_interval, volume_lower_bound
-from .rationals import DISPLAY_DIGITS, _integer, decimal_render, format_rational
+from .rationals import _integer, decimal_render, format_rational
 from .report import CertificationReport, ReportRow, _interval_notes
 from .series import conjecture_threshold
 
@@ -111,7 +111,7 @@ def _evaluate(d: int, row: TableRow, threshold: Fraction, threshold_text: str) -
         inputs = f"d={d} a={row.e_low} b={row.e_high} s={format_rational(row.s)}"
         if cert.branch == "increasing":  # spelled out with the apex's decimal value
             why = (
-                f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex, DISPLAY_DIGITS)} "
+                f"{cert.branch}: apex {format_rational(cert.apex)} = {decimal_render(cert.apex)} "
                 f"> {row.e_high}, so G increases on the interval and G({row.e_low}) certifies"
             )
         else:

@@ -67,6 +67,13 @@ def _is_display(quoted: Fraction, exact: Fraction, places: int) -> bool:
     return quoted * 10**places in (truncated, rounded)
 
 
+def _truncated(x: Fraction, places: int) -> str:
+    """``x`` truncated toward minus infinity to ``places`` decimal places, for a diagnostic."""
+    scaled = x.numerator * 10**places // x.denominator
+    whole, frac = divmod(abs(scaled), 10**places)
+    return f"{'-' if scaled < 0 else ''}{whole}.{frac:0{places}d}"
+
+
 def _finish(name: str, started: float, failures: list[str]) -> None:
     elapsed = time.perf_counter() - started
     status = "FAIL" if failures else "PASS"
@@ -108,7 +115,7 @@ def test_dim5_table():
                 failures.append(f"{row.e_low}/120 <= 17/15")
             continue
         bound = volume_lower_bound(5, row.e_low, row.s, r=row.e_high - 2)
-        exact = f"exact bound {format_rational(bound)} = {decimal_render(bound, 6)}"
+        exact = f"exact bound {format_rational(bound)} = {_truncated(bound, 6)}"
         # A 3-place display that does not exceed the bound is its truncation.
         if not bound >= row.target:
             failures.append(
@@ -158,7 +165,7 @@ def test_dim6_table():
         if not _is_display(quoted_apex, apex, 2):
             failures.append(
                 f"apex at s={format_rational(row.s)} is exactly {format_rational(apex)} = "
-                f"{decimal_render(apex, 6)}; the quoted display {decimal_render(quoted_apex, 2)} is neither "
+                f"{_truncated(apex, 6)}; the quoted display {_truncated(quoted_apex, 2)} is neither "
                 f"its 2-place truncation nor its rounding (off by {format_rational(quoted_apex - apex)})"
             )
         if not apex > row.e_high:
@@ -237,7 +244,7 @@ def test_radical_recursion():
     started = time.perf_counter()
     failures = []
     bound = fixed_dimension_bound(4, 6, "minimal_gap")
-    if bound != Fraction(657, 625) or decimal_render(bound, 4) != "1.0512":
+    if bound != Fraction(657, 625) or decimal_render(bound) != "1.0512":
         failures.append(f"fixed-dimension bound at d=4 is {bound}, expected 657/625 = 1.0512")
     if radical_step_iterates(4, 6, 4, 2, 4)[-1] != Fraction(657, 625):
         failures.append("four one-step bounds from e/2 at d=4, e=6, k=4, n=2 do not give 657/625")

@@ -78,11 +78,12 @@ def fine_lattice_scores(d, r, b):
 def fraction_certify_interval(d, e_low, e_high, s):
     """Oracle: ``certify_interval`` as it was before it compared integer numerators.
 
-    The same input checks in the same order (each end's type, then e_low's
-    floor, before the two ends are compared), then two ``vol_slab``
-    volumes, G at both ends, the apex and the comparisons as ``Fraction``
-    arithmetic.
+    The same input checks in the same order (d by ``vol_slab``'s checks,
+    each end's type, then e_low's floor, before the two ends are compared),
+    then two ``vol_slab`` volumes, G at both ends, the apex and the
+    comparisons as ``Fraction`` arithmetic.
     """
+    vol_slab(d, 0)
     for name, value in (("e_low", e_low), ("e_high", e_high)):
         if (value := Fraction(value)).denominator != 1:
             raise ValueError(f"{name} must be an integer, got {format_rational(value)}")
@@ -203,7 +204,7 @@ class TestVolumeLowerBound:
         pool = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5), Fraction(5, 2), Fraction(3)]
         for _ in range(60):
             d = rng.randint(1, 8)
-            e = Fraction(rng.randint(3, 90), rng.randint(1, 3))
+            e = rng.randint(3, 90)
             s = Fraction(rng.randint(0, 20 * d), 20)
             valuations = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
             expected = ungrouped_bound(d, e, s, valuations)
@@ -212,7 +213,7 @@ class TestVolumeLowerBound:
                 assert volume_lower_bound(d, e, s, r=len(valuations)) == expected
 
     def test_uniform_equals_repeated_unit_valuations(self):
-        for d, e, s, r in [(5, 35, Fraction(7, 5), 134), (6, 12, Fraction(23, 10), 10), (3, Fraction(7, 2), 2, 1)]:
+        for d, e, s, r in [(5, 35, Fraction(7, 5), 134), (6, 12, Fraction(23, 10), 10), (3, 7, 2, 1)]:
             assert volume_lower_bound(d, e, s, r=r) == ungrouped_bound(d, e, s, [1] * r)
 
     def test_uniform_form_is_one_numerator_pair(self, monkeypatch):
@@ -399,7 +400,7 @@ class TestOptimizeSlice:
             assert len(argmax) == 1 or (len(argmax) == 2 and argmax[1] == argmax[0] + 1), (d, res, r)
             ties += len(argmax) == 2
             want = argmax[0] if len(argmax) == 1 else next(j for j in argmax if j % 2 == 0)
-            e = Fraction(d + r + 1, 3)
+            e = d + r + 1
             s, bound = optimize_slice(d, e, r, res)
             assert (s, bound) == (Fraction(want, fine), e * Fraction(best, factorial(d) * fine**d))
             # The grid scan starts at s = 1; with r = 0 the bound e v_s rises
@@ -458,31 +459,31 @@ class TestOptimizeSlice:
 
     def test_matches_grid_then_halving_oracle(self):
         rng = random.Random(8128)
-        cases = [(2, 1, 0, 2), (2, Fraction(7, 3), 16, 2), (8, Fraction(37, 2), 16, 60), (8, 5, 0, 60),
-                 (4, 6, 4, 41), (5, Fraction(35, 3), 7, 2),
+        cases = [(2, 1, 0, 2), (2, 7, 16, 2), (8, 37, 16, 60), (8, 5, 0, 60), (4, 6, 4, 41), (5, 35, 7, 2),
                  # d = 1: v is piecewise linear, so the maximum sits on a breakpoint.
-                 (1, 1, 0, 2), (1, 5, 1, 2), (1, Fraction(7, 2), 3, 17), (1, 40, 16, 100), (1, Fraction(9, 7), 0, 33),
+                 (1, 1, 0, 2), (1, 5, 1, 2), (1, 7, 3, 17), (1, 40, 16, 100), (1, 9, 0, 33),
                  # the corners of the bench search cells
                  (8, 38, 16, 100), (4, 6, 1, 40)]
         for _ in range(16):
             d, r, res = rng.randint(2, 8), rng.randint(0, 16), rng.randint(2, 60)
-            e = Fraction(rng.randint(max(3, 2 * r), 90), rng.choice([1, 2, 3, 7]))
-            cases.append((d, max(e, 1), r, res))
+            cases.append((d, rng.randint(max(3, 2 * r), 90), r, res))
         for d, e, r, res in cases:
             assert optimize_slice(d, e, r, res) == grid_then_halving(d, e, r, res), (d, e, r, res)
 
 
 # Two broken rules at once: the first message of each bound entry wins.
 # volume_lower_bound reads d, e and s, then which of r / valuations is given,
-# then that one; optimize_slice reads d as an integer and grid_resolution,
-# checks both grid caps, and only then the dimension range, e and r.
+# then that one; optimize_slice reads d, its range included, and
+# grid_resolution, then checks both grid caps and reads e and r;
+# certify_interval reads d, e_low, e_high and s.
 BOUND_CHECK_ORDER = [
     pytest.param(lambda: volume_lower_bound(513, 0, 1, r=1), "d must be <= 512, got 513", id="vlb-d-before-e"),
     pytest.param(lambda: volume_lower_bound(0, 5, -1, r=1), "d must be >= 1", id="vlb-d-before-s"),
     pytest.param(lambda: volume_lower_bound(2.0, 0, 1, r=1), "d must be int or Fraction, got float: 2.0",
                  id="vlb-d-type-before-e"),
     pytest.param(lambda: volume_lower_bound(3, 0, -1, r=1), "e must be >= 1", id="vlb-e-before-s"),
-    pytest.param(lambda: volume_lower_bound(3, Fraction(1, 2), 1), "e must be >= 1", id="vlb-e-before-r-or-t"),
+    pytest.param(lambda: volume_lower_bound(3, Fraction(1, 2), 1), "e must be an integer, got 1/2",
+                 id="vlb-e-before-r-or-t"),
     pytest.param(lambda: volume_lower_bound(3, 5, -1, r=-1), "s must be >= 0", id="vlb-s-before-r"),
     pytest.param(lambda: volume_lower_bound(3, 5, -1, r=Fraction(3, 2)), "s must be >= 0", id="vlb-s-before-r-type"),
     pytest.param(lambda: volume_lower_bound(3, 5, 0.5, r=0.5), "s must be int or Fraction, got float: 0.5",
@@ -509,10 +510,15 @@ BOUND_CHECK_ORDER = [
     pytest.param(lambda: optimize_slice(-1, 0, 3, 10), "d must be >= 1", id="opt-negative-d-before-e"),
     pytest.param(lambda: optimize_slice(5, 0, -1, 10), "e must be >= 1", id="opt-e-before-r"),
     pytest.param(lambda: optimize_slice(5, 5, -1, 1), "grid_resolution must be >= 2", id="opt-resolution-before-r"),
-    pytest.param(lambda: optimize_slice(4, Fraction(1, 2), None, 10), "e must be >= 1", id="opt-e-before-missing-r"),
+    pytest.param(lambda: optimize_slice(4, Fraction(1, 2), None, 10), "e must be an integer, got 1/2",
+                 id="opt-e-before-missing-r"),
     # optimize_slice has no valuations: a missing r is read as r, by r's own reader.
     pytest.param(lambda: optimize_slice(4, 5, None, 10), "r must be int or Fraction, got NoneType: None",
                  id="opt-missing-r"),
+    pytest.param(lambda: certify_interval(513, 0, -3, 2), "d must be <= 512, got 513", id="ci-d-range-before-ends"),
+    pytest.param(lambda: certify_interval(0, 0, 9, 2), "d must be >= 1", id="ci-d-floor-before-e-low"),
+    pytest.param(lambda: certify_interval(2.0, 5, 9, -1), "d must be int or Fraction, got float: 2.0",
+                 id="ci-d-type-before-s"),
 ]
 
 
@@ -757,7 +763,7 @@ class TestCertifyInterval:
 
     def test_rejects_as_fraction_oracle(self):
         # The same checks, in the same order, with the same messages; the
-        # dimension is checked last, as vol_slab checked it.  e_low's floor
+        # dimension is checked first, by vol_slab's checks.  e_low's floor
         # comes before e_high is read and before the ends are compared.
         for args in [(6, Fraction(5, 2), 1, -1), (6, 5, Fraction(17, 2), 2), (0, 9, 5, -1), (0, 0, 9, -1),
                      (6, 0, -3, 2), (6, 0, Fraction(1, 2), 2),

@@ -560,7 +560,6 @@ def test_radical_rejects_mixed_modes():
     [
         ("--dim", "1", "d must be >= 2"),
         ("--e", "5", "e must be >= 6"),
-        ("--e", "17/2", "e must be an integer, got 17/2"),
         ("--k", "2", "k must be >= 3"),
         ("--k", "5", "k must be <= 4, got 5"),
         ("--n", "1", "n must be >= 2"),
@@ -581,7 +580,49 @@ def test_radical_case_rejects_rational_multiplicity(case, capsys):
     assert main(["radical", "--dim", "6", "--e", "17/2", "--case", case]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: e must be an integer, got 17/2\n"
+    assert captured.err.endswith("hkcert radical: error: argument --e: not an integer literal: '17/2'\n")
+
+
+# The multiplicity e is a positive integer wherever it enters: each library
+# entry refuses e = 13/2 by the parameter's name, and each command's
+# multiplicity flag is read as an integer, so argparse refuses it (exit 2).
+MULTIPLICITY_ENTRIES = [
+    pytest.param(lambda: bounds.volume_lower_bound(5, Fraction(13, 2), Fraction(7, 5), r=3), "e",
+                 id="volume_lower_bound-r"),
+    pytest.param(lambda: bounds.volume_lower_bound(5, Fraction(13, 2), Fraction(7, 5), valuations=[1, 1]), "e",
+                 id="volume_lower_bound-valuations"),
+    pytest.param(lambda: bounds.optimize_slice(5, Fraction(13, 2), 3, 10), "e", id="optimize_slice"),
+    pytest.param(lambda: bounds.radical_recursion_bound(4, Fraction(13, 2), 4, 2, 4), "e",
+                 id="radical_recursion_bound"),
+    pytest.param(lambda: bounds.fixed_dimension_bound(4, Fraction(13, 2), "minimal_gap"), "e",
+                 id="fixed_dimension_bound"),
+    pytest.param(lambda: bounds.certify_interval(6, Fraction(13, 2), 9, Fraction(13, 5)), "e_low",
+                 id="certify_interval-e_low"),
+    pytest.param(lambda: bounds.certify_interval(6, 5, Fraction(13, 2), Fraction(13, 5)), "e_high",
+                 id="certify_interval-e_high"),
+    pytest.param(["bound", "--dim", "5", "--e", "13/2", "--r", "3", "--s", "7/5"], "--e", id="bound-s"),
+    pytest.param(["bound", "--dim", "5", "--e", "13/2", "--t", "1,1", "--s", "7/5"], "--e", id="bound-t"),
+    pytest.param(["bound", "--dim", "5", "--e", "13/2", "--r", "3", "--optimize"], "--e", id="bound-optimize"),
+    pytest.param(["radical", "--dim", "4", "--e", "13/2", "--case", "minimal_gap"], "--e", id="radical-case"),
+    pytest.param(["radical", "--dim", "4", "--e", "13/2", "--k", "4", "--n", "2", "--iterations", "4"], "--e",
+                 id="radical-recursion"),
+    pytest.param(["certify-interval", "--dim", "6", "--e-low", "13/2", "--e-high", "9", "--s", "13/5",
+                  "--target", "1"], "--e-low", id="certify-interval-e-low"),
+    pytest.param(["certify-interval", "--dim", "6", "--e-low", "5", "--e-high", "13/2", "--s", "13/5",
+                  "--target", "1"], "--e-high", id="certify-interval-e-high"),
+]
+
+
+@pytest.mark.parametrize("entry, name", MULTIPLICITY_ENTRIES)
+def test_multiplicity_is_an_integer_at_every_entry(entry, name, capsys):
+    if callable(entry):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 13/2$"):
+            entry()
+        return
+    assert main(entry) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"hkcert {entry[0]}: error: argument {name}: not an integer literal: '13/2'\n")
 
 
 def test_radical_has_no_field_degree_flag(capsys):

@@ -122,7 +122,7 @@ def test_md_prints_the_reference(order):
     run_and_check("md", {"--max": order})
 
 
-MULTIPLICITIES = st.fractions(1, 40, max_denominator=12)
+MULTIPLICITIES = st.integers(1, 40)
 
 
 @fuzz
@@ -135,7 +135,7 @@ def test_bound_prints_the_reference(d, e, data):
     else:
         valuations = data.draw(st.lists(st.fractions(0, 3, max_denominator=6).filter(bool), min_size=1, max_size=4))
         generators = {"--t": ",".join(map(format_rational, valuations))}
-    values = {"--dim": d, "--e": format_rational(e), **generators, "--s": format_rational(s)}
+    values = {"--dim": d, "--e": e, **generators, "--s": format_rational(s)}
     if data.draw(st.booleans()):
         target = data.draw(targets(oracles.volume_bound(d, e, s, valuations)))
         values["--target"] = format_rational(target)
@@ -145,7 +145,7 @@ def test_bound_prints_the_reference(d, e, data):
 @fuzz
 @given(d=st.integers(1, 6), e=MULTIPLICITIES, r=st.integers(0, 16), res=st.integers(2, 20))
 def test_bound_optimize_prints_the_reference(d, e, r, res):
-    run_and_check("bound", {"--dim": d, "--e": format_rational(e), "--r": r, "--resolution": res}, ["--optimize"])
+    run_and_check("bound", {"--dim": d, "--e": e, "--r": r, "--resolution": res}, ["--optimize"])
 
 
 @fuzz

@@ -135,7 +135,9 @@ VALUATIONS = Flag(
     st.lists(st.fractions(0, 3, max_denominator=6).map(str), min_size=1, max_size=4).map(",".join),
     past_valuations,
 )
-MULTIPLICITY = Flag(small_int(6, 12), RATIONAL.past)
+# bound's --e below 1 and radical's below 6 are refused by the library.
+BOUND_MULTIPLICITY = integer(small_int(0, 10))
+MULTIPLICITY = integer(small_int(6, 12))
 GENERATOR_FILE = Flag(
     st.lists(st.integers(1, 4), min_size=1, max_size=3)
     .flatmap(lambda cs: st.lists(st.lists(st.integers(0, 4), min_size=len(cs), max_size=len(cs)), max_size=3).map(
@@ -153,11 +155,11 @@ FROBENIUS_POWERS = Flag(
 COMMANDS = {
     "vol": {"--dim": DIM, "--s": SLICE},
     "md": {"--max": integer(small_int(1, 40), lambda values: [str(series._MAX_ORDER + 1)])},
-    "bound": {"--dim": DIM, "--e": RATIONAL, "--r": integer(small_int(0, 16)), "--s": SLICE, "--target": TARGET},
-    "bound --t": {"--dim": DIM, "--e": RATIONAL, "--t": VALUATIONS, "--s": SLICE},
+    "bound": {"--dim": DIM, "--e": BOUND_MULTIPLICITY, "--r": integer(small_int(0, 16)), "--s": SLICE, "--target": TARGET},
+    "bound --t": {"--dim": DIM, "--e": BOUND_MULTIPLICITY, "--t": VALUATIONS, "--s": SLICE},
     "bound --optimize": {
         "--dim": integer(small_int(1, 8), past_grid_dim),
-        "--e": RATIONAL,
+        "--e": BOUND_MULTIPLICITY,
         "--r": integer(small_int(0, 16)),
         "--optimize": Flag(st.none()),
         "--resolution": integer(small_int(2, 100), past_grid_resolution),

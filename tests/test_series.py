@@ -5,7 +5,7 @@ import pytest
 
 from hkcert import series
 from hkcert.cli import main
-from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational
+from hkcert.rationals import decimal_render, format_rational
 from hkcert.series import conjecture_threshold, zigzag_coeffs, zigzag_numbers
 
 
@@ -154,7 +154,7 @@ def test_rejects_order_beyond_cap_before_the_triangle(monkeypatch):
 def test_md_prints_the_series_division_values(capsys):
     order = 200
     expected = "".join(
-        f"{d}\t{format_rational(m)}\t{format_rational(1 + m)}\t{decimal_render(1 + m, DISPLAY_DIGITS)}\n"
+        f"{d}\t{format_rational(m)}\t{format_rational(1 + m)}\t{decimal_render(1 + m)}\n"
         for d, m in enumerate(secant_tangent_coeffs(order), start=1)
     )
     assert main(["md", "--max", str(order)]) == 0

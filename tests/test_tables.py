@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hkcert import bounds, report as report_module
 from hkcert.bounds import volume_lower_bound
-from hkcert.rationals import DISPLAY_DIGITS, decimal_render, format_rational, parse_rational
+from hkcert.rationals import decimal_render, format_rational, parse_rational
 from hkcert.report import CertificationReport, ReportRow
 from hkcert.series import conjecture_threshold
 from hkcert.tables import DIM5_ROWS, DIM6_ROWS, verify_tables
@@ -224,7 +224,7 @@ _OLD_COLUMNS = ("name", "inputs", "exact-bound", "decimal", "target", "pass", "n
 
 def _old_cells(row):
     verdict = "true" if row.exact_bound >= row.target else "false"
-    decimal = decimal_render(row.exact_bound, DISPLAY_DIGITS)
+    decimal = decimal_render(row.exact_bound)
     return row.name, row.inputs, format_rational(row.exact_bound), decimal, format_rational(row.target), verdict, row.notes
 
 
